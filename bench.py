@@ -211,7 +211,7 @@ def run_once() -> dict:
         keep_logs=False,
         checkpoint_every=4,
         # GRAFT_SEEN_SPILL=1: run the 10^10-scale seen-set path (sorted
-        # parquet runs + filter-first membership) — the SCALING.md round-3
+        # parquet runs + vectorized run membership) — the SCALING.md round-3
         # measurement, reproducible: measured FASTER than in-memory
         seen_spill=os.environ.get("GRAFT_SEEN_SPILL") == "1",
         seen_max_mem_urls=2048,

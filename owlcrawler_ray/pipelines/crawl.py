@@ -88,10 +88,11 @@ class CrawlConfig:
     max_ticks: int | None = None
     out_dir: str = "/tmp/owlcrawl/out"
     ckpt_dir: str = "/tmp/owlcrawl/ckpt"
+    # retired (True only): kept so fingerprint() and SeenShard callers hold
     exact_seen: bool = True
     use_cuckoo: bool = True
     # 10^10-scale path: spill each shard's exact set to sorted parquet runs
-    # (filter-first membership); parity is unchanged (tested)
+    # (vectorized run membership); parity is unchanged (tested)
     seen_spill: bool = False
     seen_max_mem_urls: int = 1 << 20
     politeness: PolitenessConfig = field(default_factory=PolitenessConfig)
@@ -118,6 +119,13 @@ class CrawlConfig:
     # source), so its identity enters fingerprint() below; None keeps
     # the legacy fingerprint so existing checkpoints stay resumable.
     fetcher_factory: object | None = None
+
+    def __post_init__(self):
+        if not (self.exact_seen and self.use_cuckoo):
+            raise ValueError(
+                "exact_seen and use_cuckoo are retired and accept only "
+                "True: the seen set is always exact"
+            )
 
     def fingerprint(self) -> str:
         """Semantic identity of a crawl — fields that must match for a
@@ -362,15 +370,15 @@ class Crawler:
             # but ACROSS crawls it would resurrect the previous crawl's
             # seen set and silently suppress fetches. Clear the stale runs
             # DRIVER-SIDE before the shard actors exist: loading a
-            # previous 10^10-URL seen set into every shard's filter only
+            # previous 10^10-URL seen set into every shard only
             # to discard it is O(that whole set) of wasted startup work.
             if os.path.isdir(spill):
                 for fn in os.listdir(spill):
                     if fn.startswith("seen_run_"):
                         os.remove(os.path.join(spill, fn))
         self.seen = [
-            seen_cls.remote(i, 1 << 16, cfg.exact_seen, cfg.use_cuckoo,
-                            spill, cfg.seen_max_mem_urls)
+            seen_cls.remote(i, spill_dir=spill,
+                            max_mem_urls=cfg.seen_max_mem_urls)
             for i in range(cfg.num_seen_shards)
         ]
         self.frontier = [
@@ -523,30 +531,10 @@ class Crawler:
             ))
         ray.get(futs)
 
-    def _contains_many(self, urls: list[str]) -> dict[str, bool]:
-        uniq = sorted(set(urls))
-        if not uniq:
-            return {}
-        shards = ids.shard_of(uniq, self.cfg.num_seen_shards)
-        per = [[] for _ in range(self.cfg.num_seen_shards)]
-        for u, s in zip(uniq, shards):
-            per[int(s)].append(u)
-        futs, order = [], []
-        for s in range(self.cfg.num_seen_shards):
-            if per[s]:
-                futs.append(self.seen[s].contains_many.remote(per[s]))
-                order.append(s)
-        out: dict[str, bool] = {}
-        for s, mask in zip(order, ray.get(futs)):
-            for u, m in zip(per[s], mask):
-                out[u] = bool(m)
-        return out
-
     def _seen_mask_np(self, url_arr: pa.Array) -> np.ndarray:
         """Vectorized seen-set membership for an Arrow string array:
-        dedup -> batched per-shard RPC -> index_in map-back. Same RPC
-        shape as ``_contains_many`` but per-occurrence output without a
-        python dict pass. The blake2b shard hash is the one per-string
+        dedup -> batched per-shard RPC -> index_in map-back, one output
+        per occurrence. The blake2b shard hash is the one per-string
         python cost kept — it must stay stable across processes and
         checkpoints (ids.py)."""
         n = len(url_arr)
@@ -663,11 +651,12 @@ class Crawler:
                 )
             )
         entries.sort(key=lambda e: (e[0], e[1]))
-        seen_mask = self._contains_many([e[2] for e in entries])
+        seen_mask = self._seen_mask_np(
+            pa.array([e[2] for e in entries], pa.string()))
         by_host: dict[str, list] = {}
         discard = []
-        for e in entries:
-            if seen_mask[e[2]]:
+        for e, seen in zip(entries, seen_mask):
+            if seen:
                 discard.append(e[1])
                 continue
             if not self.gate.allowed(e[2]):

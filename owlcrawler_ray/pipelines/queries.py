@@ -514,7 +514,7 @@ def q_anti_join_bloom(sf_dir: str):
     Output is exact: negatives ∪ (positives ANTI build) — same oracle as
     the plain anti-join."""
     from ..functions.ids import int_hash64_many
-    from ..state.seen import BloomFilter, bloom_bit_indices
+    from ..functions.sketch import BloomFilter, bloom_bit_indices
 
     cap = pq.read_metadata(_p(sf_dir, "lineitem")).num_rows
     li = _read(sf_dir, "lineitem", columns=["l_orderkey"])
@@ -5079,6 +5079,10 @@ def q_training_mix(sf_dir: str):
         _read(sf_dir, "documents", columns=["doc_id", "text"]))
 
     def stage(batch: pa.Table) -> pa.Table:
+        # null text fails the oracle's quality predicate (NULL), so the
+        # row is dropped there; drop it here before the quality kernel
+        if batch.column("text").null_count:
+            batch = batch.filter(pc.is_valid(batch.column("text")))
         ids = batch.column("doc_id").to_numpy(
             zero_copy_only=False).astype(np.int64)
         texts = batch.column("text").combine_chunks() if isinstance(

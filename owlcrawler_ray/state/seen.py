@@ -1,324 +1,108 @@
-"""Sharded URL-seen set: cuckoo filter (bloom fallback) + exact overlay.
+"""Sharded URL-seen set: one exact, insert-only structure per shard.
 
 Replaces the reference's "seen = a CouchDB document exists" check
 (couchdb/couchdb.go:254-280), which costs one HTTP HEAD per candidate link
 per occurrence. Here membership is a batched RPC to ``num_shards`` Ray
-actors, shard = blake2b64(url) % num_shards; each shard holds
+actors, shard = blake2b64(url) % num_shards. Like the reference's document
+set, each shard is EXACT (the north rule requires the final seen set to
+match the reference exactly) and insert-only:
 
-  * a CUCKOO FILTER (numpy-backed, 4-slot buckets, 16-bit fingerprints,
-    deletable) — the approximate, O(1)-memory-per-key scale path;
-  * an EXACT url set — the parity authority (the north rule requires the
-    final seen set to match the reference exactly; a filter false positive
-    would silently skip a URL). At 10^10-URL scale the exact set becomes
-    per-shard sorted parquet runs consulted only on filter *positives*
-    (~(1+fp_rate) disk probes per hit); in-sandbox it is in-memory.
+  * a hot in-memory ``set[str]``;
+  * with ``spill_dir`` set, the hot set is flushed as a SORTED
+    (url_hash, url) parquet run whenever it reaches ``max_mem_urls``.
+    The runs' sorted hash arrays stay resident, so run membership is one
+    vectorized searchsorted per run, with a string compare only at
+    hash-equal candidates (which keeps 64-bit hash collisions exact).
 
-Dedup timing parity (SURVEY.md §2.3 F1): the filter answers the ADVISORY
-discovery-time check; ``test_and_set_many`` is the AUTHORITATIVE
-admission/commit check — atomic per shard, so the reference's
+``add_many`` is the atomic per-shard test-and-set: its mask marks the urls
+it newly inserted (the 201-vs-409 outcome), so the reference's
 HEAD-then-PUT race (fetcher.go:96 -> couchdb.go:164-166, 409 = first
 writer wins) cannot occur at all.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
-from ..functions.ids import url_hash64, url_hash64_many
-
-_EMPTY = np.uint16(0)
-_MAX_KICKS = 500
-
-
-class CuckooFilter:
-    """Deterministic cuckoo filter over uint64 key hashes.
-
-    buckets: (nb, 4) uint16 fingerprints, 0 = empty. fp = top 16 bits of the
-    key hash (0 remapped to 1). i1 = h & mask, i2 = i1 ^ mix(fp). Eviction
-    choice is a deterministic LCG so identical insert sequences produce
-    identical filter state (required for byte-identical checkpoint resume,
-    SURVEY.md §7 "what's hard" (f))."""
-
-    def __init__(self, capacity: int):
-        nb = 1
-        while nb * 4 < capacity * 1.3:  # ~0.77 max load with headroom
-            nb *= 2
-        self.nb = nb
-        self.mask = np.uint64(nb - 1)
-        self.buckets = np.zeros((nb, 4), dtype=np.uint16)
-        self.count = 0
-        self._lcg = np.uint64(0x9E3779B97F4A7C15)
-        # number of failed kick chains: each one strands a fingerprint
-        # (possibly a VICTIM key's, not the inserter's), so once > 0 the
-        # no-false-negatives invariant no longer holds and callers must
-        # stop trusting filter negatives (see SeenShard.contains_many)
-        self.dropped = 0
-
-    # -- hashing helpers ------------------------------------------------
-    def _fp(self, h: np.ndarray) -> np.ndarray:
-        fp = (h >> np.uint64(48)).astype(np.uint16)
-        fp[fp == 0] = 1
-        return fp
-
-    def _i1(self, h: np.ndarray) -> np.ndarray:
-        return (h & self.mask).astype(np.int64)
-
-    def _i2(self, i1: np.ndarray, fp: np.ndarray) -> np.ndarray:
-        mix = (fp.astype(np.uint64) * np.uint64(0x5BD1E995)) & self.mask
-        return (i1.astype(np.uint64) ^ mix).astype(np.int64) & (self.nb - 1)
-
-    # -- vectorized membership ------------------------------------------
-    def contains_many(self, hashes: np.ndarray) -> np.ndarray:
-        if len(hashes) == 0:
-            return np.zeros(0, dtype=bool)
-        h = hashes.astype(np.uint64)
-        fp = self._fp(h)
-        i1 = self._i1(h)
-        i2 = self._i2(i1, fp)
-        b1 = self.buckets[i1]  # (n, 4)
-        b2 = self.buckets[i2]
-        fpc = fp[:, None]
-        return ((b1 == fpc).any(axis=1)) | ((b2 == fpc).any(axis=1))
-
-    # -- mutation (python loop; insert volume per round is modest) -------
-    def insert(self, h: int) -> bool:
-        ha = np.array([h], dtype=np.uint64)
-        fp = int(self._fp(ha)[0])
-        i1 = int(self._i1(ha)[0])
-        i2 = int(self._i2(np.array([i1]), np.array([fp], dtype=np.uint16))[0])
-        for i in (i1, i2):
-            row = self.buckets[i]
-            empt = np.where(row == _EMPTY)[0]
-            if len(empt):
-                row[empt[0]] = fp
-                self.count += 1
-                return True
-        i = i1
-        cur = np.uint16(fp)
-        for _ in range(_MAX_KICKS):
-            # LCG wraps mod 2^64 BY DESIGN; python ints avoid numpy's
-            # per-call RuntimeWarning on the intended overflow
-            self._lcg = np.uint64(
-                (int(self._lcg) * 6364136223846793005 + 1442695040888963407)
-                & 0xFFFFFFFFFFFFFFFF
-            )
-            slot = int(self._lcg >> np.uint64(61)) & 3
-            cur, self.buckets[i][slot] = self.buckets[i][slot], cur
-            i = int(
-                self._i2(np.array([i]), np.array([cur], dtype=np.uint16))[0]
-            )
-            row = self.buckets[i]
-            empt = np.where(row == _EMPTY)[0]
-            if len(empt):
-                row[empt[0]] = cur
-                self.count += 1
-                return True
-        # table over-full: `cur` (a kicked VICTIM's fingerprint, not
-        # necessarily the inserter's) is stranded — record the drop so
-        # membership paths stop treating filter negatives as definitive
-        self.dropped += 1
-        return False
-
-    def delete(self, h: int) -> bool:
-        ha = np.array([h], dtype=np.uint64)
-        fp = np.uint16(self._fp(ha)[0])
-        i1 = int(self._i1(ha)[0])
-        i2 = int(self._i2(np.array([i1]), np.array([fp]))[0])
-        for i in (i1, i2):
-            row = self.buckets[i]
-            hit = np.where(row == fp)[0]
-            if len(hit):
-                row[hit[0]] = _EMPTY
-                self.count -= 1
-                return True
-        return False
-
-    def state(self) -> dict:
-        return {
-            "nb": self.nb,
-            "buckets": self.buckets.copy(),
-            "count": self.count,
-            "lcg": int(self._lcg),
-            "dropped": self.dropped,
-        }
-
-    def restore(self, st: dict) -> None:
-        self.nb = st["nb"]
-        self.mask = np.uint64(self.nb - 1)
-        self.buckets = st["buckets"].copy()
-        self.count = st["count"]
-        self._lcg = np.uint64(st["lcg"])
-        self.dropped = st.get("dropped", 0)
-
-
-def bloom_bit_indices(hashes: np.ndarray, m: int, k: int) -> np.ndarray:
-    """(n, k) bit indices for double-hashed bloom membership — module-level
-    so distributed builds can emit SPARSE per-batch partials (the set bit
-    indices, O(batch keys)) instead of full-width bit arrays (O(build
-    cardinality) per partial, the r2 verdict's anti_join_bloom flaw)."""
-    h = hashes.astype(np.uint64)
-    out = []
-    h1 = h
-    # the stride must draw on bits the (m-1) mask DOESN'T keep: deriving
-    # h2 from h's low bits makes every probe a function of log2(m) bits,
-    # so any low-bits collision with a member is a GUARANTEED false
-    # positive (measured ~10x the configured rate at m=2^17). High-32
-    # remix, forced odd -> full-period stride over power-of-two m and
-    # probes that depend on the whole 64-bit hash.
-    with np.errstate(over="ignore"):
-        h2 = (h >> np.uint64(32)) * np.uint64(0xFF51AFD7ED558CCD) | np.uint64(1)
-        for i in range(k):
-            out.append((h1 + np.uint64(i) * h2) & np.uint64(m - 1))
-    return np.stack(out, axis=1)  # (n, k)
-
-
-class BloomFilter:
-    """Fallback approximate-membership sketch (no deletes)."""
-
-    def __init__(self, capacity: int, fp_rate: float = 0.01):
-        import math
-
-        m = max(64, int(-capacity * math.log(fp_rate) / (math.log(2) ** 2)))
-        self.m = 1 << (m - 1).bit_length()
-        self.k = max(1, int(round(self.m / max(capacity, 1) * math.log(2))))
-        self.bits = np.zeros(self.m // 64, dtype=np.uint64)
-
-    def _idx(self, hashes: np.ndarray) -> np.ndarray:
-        return bloom_bit_indices(hashes, self.m, self.k)
-
-    def add_many(self, hashes: np.ndarray) -> None:
-        if not len(hashes):
-            return
-        idx = self._idx(hashes).ravel()
-        np.bitwise_or.at(
-            self.bits, (idx >> np.uint64(6)).astype(np.int64),
-            np.uint64(1) << (idx & np.uint64(63)),
-        )
-
-    def contains_many(self, hashes: np.ndarray) -> np.ndarray:
-        if not len(hashes):
-            return np.zeros(0, dtype=bool)
-        idx = self._idx(hashes)
-        words = self.bits[(idx >> np.uint64(6)).astype(np.int64)]
-        hit = (words >> (idx & np.uint64(63))) & np.uint64(1)
-        return hit.all(axis=1).astype(bool)
+from ..functions.ids import url_hash64_many
 
 
 class SeenShard:
     """One shard of the URL-seen set. Instantiated as a Ray actor by the
     crawl pipeline (plain class here so unit tests run it in-process).
-
-    Memory model at scale (the 10^10-URL path): when ``spill_dir`` is set
-    and the in-memory exact set exceeds ``max_mem_urls``, it is flushed as
-    a SORTED parquet run of (url_hash, url). Membership then goes filter-
-    first: a cuckoo/bloom NEGATIVE is definitive (no false negatives — the
-    overfull-cuckoo edge adds the key to a tiny always-checked overflow
-    set), a POSITIVE falls back to the hot set and then binary search over
-    the sorted runs — so disk is touched only for the ~fp-rate of truly
-    unseen keys plus real hits. Snapshots concatenate runs + hot set, so
-    checkpoints and parity are unchanged."""
+    Snapshots concatenate runs + hot set, so checkpoints and parity do not
+    depend on whether (or when) the shard spilled."""
 
     def __init__(self, shard_id: int, capacity: int = 1 << 16,
                  exact: bool = True, use_cuckoo: bool = True,
                  spill_dir: str | None = None, max_mem_urls: int = 1 << 20):
+        # retired slots (default only): keep positional callers lined up
+        if (capacity, exact, use_cuckoo) != (1 << 16, True, True):
+            raise ValueError(
+                "SeenShard is always an exact set: capacity, exact and "
+                "use_cuckoo accept only their defaults"
+            )
         self.shard_id = shard_id
-        self.exact_enabled = exact
         self.urls: set[str] = set()
-        self.filter = CuckooFilter(capacity) if use_cuckoo else BloomFilter(capacity)
-        self.deletable = use_cuckoo
         self.spill_dir = spill_dir
         self.max_mem_urls = max_mem_urls
-        self.overflow: set[str] = set()  # cuckoo insert failures: always checked
         self._runs: list[tuple[np.ndarray, list[str]]] = []  # (sorted hashes, urls)
         # incremental-checkpoint state: urls inserted since the last ACKED
-        # delta write (bounded by adds-per-checkpoint-window, NOT |seen|),
-        # plus a remove epoch so a remove_many between ckpt_write and
-        # ckpt_ack can never be silently dropped from the chain
+        # delta write (bounded by adds-per-checkpoint-window, NOT |seen|)
         self._ckpt_pending: list[str] = []
         self._ckpt_mark = 0
-        self._ckpt_full_written = False
-        self._remove_epoch = 0
-        self._remove_epoch_at_write = 0
-        self._acked_epoch = 0
         if spill_dir:
-            import os
-
             os.makedirs(spill_dir, exist_ok=True)
             self._load_runs()
 
     # -- spill machinery -------------------------------------------------
     def _run_path(self, i: int) -> str:
-        import os
-
         return os.path.join(self.spill_dir, f"seen_run_{self.shard_id:04d}_{i:06d}.parquet")
 
     def _load_runs(self) -> None:
-        import os
-
-        import pyarrow.parquet as pq
-
+        # runs left by an earlier incarnation of this shard (actor restart,
+        # or a resume that finds a dirty spill_dir before the first commit)
         i = 0
         while os.path.exists(self._run_path(i)):
             t = pq.read_table(self._run_path(i))
-            hashes = t.column("url_hash").to_numpy()
-            urls = t.column("url").to_pylist()
-            self._runs.append((hashes, urls))
-            # re-establish filter coverage for the loaded keys: runs can be
-            # loaded into a FRESH shard (actor restart, or a resume that
-            # finds a dirty spill_dir before the first checkpoint commit)
-            # whose filter is cold — without this, filter-first
-            # contains_many returns false negatives for every spilled URL
-            # while _known/test_and_set_many still see them, an internally
-            # contradictory shard (caught by the round-4 review)
-            if self.deletable:
-                for h, u in zip(hashes.tolist(), urls):
-                    if not self.filter.insert(int(h)):
-                        self.overflow.add(u)
-            else:
-                self.filter.add_many(hashes)
+            self._runs.append(
+                (t.column("url_hash").to_numpy(), t.column("url").to_pylist())
+            )
             i += 1
 
     def _maybe_spill(self) -> None:
         if not self.spill_dir or len(self.urls) < self.max_mem_urls:
             return
-        import pyarrow.parquet as pq
-
-        urls = sorted(self.urls, key=url_hash64)
-        hashes = url_hash64_many(urls)
+        urls = list(self.urls)
+        hs = url_hash64_many(urls)
+        order = np.argsort(hs, kind="stable")
+        hashes = hs[order]
+        urls = [urls[i] for i in order]
         t = pa.table(
             {"url_hash": pa.array(hashes, pa.uint64()),
              "url": pa.array(urls, pa.string())}
         )
         path = self._run_path(len(self._runs))
         pq.write_table(t, path + ".tmp")
-        import os
-
         os.rename(path + ".tmp", path)
         self._runs.append((hashes, urls))
         self.urls = set()
 
-    def _in_runs(self, u: str) -> bool:
-        if not self._runs:
-            return False
-        h = np.uint64(url_hash64(u))
-        for hashes, urls in self._runs:
-            i = int(np.searchsorted(hashes, h))
-            while i < len(hashes) and hashes[i] == h:
-                if urls[i] == u:
-                    return True
-                i += 1
-        return False
-
-    def _in_runs_many(self, urls: list[str], hs: np.ndarray) -> np.ndarray:
-        """Vectorized run membership for a whole probe batch: ONE
-        searchsorted per run instead of one scalar call per (url, run) —
-        the per-url loop was the width-independent serial cost that
-        dragged spill-mode scaling (the admission RPC probes thousands of
-        urls per round against a fixed shard count, so any per-url Python
-        work in here is Amdahl overhead at wide cpu counts). String
-        equality is only checked at hash-collision candidates."""
+    def _in_runs_many(self, urls: list[str]) -> np.ndarray:
+        """Run membership for a whole probe batch: ONE searchsorted per
+        run instead of one scalar call per (url, run) — the admission RPC
+        probes thousands of urls per round against a fixed shard count, so
+        per-url Python work here is serial overhead at wide cpu counts.
+        Hashes only nominate candidates; the string compare decides, so
+        membership stays exact when two urls share a 64-bit hash."""
         out = np.zeros(len(urls), dtype=bool)
+        if not self._runs or not len(urls):
+            return out
+        hs = url_hash64_many(urls)
         for hashes, run_urls in self._runs:
             n = len(hashes)
             if n == 0:
@@ -338,185 +122,39 @@ class SeenShard:
                     j += 1
         return out
 
-    def _exact_contains(self, u: str) -> bool:
-        # tombstones veto RUN membership only (they exist because spilled
-        # runs are immutable); the live sets always win, so a removed-then-
-        # re-added URL is correctly seen again
-        if u in self.urls or u in self.overflow:
-            return True
-        return u not in self.tombstones and self._in_runs(u)
-
+    # -- membership ------------------------------------------------------
     def contains_many(self, urls: list[str]) -> np.ndarray:
-        if self.exact_enabled:
-            if not self.spill_dir:
-                return np.fromiter(
-                    (u in self.urls for u in urls), dtype=bool, count=len(urls)
-                )
-            # filter-first: negatives are definitive, positives verified.
-            # EXCEPT once a cuckoo kick chain has dropped a fingerprint
-            # (filter saturated): a dropped victim key is NOT in overflow,
-            # so negatives stop being trustworthy — fall back to exact
-            # checks for every probe until restore() rebuilds the filter.
-            hs = url_hash64_many(urls)
-            if getattr(self.filter, "dropped", 0) > 0:
-                mask = np.ones(len(urls), dtype=bool)  # exact-check all
-            else:
-                mask = self.filter.contains_many(hs)
-            # live sets first (cheap set lookups; overflow members may
-            # have NO fingerprint, so they're checked regardless of mask)
-            out = np.fromiter(
-                ((u in self.urls) or (u in self.overflow) for u in urls),
-                dtype=bool, count=len(urls),
-            )
-            # remaining filter-positives: batched run verify + tombstone veto
-            rem = np.flatnonzero(mask & ~out)
-            if rem.size and self._runs:
-                hit = self._in_runs_many([urls[i] for i in rem], hs[rem])
-                tomb = self.tombstones
-                for k in np.flatnonzero(hit):
-                    i = int(rem[k])
-                    if urls[i] not in tomb:
-                        out[i] = True
-            return out
-        return self.filter.contains_many(url_hash64_many(urls))
+        out = np.fromiter(
+            (u in self.urls for u in urls), dtype=bool, count=len(urls)
+        )
+        return out | self._in_runs_many(urls)
 
-    def _known(self, u: str) -> bool:
-        if self.spill_dir:
-            return self._exact_contains(u)
-        return u in self.urls
-
-    def _insert(self, u: str, h) -> None:
-        """Shared insert path: revive a tombstoned spilled URL (membership
-        comes back via its immutable run) or add to the hot set + filter.
-
-        On revive, filter coverage must be RE-ESTABLISHED, not assumed: an
-        overflow-backed spilled URL never had its fingerprint inserted
-        (the insert failed), so returning early on _in_runs alone would
-        leave a filter-first false negative forever."""
-        self._ckpt_pending.append(u)
-        if u in self.tombstones:
-            self.tombstones.discard(u)
-            if self._in_runs(u):
-                # revived: the run row is the membership again, but make
-                # sure the filter (or overflow) covers it
-                if self.deletable and not self.filter.contains_many(
-                    np.array([h], dtype=np.uint64)
-                )[0]:
-                    if not self.filter.insert(int(h)):
-                        self.overflow.add(u)
-                return
-        self.urls.add(u)
-        if self.deletable:
-            if not self.filter.insert(int(h)):
-                self.overflow.add(u)  # filter full: exact-checked forever
-
-    def _known_mask(self, urls: list[str], hs: np.ndarray) -> np.ndarray:
-        """Batched `_known` for the insert paths: run membership resolved
-        with ONE searchsorted per run (`_in_runs_many`), live-set and
-        tombstone state consulted per url (cheap set lookups). Runs are
-        immutable within a batch (spill happens after the insert loop),
-        so the precomputed run hits stay valid; mutations from earlier
-        inserts in the SAME batch only affect the url itself, which the
-        callers cover with a batch-local `done` set."""
-        if not self.spill_dir or not self._runs:
-            return np.fromiter(
-                (u in self.urls for u in urls), dtype=bool, count=len(urls)
-            )
-        run_hit = self._in_runs_many(urls, hs)
-        out = np.empty(len(urls), dtype=bool)
+    def add_many(self, urls: list[str]) -> np.ndarray:
+        """Insert ``urls``; True = newly inserted (the 409-equivalent
+        mask). A url repeated within the batch is new only at its first
+        occurrence. Runs are immutable within a batch (spill happens after
+        the insert loop), so the precomputed run hits stay valid."""
+        in_runs = self._in_runs_many(urls)
+        new = np.zeros(len(urls), dtype=bool)
         for i, u in enumerate(urls):
-            out[i] = (
-                u in self.urls or u in self.overflow
-                or (bool(run_hit[i]) and u not in self.tombstones)
-            )
-        return out
-
-    def add_many(self, urls: list[str]) -> int:
-        added = 0
-        hs = url_hash64_many(urls)
-        known = self._known_mask(urls, hs)
-        done: set[str] = set()  # same-batch duplicates (insert OR revive)
-        for i, (u, h) in enumerate(zip(urls, hs)):
-            if known[i] or u in done:
+            if in_runs[i] or u in self.urls:
                 continue
-            self._insert(u, h)
-            done.add(u)
-            added += 1
-        if not self.deletable:
-            self.filter.add_many(hs)
+            self.urls.add(u)
+            self._ckpt_pending.append(u)
+            new[i] = True
         self._maybe_spill()
-        return added
-
-    def test_and_set_many(self, urls: list[str]) -> np.ndarray:
-        """True = newly inserted (the 409-equivalent boolean mask)."""
-        out = np.zeros(len(urls), dtype=bool)
-        hs = url_hash64_many(urls)
-        known = self._known_mask(urls, hs)
-        done: set[str] = set()  # same-batch duplicates (insert OR revive)
-        for i, (u, h) in enumerate(zip(urls, hs)):
-            if known[i] or u in done:
-                continue
-            self._insert(u, h)
-            done.add(u)
-            out[i] = True
-        if not self.deletable:
-            self.filter.add_many(hs)
-        self._maybe_spill()
-        return out
-
-    def remove_many(self, urls: list[str]) -> int:
-        """Remove URLs (public API; the crawl loop never removes). The
-        FINGERPRINT stays in the filter on purpose: CuckooFilter.delete
-        could evict another key's identical fingerprint and break the
-        no-false-negatives invariant the filter-first membership path
-        relies on. A stale fingerprint only costs one extra exact check on
-        that slot's ~fp-rate of probes.
-
-        The invariant holds only while no kick chain has ever dropped a
-        fingerprint; once ``filter.dropped > 0`` (saturation) the
-        membership path disables the filter-first fast path entirely, so
-        saturation degrades to exact-only checks rather than silent false
-        negatives."""
-        removed = 0
-        for u in urls:
-            if not self._known(u):
-                continue
-            self.urls.discard(u)
-            self.overflow.discard(u)
-            if self._in_runs(u):
-                self.tombstones.add(u)
-            removed += 1
-        if removed:
-            # append-only delta checkpoints can't express a removal: bump
-            # the epoch so the next ckpt_write rewrites the chain as one
-            # full snapshot (and an ack that raced this remove won't clear
-            # the flag — the epochs won't match)
-            self._remove_epoch += 1
-        return removed
-
-    @property
-    def tombstones(self) -> set[str]:
-        if not hasattr(self, "_tombstones"):
-            self._tombstones = set()
-        return self._tombstones
+        return new
 
     def size(self) -> int:
-        # invariants that make this exact: runs are pairwise disjoint and
-        # disjoint from the hot set (a spilled url is never re-added while
-        # a run holds it); tombstones only ever shadow run rows; and every
-        # overflow member is ALSO in urls (pre-spill) or a run (post-spill
-        # / revive), so counting overflow separately double-counted
-        # spilled overflow-backed urls (found by the model-based test).
-        n = len(self.urls)
-        for hashes, _ in self._runs:
-            n += len(hashes)
-        return n - len(self.tombstones)
+        # exact because runs are pairwise disjoint and disjoint from the
+        # hot set: add_many never re-inserts a url a run already holds
+        return len(self.urls) + sum(len(h) for h, _ in self._runs)
 
     def _all_urls(self) -> set[str]:
-        out = set(self.urls) | set(self.overflow)
+        out = set(self.urls)
         for _, urls in self._runs:
             out.update(urls)
-        return out - self.tombstones
+        return out
 
     def snapshot(self) -> pa.Table:
         urls = sorted(self._all_urls())
@@ -530,10 +168,6 @@ class SeenShard:
     # -- incremental checkpoint (delta-chain) ---------------------------
     @staticmethod
     def _write_urls(urls: list[str], path: str) -> None:
-        import os
-
-        import pyarrow.parquet as pq
-
         t = pa.table(
             {"url": pa.array(urls, pa.string()),
              "url_hash": pa.array(url_hash64_many(urls), pa.uint64())}
@@ -547,27 +181,20 @@ class SeenShard:
         normally a DELTA parquet of the urls inserted since the last ACKED
         write (O(adds per checkpoint window), not O(|seen|) — the property
         that makes a 10^10-URL crawl's checkpoint cost proportional to
-        progress, not state), or a FULL snapshot when a remove_many has
-        invalidated the append-only chain. Returns
+        progress, not state), or, with ``force_full`` (the driver's chain
+        compaction), a FULL snapshot. Returns
         {"file": name|None, "full": bool}; file=None means nothing new.
         The pending buffer is NOT cleared here — the driver calls
         ckpt_ack() only after the round's manifest commits, so a crash
         between write and commit re-sends the same urls next round
-        (duplicates are absorbed by restore()'s _known check)."""
-        import os
-
-        self._remove_epoch_at_write = self._remove_epoch
+        (duplicates are absorbed by restore()'s add_many)."""
         self._ckpt_mark = len(self._ckpt_pending)
-        if force_full or (
-            self._remove_epoch > 0 and not self._ckpt_full_acked_epoch()
-        ):
-            self._ckpt_full_written = True
+        if force_full:
             name = (f"seen_full_{self.shard_id:04d}"
                     f"_r{round_id:06d}_{seq:03d}.parquet")
             self._write_urls(sorted(self._all_urls()),
                              os.path.join(out_dir, name))
             return {"file": name, "full": True}
-        self._ckpt_full_written = False
         if self._ckpt_mark == 0:
             return {"file": None, "full": False}
         # seq = the driver-known chain length for this shard: two writes
@@ -582,47 +209,23 @@ class SeenShard:
         self._write_urls(pend, os.path.join(out_dir, name))
         return {"file": name, "full": False}
 
-    def _ckpt_full_acked_epoch(self) -> bool:
-        """True when every remove so far is already covered by an acked
-        full write (the chain was reset at or after the last remove)."""
-        return self._acked_epoch >= self._remove_epoch
-
     def ckpt_ack(self) -> None:
         """Commit point reached: drop the pending urls covered by the last
-        ckpt_write and, if it was a full snapshot, mark the remove epoch it
-        captured as covered (a remove that landed BETWEEN write and ack
-        bumps the epoch past the captured value, so the next write is full
-        again — nothing is lost)."""
+        ckpt_write."""
         del self._ckpt_pending[: self._ckpt_mark]
         self._ckpt_mark = 0
-        if self._ckpt_full_written:
-            self._acked_epoch = self._remove_epoch_at_write
-            self._ckpt_full_written = False
 
     def restore(self, table: pa.Table) -> int:
         if self.spill_dir:
-            import os
-
             i = 0
             while os.path.exists(self._run_path(i)):
                 os.remove(self._run_path(i))
                 i += 1
         self._runs = []
         self.urls = set()
-        self.overflow = set()
-        self._tombstones = set()
-        cap = max(1 << 10, table.num_rows * 2)
-        self.filter = (
-            CuckooFilter(cap) if self.deletable else BloomFilter(cap)
-        )
-        n = self.add_many(table.column("url").to_pylist())
+        n = int(self.add_many(table.column("url").to_pylist()).sum())
         # the restored set came FROM the committed chain — nothing here is
-        # pending for the next delta, and the chain is remove-free by
-        # construction (a full snapshot resets it)
+        # pending for the next delta
         self._ckpt_pending = []
         self._ckpt_mark = 0
-        self._ckpt_full_written = False
-        self._remove_epoch = 0
-        self._remove_epoch_at_write = 0
-        self._acked_epoch = 0
         return n

@@ -3,7 +3,7 @@
 Per-round checkpoint cost must be O(progress), not O(|seen|): each
 SeenShard writes only the urls gained since its last ACKED write, prior
 chain files are hardlinked forward (round dirs stay self-contained), a
-remove_many poisons the append-only chain and forces a full rewrite, and
+driver-forced compaction rewrites the chain as one full snapshot, and
 resume through the chain — including from a LEGACY full-snapshot layout —
 reproduces the uninterrupted run row-for-row."""
 
@@ -75,36 +75,6 @@ def test_unacked_write_resends(tmp_path):
     assert sorted(t.column("url").to_pylist()) == ["http://a/1", "http://a/2"]
 
 
-def test_remove_forces_full_rewrite(tmp_path):
-    s = SeenShard(0)
-    s.add_many(["http://a/1", "http://a/2"])
-    s.ckpt_write(str(tmp_path), 0)
-    s.ckpt_ack()
-    s.remove_many(["http://a/1"])
-    rec = s.ckpt_write(str(tmp_path), 1)
-    assert rec["full"] is True
-    t = pq.read_table(os.path.join(tmp_path, rec["file"]))
-    assert t.column("url").to_pylist() == ["http://a/2"]
-    s.ckpt_ack()
-    # chain reset acknowledged: back to (empty) deltas
-    assert s.ckpt_write(str(tmp_path), 2) == {"file": None, "full": False}
-
-
-def test_remove_between_write_and_ack_not_lost(tmp_path):
-    """A remove that lands between ckpt_write and ckpt_ack bumps the
-    epoch past the captured value, so the NEXT write is still full."""
-    s = SeenShard(0)
-    s.add_many(["http://a/1", "http://a/2"])
-    rec = s.ckpt_write(str(tmp_path), 0)
-    assert rec["full"] is False
-    s.remove_many(["http://a/2"])  # races the commit
-    s.ckpt_ack()
-    rec = s.ckpt_write(str(tmp_path), 1)
-    assert rec["full"] is True
-    t = pq.read_table(os.path.join(tmp_path, rec["file"]))
-    assert t.column("url").to_pylist() == ["http://a/1"]
-
-
 def test_force_full_compaction(tmp_path):
     s = SeenShard(0)
     s.add_many(["http://a/1"])
@@ -117,26 +87,25 @@ def test_force_full_compaction(tmp_path):
     assert sorted(t.column("url").to_pylist()) == ["http://a/1", "http://a/2"]
 
 
-def test_full_write_covers_spilled_runs_and_tombstones(tmp_path):
+def test_full_write_covers_spilled_runs(tmp_path):
     """The full-snapshot path must enumerate the WHOLE shard state — hot
-    set, disk-spilled sorted runs, cuckoo-overflow keys — minus tombstoned
-    removals; a shard restored from that single file answers membership
-    identically. This is the 10^10-URL configuration (spill_dir set), so
-    a miss here would silently drop spilled urls from every compaction."""
+    set plus disk-spilled sorted runs; a shard restored from that single
+    file answers membership identically. This is the 10^10-URL
+    configuration (spill_dir set), so a miss here would silently drop
+    spilled urls from every compaction."""
     urls = [f"http://h{i % 7}/p{i}" for i in range(50)]
     s = SeenShard(0, spill_dir=str(tmp_path / "spill"), max_mem_urls=8)
-    s.add_many(urls)  # crosses max_mem_urls repeatedly -> several runs
-    assert s._runs, "precondition: the shard actually spilled"
-    removed = urls[3:9]  # spans hot + spilled keys
-    s.remove_many(removed)
-    rec = s.ckpt_write(str(tmp_path), 0)
-    assert rec["full"] is True  # remove poisoned the chain
+    for i in range(0, 50, 6):
+        s.add_many(urls[i:i + 6])  # crosses max_mem_urls repeatedly
+    assert s._runs and s.urls, "precondition: spilled runs AND a hot set"
+    rec = s.ckpt_write(str(tmp_path), 0, True)  # driver-forced compaction
+    assert rec["full"] is True
     t = pq.read_table(os.path.join(tmp_path, rec["file"]))
-    expect = sorted(set(urls) - set(removed))
-    assert t.column("url").to_pylist() == expect
+    assert t.column("url").to_pylist() == sorted(urls)
+    probe = urls + [u + "x" for u in urls]
     fresh = SeenShard(1)
     fresh.restore(t)
-    assert list(fresh.contains_many(urls)) == [u not in removed for u in urls]
+    assert list(fresh.contains_many(probe)) == [u in urls for u in probe]
     # restore wiped the checkpoint state: nothing pending, chain clean
     assert fresh.ckpt_write(str(tmp_path), 1) == {"file": None, "full": False}
 

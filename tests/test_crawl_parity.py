@@ -458,7 +458,7 @@ def test_admit_parity_widen_path_skips_seen_prefix(ray_session, tmp_path):
         for s in range(cfg.num_seen_shards):
             us = [u for u, sh in zip(dup_urls, shards) if sh == s]
             if us:
-                futs.append(c.seen[s].test_and_set_many.remote(us))
+                futs.append(c.seen[s].add_many.remote(us))
         ray.get(futs)
         c._push_frontier(
             dup_urls, [1] * 12, [-1.0] * 12,

@@ -107,3 +107,27 @@ def test_customer_order_counts_distributed_join_path(
             got[c], want[c], check_names=False, check_dtype=False,
             obj=f"customer_order_counts.{c}",
         )
+
+
+def test_training_mix_drops_null_text_like_oracle(ray_session, tmp_path):
+    """A null ``text`` row fails the oracle's quality predicate (NULL), so
+    DuckDB drops it; the pipeline must drop it too rather than raise in
+    the quality kernel. The nulls hit holdout docs (doc_id % 20 == 0),
+    cloned docs (doc_id < 50) and docs that would otherwise be kept."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(f"{SF}/documents.parquet")
+    null = t.column("doc_id").to_numpy() % 7 == 0
+    text = [None if n else v
+            for n, v in zip(null, t.column("text").to_pylist())]
+    t = t.set_column(t.schema.get_field_index("text"), "text",
+                     pa.array(text, pa.string()))
+    pq.write_table(t, tmp_path / "documents.parquet")
+    c = duckdb.connect()
+    c.execute("CREATE VIEW documents AS SELECT * FROM "
+              f"read_parquet('{tmp_path}/documents.parquet')")
+    got = _normalize(_to_pdf(QUERIES["training_mix"](str(tmp_path))))
+    want = _normalize(c.execute(ORACLES["training_mix"]).df())
+    assert len(want) and want["n_docs"].sum() > 0
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)

@@ -2,39 +2,13 @@ import numpy as np
 import pyarrow as pa
 
 from owlcrawler_ray.functions.ids import url_hash64_many
+from owlcrawler_ray.functions.sketch import BloomFilter, bloom_bit_indices
+from owlcrawler_ray.state import seen as seen_mod
 from owlcrawler_ray.state.frontier import FrontierShard, entries_table
 from owlcrawler_ray.state.politeness import PolitenessConfig, PolitenessGate
-from owlcrawler_ray.state.seen import BloomFilter, CuckooFilter, SeenShard
+from owlcrawler_ray.state.seen import SeenShard
 
 URLS = [f"http://h{i % 7}.test/p{i}" for i in range(500)]
-
-
-def test_cuckoo_insert_contains_delete():
-    f = CuckooFilter(1000)
-    hs = url_hash64_many(URLS)
-    for h in hs:
-        assert f.insert(int(h))
-    assert f.contains_many(hs).all()
-    other = url_hash64_many([u + "?x" for u in URLS])
-    fp = f.contains_many(other).mean()
-    assert fp < 0.05, f"false-positive rate {fp} too high"
-    for h in hs[:100]:
-        assert f.delete(int(h))
-    assert not f.contains_many(hs[:100]).all()
-    assert f.contains_many(hs[100:]).all()
-
-
-def test_cuckoo_state_roundtrip_deterministic():
-    f1, f2 = CuckooFilter(256), CuckooFilter(256)
-    hs = url_hash64_many(URLS[:200])
-    for h in hs:
-        f1.insert(int(h))
-        f2.insert(int(h))
-    assert np.array_equal(f1.buckets, f2.buckets)  # identical insert order
-    f3 = CuckooFilter(256)
-    f3.restore(f1.state())
-    assert np.array_equal(f3.buckets, f1.buckets)
-    assert f3.contains_many(hs).all()
 
 
 def test_bloom_filter():
@@ -47,29 +21,23 @@ def test_bloom_filter():
 
 
 def test_seen_shard_test_and_set():
+    """add_many is the atomic test-and-set: True = newly inserted."""
     s = SeenShard(0)
-    first = s.test_and_set_many(URLS[:10])
+    first = s.add_many(URLS[:10])
     assert first.all()
-    again = s.test_and_set_many(URLS[:10])
+    again = s.add_many(URLS[:10])
     assert not again.any()
-    mixed = s.test_and_set_many(URLS[5:15])
+    mixed = s.add_many(URLS[5:15])
     assert list(mixed) == [False] * 5 + [True] * 5
-    assert s.size() == 15
+    # a url repeated within one batch is new only at its first occurrence
+    assert list(s.add_many([URLS[20], URLS[20], URLS[0]])) == [
+        True, False, False]
+    assert s.size() == 16
     assert s.contains_many(URLS[:15]).all()
     assert not s.contains_many(URLS[15:20]).any()
-
-
-def test_seen_shard_remove_and_snapshot():
-    s = SeenShard(0)
-    s.add_many(URLS[:50])
-    s.remove_many(URLS[:10])
-    assert s.size() == 40
-    snap = s.snapshot()
     s2 = SeenShard(0)
-    s2.restore(snap)
-    assert s2.size() == 40
-    assert not s2.contains_many(URLS[:10]).any()
-    assert s2.contains_many(URLS[10:50]).all()
+    assert s2.restore(s.snapshot()) == 16
+    assert s2.contains_many(URLS[:15] + [URLS[20]]).all()
 
 
 def test_frontier_order_and_lazy_delete():
@@ -132,107 +100,73 @@ def test_politeness_token_bucket():
 
 def test_seen_shard_spill_mode(tmp_path):
     """Disk-spill path: tiny memory cap forces sorted parquet runs; exact
-    membership, test_and_set, remove, snapshot/restore all stay correct."""
+    membership, the add_many mask and snapshot/restore all stay correct."""
     import os
 
     d = str(tmp_path / "spill")
-    s = SeenShard(0, capacity=4096, spill_dir=d, max_mem_urls=100)
+    s = SeenShard(0, spill_dir=d, max_mem_urls=100)
     batch1, batch2, batch3 = URLS[:150], URLS[150:300], URLS[300:450]
-    s.add_many(batch1)
+    assert s.add_many(batch1).all()
     assert any(f.startswith("seen_run_") for f in os.listdir(d))  # spilled
     assert s.contains_many(batch1).all()
     assert not s.contains_many(batch2).any()
-    first = s.test_and_set_many(batch2)
+    first = s.add_many(batch2)
     assert first.all()
-    again = s.test_and_set_many(batch1 + batch2)
+    again = s.add_many(batch1 + batch2)
     assert not again.any()
     assert s.size() == 300
-    # add_many is idempotent across the spill boundary
-    assert s.add_many(batch1) == 0
     s.add_many(batch3)
     assert s.size() == 450
-    # removal with tombstones over spilled runs
-    s.remove_many(batch1[:10])
-    assert s.size() == 440
-    assert not s.contains_many(batch1[:10]).any()
-    assert s.contains_many(batch1[10:20]).all()
     # snapshot equals logical contents; restore rebuilds identically
     snap = s.snapshot()
-    assert snap.num_rows == 440
-    s2 = SeenShard(0, capacity=4096, spill_dir=str(tmp_path / "spill2"),
-                   max_mem_urls=100)
-    s2.restore(snap)
-    assert s2.size() == 440
-    assert s2.contains_many(batch2).all()
-    assert not s2.contains_many(batch1[:10]).any()
+    assert snap.num_rows == 450
+    assert set(snap.column("url").to_pylist()) == set(URLS[:450])
+    s2 = SeenShard(0, spill_dir=str(tmp_path / "spill2"), max_mem_urls=100)
+    assert s2.restore(snap) == 450
+    assert s2.size() == 450
+    assert s2.contains_many(URLS[:450]).all()
+    assert not s2.contains_many(URLS[450:]).any()
     # a shard restarted over the same spill dir recovers its runs
-    s3 = SeenShard(0, capacity=4096, spill_dir=d, max_mem_urls=100)
+    s3 = SeenShard(0, spill_dir=d, max_mem_urls=100)
     spilled = sum(len(h) for h, _ in s3._runs)
     assert spilled >= 100
 
 
-def test_seen_shard_spill_remove_then_readd(tmp_path):
-    """A URL removed (tombstoned against a spilled run) and later re-added
-    must be seen again — and removal must never induce a filter false
-    negative for other keys (fingerprints stay in the filter)."""
-    d = str(tmp_path / "spill_readd")
-    s = SeenShard(0, capacity=4096, spill_dir=d, max_mem_urls=50)
-    batch = [f"http://h{i % 7}.test/p{i}" for i in range(120)]
-    s.add_many(batch)
-    assert s.contains_many(batch).all()
-    victims = batch[:5]
-    s.remove_many(victims)
-    assert not s.contains_many(victims).any()
-    # re-add via both write paths
-    s.add_many(victims[:3])
-    got = s.test_and_set_many(victims[3:])
-    assert got.all()  # they really were unseen before the re-add
-    assert s.contains_many(victims).all()  # permanently-unseen bug: fixed
-    # idempotent re-add
-    assert s.add_many(victims) == 0
-    # every OTHER key survived the remove round-trip (no filter false negs)
-    others = batch[5:]
-    assert s.contains_many(others).all()
-    assert s.size() == len(batch)
-    # snapshot equals the logical set
-    assert set(s.snapshot().column("url").to_pylist()) == set(batch)
+def test_seen_shard_hash_collisions_stay_exact(tmp_path, monkeypatch):
+    """Spilled runs are searched by 64-bit hash, so the string compare at
+    hash-equal candidates is the only thing that keeps spilled membership
+    exact. A 4-valued hash makes nearly every probe collide: an unseen url
+    must never match a spilled url that merely shares its hash, and a
+    spilled url must be found however many others share its hash."""
+    monkeypatch.setattr(
+        seen_mod, "url_hash64_many",
+        lambda urls: np.array([len(u) % 4 for u in urls], dtype=np.uint64),
+    )
+    s = SeenShard(0, spill_dir=str(tmp_path / "weak"), max_mem_urls=16)
+    members, others = URLS[:200:2], URLS[1:200:2]
+    for i in range(0, len(members), 12):
+        assert s.add_many(members[i:i + 12]).all()
+    assert len(s._runs) > 1 and s.urls  # spilled runs AND a hot set
+    assert s.contains_many(members).all()
+    assert not s.contains_many(others).any()
+    mask = s.add_many(members[::3] + others[:10])
+    assert list(mask) == [False] * len(members[::3]) + [True] * 10
+    assert s.size() == len(members) + 10
+    assert set(s.snapshot().column("url").to_pylist()) == (
+        set(members) | set(others[:10]))
 
 
-def test_seen_shard_overflow_backed_revive(tmp_path):
-    """ADVICE r2 (medium): a spilled URL whose cuckoo insert FAILED
-    (overflow-backed — its fingerprint was never in the filter) must stay
-    visible after remove -> re-add. The revive path has to re-establish
-    filter coverage, not early-return on run membership."""
-    d = str(tmp_path / "tiny")
-    s = SeenShard(0, capacity=8, spill_dir=d, max_mem_urls=20)
-    batch = [f"http://h{i % 3}.test/p{i}" for i in range(200)]
-    s.add_many(batch)
-    assert s.contains_many(batch).all()
-    # pick victims that are BOTH in a spilled run and overflow-backed if
-    # any exist; exercising all of them covers the overflow-backed case
-    victims = batch[:40]
-    s.remove_many(victims)
-    assert not s.contains_many(victims).any()
-    s.add_many(victims)
-    assert s.contains_many(victims).all()  # the r2 permanent false negative
-    assert s.contains_many(batch).all()
+def test_seen_shard_rejects_retired_options():
+    import pytest
 
+    from owlcrawler_ray.pipelines.crawl import CrawlConfig
 
-def test_cuckoo_saturation_disables_filter_fast_path(tmp_path):
-    """ADVICE r2 (low): a failed kick chain strands a VICTIM key's
-    fingerprint. Once that happens the shard must stop trusting filter
-    negatives (exact-check everything) so saturation degrades to slow,
-    never to silent false negatives."""
-    d = str(tmp_path / "sat")
-    s = SeenShard(0, capacity=8, spill_dir=d, max_mem_urls=50)
-    batch = [f"http://h{i % 5}.test/q{i}" for i in range(400)]
-    s.add_many(batch)
-    # the undersized filter must have saturated for this test to bite
-    assert getattr(s.filter, "dropped", 0) > 0
-    assert s.contains_many(batch).all()  # 16/200-invisible repro: fixed
-    assert not s.contains_many(["http://new.test/x"]).any()
-    # test_and_set still exact under saturation
-    assert not s.test_and_set_many(batch[:25]).any()
+    for kw in ({"capacity": 8}, {"exact": False}, {"use_cuckoo": False}):
+        with pytest.raises(ValueError):
+            SeenShard(0, **kw)
+    for kw in ({"exact_seen": False}, {"use_cuckoo": False}):
+        with pytest.raises(ValueError):
+            CrawlConfig(**kw)
 
 
 def test_bloom_sparse_partials_assemble_exactly():
@@ -240,8 +174,6 @@ def test_bloom_sparse_partials_assemble_exactly():
     (O(batch keys), never O(build cardinality)) OR-assembled per bit-range
     shard must equal the filter built by add_many — and the partial bytes
     must not scale with the build-side capacity."""
-    from owlcrawler_ray.state.seen import bloom_bit_indices
-
     batch = url_hash64_many([f"http://k{i}.test/" for i in range(500)])
 
     small, big = BloomFilter(10_000), BloomFilter(50_000_000)
@@ -274,10 +206,10 @@ def test_bloom_sparse_partials_assemble_exactly():
 
 
 def test_seen_shard_model_based_property():
-    """Model-based check (hypothesis): any interleaving of add / remove /
-    test_and_set against an undersized, spill-enabled shard must agree
-    with a plain set model on EVERY URL — no false positives, and (the
-    invariant the saturation/revive fixes protect) no false negatives."""
+    """Model-based check (hypothesis): any sequence of add_many batches
+    against a spill-enabled shard must agree with a plain set model on
+    EVERY URL (no false positives, no false negatives), and each batch's
+    mask must mark exactly the urls that were new."""
     import shutil
     import tempfile
 
@@ -289,33 +221,23 @@ def test_seen_shard_model_based_property():
     @settings(max_examples=50, deadline=None)
     @given(
         ops=st.lists(
-            st.tuples(
-                st.sampled_from(["add", "remove", "tas"]),
-                st.lists(st.integers(0, 47), min_size=1, max_size=8),
-            ),
+            st.lists(st.integers(0, 47), min_size=1, max_size=8),
             max_size=40,
         )
     )
     def run(ops):
         d = tempfile.mkdtemp(prefix="seen_model_")
         try:
-            s = SeenShard(0, capacity=8, spill_dir=d, max_mem_urls=12)
+            s = SeenShard(0, spill_dir=d, max_mem_urls=12)
             model: set[str] = set()
-            for kind, idxs in ops:
+            for idxs in ops:
                 urls = [universe[i] for i in idxs]
-                if kind == "add":
-                    s.add_many(urls)
-                    model.update(urls)
-                elif kind == "remove":
-                    s.remove_many(urls)
-                    model.difference_update(urls)
-                else:
-                    got = s.test_and_set_many(urls)
-                    want = []
-                    for u in urls:
-                        want.append(u not in model)
-                        model.add(u)
-                    assert list(got) == want
+                got = s.add_many(urls)
+                want = []
+                for u in urls:
+                    want.append(u not in model)
+                    model.add(u)
+                assert list(got) == want
                 mask = s.contains_many(universe)
                 assert [bool(m) for m in mask] == [
                     u in model for u in universe
@@ -324,7 +246,7 @@ def test_seen_shard_model_based_property():
             # snapshot -> restore round-trips the exact logical set
             d2 = tempfile.mkdtemp(prefix="seen_model_r_")
             try:
-                s2 = SeenShard(0, capacity=8, spill_dir=d2, max_mem_urls=12)
+                s2 = SeenShard(0, spill_dir=d2, max_mem_urls=12)
                 s2.restore(s.snapshot())
                 mask = s2.contains_many(universe)
                 assert [bool(m) for m in mask] == [
@@ -430,52 +352,6 @@ def test_politeness_token_bucket_property():
     run()
 
 
-def test_cuckoo_filter_no_false_negatives_property():
-    """Property: while no kick chain has failed (dropped == 0), every
-    successfully inserted key IS contained — the no-false-negatives
-    invariant the seen-set's filter-first membership rests on. Deletions
-    of inserted keys succeed and re-querying the remainder still holds."""
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        keys=st.lists(st.integers(1, 2**63 - 1), min_size=1, max_size=200,
-                      unique=True),
-        cap=st.sampled_from([64, 256, 1024]),
-        n_del=st.integers(0, 20),
-    )
-    def run(keys, cap, n_del):
-        f = CuckooFilter(cap)
-        inserted = []
-        for k in keys:
-            if f.insert(k):
-                inserted.append(k)
-            if f.dropped:
-                break  # saturation: the invariant is void by contract
-        if f.dropped == 0 and inserted:
-            assert f.contains_many(
-                np.array(inserted, dtype=np.uint64)
-            ).all()
-            victims = inserted[:n_del]
-            for k in victims:
-                assert f.delete(k)
-            rest = inserted[n_del:]
-            if rest:
-                assert f.contains_many(
-                    np.array(rest, dtype=np.uint64)
-                ).all()
-            # state round-trip preserves membership exactly
-            g = CuckooFilter(cap)
-            g.restore(f.state())
-            if rest:
-                assert g.contains_many(
-                    np.array(rest, dtype=np.uint64)
-                ).all()
-
-    run()
-
-
 def test_int_hash64_vectorized_bloom_roundtrip():
     """int_hash64_many (the numeric splitmix64 path under
     anti_join_bloom) must be deterministic, avalanche sequential keys
@@ -503,20 +379,16 @@ def test_int_hash64_vectorized_bloom_roundtrip():
 
 def test_seen_shard_cold_construction_over_dirty_spill_dir(tmp_path):
     """A FRESH shard constructed over an existing spill_dir (actor
-    restart / resume before the first checkpoint) must load the runs
-    WITH filter coverage: before the r4 fix, contains_many (filter-first)
-    returned false negatives for every spilled URL while
-    test_and_set_many still refused to re-insert them — an internally
-    contradictory shard."""
+    restart / resume before the first checkpoint) must load the runs:
+    contains_many and add_many's mask must both see every spilled URL."""
     d = str(tmp_path / "spill")
     urls = [f"http://h/{i}" for i in range(120)]
-    s1 = SeenShard(0, capacity=4096, spill_dir=d, max_mem_urls=50)
+    s1 = SeenShard(0, spill_dir=d, max_mem_urls=50)
     s1.add_many(urls)
-    s2 = SeenShard(0, capacity=4096, spill_dir=d, max_mem_urls=50)
+    s2 = SeenShard(0, spill_dir=d, max_mem_urls=50)
+    assert s2._runs and not s2.urls  # everything came back from the runs
     assert s2.contains_many(urls).all()
-    assert not s2.test_and_set_many(urls).any()
-    # the two membership views must agree
-    assert s2.contains_many(urls).all()
+    assert not s2.add_many(urls).any()
 
 
 def test_parse_robots_agent_groups():
