@@ -25,6 +25,7 @@ lone pixel; caught by test_codec_roundtrip_property.)
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import zlib
 
@@ -46,11 +47,13 @@ MAX_DECODE_PIXELS = 1 << 26
 _SYNTH_CACHE: dict = {}
 
 
-def _synth_shape_arrays(w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """(base gradient (h,w,3) float64, (xx+yy)[...,None] (h,w,1) float64)
-    for a shape — id-independent, so cached per (w,h). The corpus draws
-    from a handful of dims; the cache is a few MB at most. Arrays are
-    returned read-only so a caller bug can't corrupt later images."""
+def _synth_shape_arrays(w: int, h: int) -> tuple[np.ndarray, np.ndarray,
+                                                 np.ndarray]:
+    """(base gradient (h,w,3) float64, x+y index (h,w) intp, the w+h-1
+    distinct x+y values as a (w+h-1,1) float64 column) for a shape —
+    id-independent, so cached per (w,h). The corpus draws from a handful
+    of dims; the cache is a few MB at most. Arrays are returned read-only
+    so a caller bug can't corrupt later images."""
     key = (w, h)
     hit = _SYNTH_CACHE.get(key)
     if hit is None:
@@ -63,39 +66,47 @@ def _synth_shape_arrays(w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
             ],
             axis=-1,
         )
-        xy = (xx + yy)[..., None]
-        base.setflags(write=False)
-        xy.setflags(write=False)
+        xy = np.add.outer(np.arange(h), np.arange(w))
+        diag = np.arange(w + h - 1, dtype=np.float64)[:, None]
+        for a in (base, xy, diag):
+            a.setflags(write=False)
         if len(_SYNTH_CACHE) > 64:  # bound per-process memory; the
             _SYNTH_CACHE.clear()    # corpus only ever uses ~4 shapes
-        hit = _SYNTH_CACHE[key] = (base, xy)
+        hit = _SYNTH_CACHE[key] = (base, xy, diag)
     return hit
 
 
 def synth_pixels(image_id: str, w: int, h: int) -> np.ndarray:
     """Deterministic (h, w, 3) uint8 image for an id: smooth per-channel
-    gradient + seeded noise. Same id -> same pixels, forever (the
-    shape-array cache changes nothing byte-wise: identical expressions,
-    dtypes and op order as the uncached form — pinned by
-    test_synth_pixels_bit_identical_to_uncached)."""
+    gradient + a diagonal wave + seeded noise. Same id -> same pixels,
+    forever.
+
+    The wave 40*sin(freq*(x+y) + phase) depends on x+y only, so it is
+    evaluated once per distinct diagonal (w+h-1 values per channel) and
+    gathered through the cached (x+y) index instead of running sin over
+    all h*w*3 elements; the noise is standard_normal * 12, which draws
+    the same stream as normal(0, 12) and rounds the same (0 + 12*z).
+    Every value, dtype and op order matches the original full-size form
+    (pinned by test_synth_pixels_bit_identical_to_uncached)."""
     seed = int.from_bytes(
         hashlib.blake2b(image_id.encode(), digest_size=8).digest(), "little"
     )
     rng = np.random.default_rng(seed)
-    base, xy = _synth_shape_arrays(w, h)
+    base, xy, diag = _synth_shape_arrays(w, h)
     phase = rng.uniform(0, 2 * np.pi, size=3)
     freq = rng.uniform(0.05, 0.3, size=3)
-    # in-place forms of 40*sin(freq*xy + phase) and base+wave+noise —
-    # identical value sequence and op order as the temporaries version
-    # (IEEE ops are deterministic; only allocations change), covered by
-    # the same differential test as the shape cache
-    acc = freq * xy
-    acc += phase
-    np.sin(acc, out=acc)
-    acc *= 40.0
+    wave = freq * diag
+    wave += phase
+    np.sin(wave, out=wave)
+    wave *= 40.0
+    acc = np.take(wave, xy, axis=0)  # (h, w, 3), a fresh array
     acc += base
-    acc += rng.normal(0, 12.0, size=(h, w, 3))
-    np.clip(acc, 0, 255, out=acc)
+    noise = rng.standard_normal(size=(h, w, 3))
+    noise *= 12.0
+    acc += noise
+    # == np.clip(acc, 0, 255) for NaN-free input, in half the time
+    np.maximum(acc, 0.0, out=acc)
+    np.minimum(acc, 255.0, out=acc)
     return acc.astype(np.uint8)
 
 
@@ -121,15 +132,19 @@ def encode(pixels: np.ndarray, fmt: str) -> bytes:
     return head + zlib.compress(q.tobytes(), 3)
 
 
-def decode(buf: bytes) -> tuple[np.ndarray, str, int, int]:
-    """bytes -> (pixels (h,w,3) uint8, fmt, w, h). Raises ValueError on
-    ANY payload that is not valid OWLC — including truncated headers,
+def decode_quantized(buf) -> tuple[np.ndarray, str, int, int, int]:
+    """bytes -> (quantized levels (h,w,3) uint8, fmt, shift, w, h): the
+    one OWLC header + stream validation path. Raises ValueError on ANY
+    payload that is not valid OWLC — including truncated headers,
     unknown format codes and corrupt zlib streams, which internally
     surface as IndexError/KeyError/zlib.error and are normalized here so
     callers can rely on the documented single exception type (a real
-    fetch can hand this any bytes). This is the hook point where a PIL
-    decoder would take over for real jpeg/png/webp payloads."""
-    buf = bytes(buf)
+    fetch can hand this any bytes). Accepts any bytes-like object.
+
+    Split from the LUT step so a caller that needs only part of the
+    image (the 32x32 phash grid of ImageDecoder) dequantizes only that
+    part; ``decode`` is this plus ``dequantize`` of the whole array."""
+    buf = memoryview(buf).cast("B")
     if buf[:4] != MAGIC:
         raise ValueError("not an OWLC payload")
     try:
@@ -164,15 +179,26 @@ def decode(buf: bytes) -> tuple[np.ndarray, str, int, int]:
         q = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
     except (IndexError, KeyError, zlib.error, ValueError) as e:
         raise ValueError(f"corrupt OWLC payload: {e}") from e
-    if s:
-        # bin-center reconstruction via a 256-entry LUT — byte-identical
-        # to clip(q*2^s + 2^(s-1), 0, 255).astype(uint8) by construction
-        # (the LUT IS that expression evaluated over all possible q), one
-        # vectorized take instead of int32 widen+multiply+clip per pixel
-        pix = _DEQUANT_LUT[s][q]
-    else:
-        pix = q
-    return pix, fmt, w, h
+    return q, fmt, s, w, h
+
+
+def dequantize(q: np.ndarray, s: int) -> np.ndarray:
+    """Quantized levels -> pixels: bin-center reconstruction via a
+    256-entry LUT — byte-identical to clip(q*2^s + 2^(s-1), 0, 255)
+    .astype(uint8) by construction (the LUT IS that expression evaluated
+    over all possible q), one vectorized take instead of int32
+    widen+multiply+clip per pixel. Elementwise, so it commutes with any
+    gather of q."""
+    return _DEQUANT_LUT[s][q] if s else q
+
+
+def decode(buf: bytes) -> tuple[np.ndarray, str, int, int]:
+    """bytes -> (pixels (h,w,3) uint8, fmt, w, h): ``decode_quantized``
+    (same ValueError contract) + ``dequantize``. This is the hook point
+    where a PIL decoder would take over for real jpeg/png/webp
+    payloads."""
+    q, fmt, s, w, h = decode_quantized(buf)
+    return dequantize(q, s), fmt, w, h
 
 
 # dequantization LUTs for every wire-legal shift (decode rejects s>7)
@@ -212,28 +238,50 @@ def _resize_gray(gray: np.ndarray, size: int = 32) -> np.ndarray:
     return gray[np.ix_(ys, xs)]
 
 
-def phash64(pixels: np.ndarray) -> int:
-    """64-bit DCT perceptual hash -> SIGNED int64 (bit 63 folded into the
-    sign, per FIXTURES.md §1) so it fits the input_hint's phash:int64.
+@functools.lru_cache(maxsize=64)
+def _phash_grid(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    ys = np.minimum((np.arange(32) * h // 32), h - 1)[:, None]
+    xs = np.minimum((np.arange(32) * w // 32), w - 1)[None, :]
+    ys.setflags(write=False)  # shared by every caller of the cache
+    xs.setflags(write=False)
+    return ys, xs
 
-    Bit-identical fast path vs the original gray-then-resize form: the
-    resize is a pure row/col gather, and per-pixel channel means commute
-    with gathering, so sampling the 32x32 grid FIRST converts 1k pixels
-    to float64 instead of the whole image; the MSB-first bit pack is
-    np.packbits + int.from_bytes(big) instead of a 64-step shift loop
-    (pinned by test_phash_matches_reference_form)."""
-    h, w = pixels.shape[:2]
-    ys = np.minimum((np.arange(32) * h // 32), h - 1)
-    xs = np.minimum((np.arange(32) * w // 32), w - 1)
-    small = pixels[np.ix_(ys, xs)].astype(np.float64).mean(axis=2)
+
+def phash_sample(pixels: np.ndarray) -> np.ndarray:
+    """(h,w,C) image -> its (32,32,C) phash grid: the nearest-neighbour
+    rows/cols the 32x32 resize reads (index arrays cached per shape). A
+    pure gather, so it commutes with per-pixel maps (channel means,
+    ``dequantize``)."""
+    return pixels[_phash_grid(*pixels.shape[:2])]
+
+
+def phash_batch(samples: np.ndarray) -> np.ndarray:
+    """(n,32,32,3) uint8 phash grids -> (n,) int64 DCT perceptual hashes:
+    the one phash kernel (``phash64`` is n=1). Gray = channel mean, 2-D
+    DCT-II, the 8x8 low-frequency block thresholded at the median of its
+    63 AC terms (DC excluded), bits packed MSB first; the packed 8 bytes
+    read as a big-endian int64 fold bit 63 into the sign (FIXTURES.md §1)
+    so the hash fits the input_hint's phash:int64.
+
+    One stacked matmul/median/packbits for the whole batch: numpy runs a
+    stacked matmul as one BLAS call per 32x32 item, the same call the
+    single-image form makes, and the median of 63 values is an element,
+    so every hash is bit-identical to the per-image gray-then-resize +
+    shift-loop original (pinned by test_phash_matches_reference_form)."""
+    n = len(samples)
+    small = samples.astype(np.float64).mean(axis=3)
     d = _dct_matrix(32)
-    coef = d @ small @ d.T
-    flat = coef[:8, :8].flatten()
-    med = np.median(flat[1:])  # exclude DC term from the median
-    bits = (flat > med).astype(np.uint8)
-    return int(np.int64(np.uint64(
-        int.from_bytes(np.packbits(bits).tobytes(), "big")
-    )))
+    flat = (d @ small @ d.T)[:, :8, :8].reshape(n, 64)
+    med = np.median(flat[:, 1:], axis=1)
+    bits = flat > med[:, None]
+    return np.packbits(bits, axis=1).view(">i8").reshape(n).astype(np.int64)
+
+
+def phash64(pixels: np.ndarray) -> int:
+    """64-bit DCT perceptual hash of one (h,w,3) image -> SIGNED int
+    (see ``phash_batch``). Sampling the 32x32 grid first converts 1k
+    pixels to float64 instead of the whole image."""
+    return int(phash_batch(phash_sample(pixels)[None])[0])
 
 
 def hamming64(a: int, b: int) -> int:

@@ -166,8 +166,9 @@ class CrawlConfig:
         ).hexdigest()
 
 
-def _fetch_extract_fn(web_cfg, raw_tmp, imgs_tmp, fetch_inline: bool,
-                      fetcher_factory=None):
+def _fetch_extract(batch: pa.Table, web_cfg, raw_tmp, imgs_tmp,
+                   fetcher_factory=None,
+                   fetch_inline: bool = True) -> pa.Table:
     """The round's ONE heavy distributed pass: fetch (unless an actor-pool
     fetcher already ran upstream) + single-pass extract + image
     fetch/decode/phash, with side-effect writes of the full page rows
@@ -178,78 +179,80 @@ def _fetch_extract_fn(web_cfg, raw_tmp, imgs_tmp, fetch_inline: bool,
     driver. Images carry (page_url, discovered_seq, img_idx); the tick is
     joined back from the stamps sidecar at read time (tick order within a
     round == admission seq order of the distinct urls, so ordering parity
-    is preserved)."""
-    img_fetcher = ImageFetcher(web_cfg) if imgs_tmp is not None else None
-    img_decoder = ImageDecoder() if imgs_tmp is not None else None
-    # the fetcher is built lazily INSIDE the task via the per-process
-    # cached_fetcher: a real HttpFetcher holds sockets + a thread pool
-    # and cannot ride a pickled closure, and per-CLOSURE state would
-    # build one fetcher per ROUND per worker (each round exports a fresh
-    # closure that Ray caches forever) — the factory-keyed cache bounds
-    # it to one per configuration per worker process
+    is preserved).
 
-    def fe(batch: pa.Table) -> pa.Table:
-        if fetch_inline:
-            f = cached_fetcher(
-                fetcher_factory if fetcher_factory is not None
-                else partial(CorpusFetcher, web_cfg))
-            batch = f(batch)
-        ext = extract_batch(batch)
-        ok = ext.filter(pc.equal(ext.column("status"), 200))
-        raw = ok.drop_columns(["fetch_candidates", "img_urls", "img_captions"])
-        if raw.num_rows:
-            seqs = raw.column("discovered_seq").to_pylist()
-            table_store.write_part(
-                raw_tmp, raw, key=f"{min(seqs)}-{max(seqs)}-{len(seqs)}"
-            )
-            if img_fetcher is not None:
-                # vectorized page->image explode (row-major flatten order
-                # == the per-page discovery order): list_flatten +
-                # list_parent_indices replace the old nested to_pylist
-                # loop over the hot fused stage (the river.py:46 pattern)
-                img_urls = ok.column("img_urls").combine_chunks()
-                iu = pc.list_flatten(img_urls)
-                if len(iu):
-                    parent = pc.list_parent_indices(img_urls)
-                    counts = pc.list_value_length(img_urls).to_numpy(
-                        zero_copy_only=False
-                    ).astype(np.int64)
-                    starts = np.repeat(np.cumsum(counts) - counts, counts)
-                    ii = (np.arange(int(counts.sum()), dtype=np.int64)
-                          - starts).astype(np.int32)
-                    refs = pa.table(
-                        {
-                            "image_url": iu.cast(pa.string()),
-                            "caption": pc.list_flatten(
-                                ok.column("img_captions").combine_chunks()
-                            ).cast(pa.string()),
-                            # stand-in key; tick joined at read
-                            "tick": pc.take(
-                                ok.column("discovered_seq"), parent
-                            ).cast(pa.int64()).combine_chunks(),
-                            "img_idx": pa.array(ii),
-                            "page_url": pc.take(
-                                ok.column("url"), parent
-                            ).cast(pa.string()).combine_chunks(),
-                        }
-                    )
-                    out = img_decoder(img_fetcher(refs))
-                    out = out.rename_columns(
-                        [c if c != "tick" else "discovered_seq"
-                         for c in out.column_names]
-                    )
-                    if out.num_rows:
-                        sq = out.column("discovered_seq").to_pylist()
-                        table_store.write_part(
-                            imgs_tmp, out,
-                            key=f"i{min(sq)}-{max(sq)}-{out.num_rows}",
-                        )
-        return ext.select(
-            ["url", "host", "depth", "discovered_seq", "status",
-             "fetch_candidates", "img_urls", "img_captions"]
+    Everything round-specific is an argument, so one module-level remote
+    function (``_fetch_extract_task``) serves every round. The image
+    stages are stateless kernels and are built per call; the page fetcher
+    comes from the per-process ``cached_fetcher``: a real HttpFetcher
+    holds sockets + a thread pool, cannot be pickled, and is worth
+    building once per configuration per worker process, not per task."""
+    if fetch_inline:
+        f = cached_fetcher(
+            fetcher_factory if fetcher_factory is not None
+            else partial(CorpusFetcher, web_cfg))
+        batch = f(batch)
+    ext = extract_batch(batch)
+    ok = ext.filter(pc.equal(ext.column("status"), 200))
+    raw = ok.drop_columns(["fetch_candidates", "img_urls", "img_captions"])
+    if raw.num_rows:
+        seqs = raw.column("discovered_seq").to_pylist()
+        table_store.write_part(
+            raw_tmp, raw, key=f"{min(seqs)}-{max(seqs)}-{len(seqs)}"
         )
+        if imgs_tmp is not None:
+            # vectorized page->image explode (row-major flatten order
+            # == the per-page discovery order): list_flatten +
+            # list_parent_indices replace the old nested to_pylist
+            # loop over the hot fused stage (the river.py:46 pattern)
+            img_urls = ok.column("img_urls").combine_chunks()
+            iu = pc.list_flatten(img_urls)
+            if len(iu):
+                parent = pc.list_parent_indices(img_urls)
+                counts = pc.list_value_length(img_urls).to_numpy(
+                    zero_copy_only=False
+                ).astype(np.int64)
+                starts = np.repeat(np.cumsum(counts) - counts, counts)
+                ii = (np.arange(int(counts.sum()), dtype=np.int64)
+                      - starts).astype(np.int32)
+                refs = pa.table(
+                    {
+                        "image_url": iu.cast(pa.string()),
+                        "caption": pc.list_flatten(
+                            ok.column("img_captions").combine_chunks()
+                        ).cast(pa.string()),
+                        # stand-in key; tick joined at read
+                        "tick": pc.take(
+                            ok.column("discovered_seq"), parent
+                        ).cast(pa.int64()).combine_chunks(),
+                        "img_idx": pa.array(ii),
+                        "page_url": pc.take(
+                            ok.column("url"), parent
+                        ).cast(pa.string()).combine_chunks(),
+                    }
+                )
+                out = ImageDecoder()(ImageFetcher(web_cfg)(refs))
+                out = out.rename_columns(
+                    [c if c != "tick" else "discovered_seq"
+                     for c in out.column_names]
+                )
+                if out.num_rows:
+                    sq = out.column("discovered_seq").to_pylist()
+                    table_store.write_part(
+                        imgs_tmp, out,
+                        key=f"i{min(sq)}-{max(sq)}-{out.num_rows}",
+                    )
+    return ext.select(
+        ["url", "host", "depth", "discovered_seq", "status",
+         "fetch_candidates", "img_urls", "img_captions"]
+    )
 
-    return fe
+
+# ONE remote function for every round of every crawl: Ray exports a remote
+# function to the GCS function table once per job, and each worker keeps
+# every function it has loaded for its lifetime — wrapping a fresh
+# per-round closure instead grew both by one entry per round
+_fetch_extract_task = ray.remote(num_cpus=1)(_fetch_extract)
 
 
 # per-worker-process cache of round stamps sidecars: tasks of one round
@@ -725,7 +728,8 @@ class Crawler:
         if cfg.use_actor_stages:
             # actor-pool fetcher via Dataset: the shape a REAL network
             # fetcher needs (session/thread pool built once per actor)
-            fe = _fetch_extract_fn(cfg.web, raw_tmp, imgs_tmp, fetch_inline=False)
+            fe = partial(_fetch_extract, web_cfg=cfg.web, raw_tmp=raw_tmp,
+                         imgs_tmp=imgs_tmp, fetch_inline=False)
             fetch_cls, ctor_args = (
                 (FactoryFetcher, (cfg.fetcher_factory,))
                 if cfg.fetcher_factory is not None
@@ -751,13 +755,11 @@ class Crawler:
             # driver-side overhead (measured A/B: 4.4 s vs 3.1 s per 4800
             # pages at 16 cpus) — the Dataset API remains the idiom for the
             # streaming/query pipelines, not for this exchange.
-            fe = _fetch_extract_fn(cfg.web, raw_tmp, imgs_tmp,
-                                   fetch_inline=True,
-                                   fetcher_factory=cfg.fetcher_factory)
-            fe_task = ray.remote(num_cpus=1)(fe)
-            slim = pa.concat_tables(
-                ray.get([fe_task.remote(s) for s in _slice_tables(tbl, n_blocks)])
-            )
+            slim = pa.concat_tables(ray.get([
+                _fetch_extract_task.remote(
+                    s, cfg.web, raw_tmp, imgs_tmp, cfg.fetcher_factory)
+                for s in _slice_tables(tbl, n_blocks)
+            ]))
         table_store.commit_round(cfg.out_dir, "pages", self.round_id)
         if imgs_tmp is not None:
             table_store.commit_round(cfg.out_dir, "images", self.round_id)

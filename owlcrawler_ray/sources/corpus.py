@@ -163,8 +163,11 @@ class SyntheticWeb:
         m = _IMG_RE.match(image_url)
         if not m:
             raise KeyError(image_url)
-        host, pi, k, fmt = m.group(1), int(m.group(2)), int(m.group(3)), m.group(4)
+        host, pi, fmt = m.group(1), int(m.group(2)), m.group(4)
         hi = int(host.split("-")[1].split(".")[0])
+        # the same bounds as resolve(): a page that 404s embeds no images
+        if hi >= self.cfg.num_hosts or pi >= self.cfg.pages_on(hi):
+            raise KeyError(image_url)
         for meta in self._page_image_metas(hi, pi):
             if meta["image_url"] == image_url:
                 pix = codec.synth_pixels(meta["image_id"], meta["w"], meta["h"])

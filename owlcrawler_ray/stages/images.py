@@ -4,9 +4,13 @@ decode/phash -> rows in the BASELINE.json input_hint shape
 
 The reference has no image handling; the north rule grafts it on. Binary
 payloads ride ``large_binary`` Arrow columns end to end (zero-copy through
-the object store); decode is numpy-vectorized per image with state-free
-kernels, run as an actor-pool stage with a SMALL batch_size so
-batch x concurrency of decoded pixel arrays stays within worker heaps.
+the object store). The decode stage is a batch kernel: each payload is
+validated and inflated once (``codec.decode_quantized``), only its 32x32
+phash grid is dequantized, and the whole batch is hashed by one
+``codec.phash_batch`` call; the kept rows' payload and pass-through
+columns are taken from the input batch, never rebuilt from Python
+lists. Kernels are state-free, so the stage runs inside the fused round
+task or as a small-batch actor-pool stage alike.
 """
 
 from __future__ import annotations
@@ -46,10 +50,11 @@ class ImageFetcher:
 class ImageDecoder:
     """+bytes -> image_id, w, h, fmt, phash (the input_hint row shape).
 
-    Rows whose payload fails to decode are dropped, mirroring the
-    reference's drop-on-error stance for fetch failures (fetcher.go:
-    51-54); the per-actor ``n_bad`` counter and a WARNING log record the
-    drop volume (the "no silent caps" rule).
+    Rows with an empty payload (fetch failures) are skipped; rows whose
+    payload fails to decode are dropped, mirroring the reference's
+    drop-on-error stance for fetch failures (fetcher.go:51-54); the
+    per-actor ``n_bad`` counter and a WARNING log record the drop volume
+    (the "no silent caps" rule).
     """
 
     def __init__(self):
@@ -57,56 +62,46 @@ class ImageDecoder:
         self.n_bad = 0  # undecodable payloads dropped by this actor
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("image_url").to_pylist()
-        bufs = batch.column("bytes").to_pylist()
-        caps = batch.column("caption").to_pylist()
-        ticks = batch.column("tick").to_pylist()
-        idxs = batch.column("img_idx").to_pylist()
-        pages = (
-            batch.column("page_url").to_pylist()
-            if "page_url" in batch.column_names else [None] * len(urls)
-        )
-        rows = {k: [] for k in
-                ("image_id", "bytes", "w", "h", "fmt", "caption", "phash",
-                 "tick", "img_idx", "page_url")}
-        for u, b, c, t, i, p in zip(urls, bufs, caps, ticks, idxs, pages):
+        keep, ws, hs, fmts, grids = [], [], [], [], []
+        for i, b in enumerate(batch.column("bytes").to_pylist()):
             if not b:
                 continue
             try:
-                pix, fmt, w, h = codec.decode(bytes(b))
+                q, fmt, s, w, h = codec.decode_quantized(b)
             except ValueError:  # codec normalizes all corrupt-payload errors
                 self.n_bad += 1
                 _LOG.warning("ImageDecoder: dropped undecodable payload "
-                             "for %s (%d so far on this actor)", u, self.n_bad)
+                             "for %s (%d so far on this actor)",
+                             batch.column("image_url")[i].as_py(), self.n_bad)
                 continue
-            rows["image_id"].append(ids.doc_id(u))
-            rows["bytes"].append(b)
-            rows["w"].append(w)
-            rows["h"].append(h)
-            rows["fmt"].append(fmt)
-            rows["caption"].append(c)
-            rows["phash"].append(codec.phash64(pix))
-            rows["tick"].append(t)
-            rows["img_idx"].append(i)
-            rows["page_url"].append(p)
+            keep.append(i)
+            ws.append(w)
+            hs.append(h)
+            fmts.append(fmt)
+            grids.append(codec.dequantize(codec.phash_sample(q), s))
+        kept = batch.take(pa.array(keep, type=pa.int64()))
+        phash = codec.phash_batch(
+            np.stack(grids) if grids
+            else np.empty((0, 32, 32, 3), dtype=np.uint8))
+        urls = kept.column("image_url").to_pylist()
         out = pa.table(
             {
-                "image_id": pa.array(rows["image_id"], type=pa.string()),
+                "image_id": pa.array([ids.doc_id(u) for u in urls],
+                                     type=pa.string()),
                 # large_binary (64-bit offsets), same as the fetch stage:
                 # int32-offset binary overflows past 2 GiB of payload per
                 # batch — the module contract is large_binary end to end
-                "bytes": pa.array(rows["bytes"], type=pa.large_binary()),
-                "w": pa.array(np.asarray(rows["w"], dtype=np.int32)),
-                "h": pa.array(np.asarray(rows["h"], dtype=np.int32)),
-                "fmt": pa.array(rows["fmt"], type=pa.string()),
-                "caption": pa.array(rows["caption"], type=pa.string()),
-                "phash": pa.array(np.asarray(rows["phash"], dtype=np.int64)),
-                "tick": pa.array(np.asarray(rows["tick"], dtype=np.int64)),
-                "img_idx": pa.array(np.asarray(rows["img_idx"], dtype=np.int32)),
+                "bytes": kept.column("bytes").cast(pa.large_binary()),
+                "w": pa.array(np.asarray(ws, dtype=np.int32)),
+                "h": pa.array(np.asarray(hs, dtype=np.int32)),
+                "fmt": pa.array(fmts, type=pa.string()),
+                "caption": kept.column("caption").cast(pa.string()),
+                "phash": pa.array(phash),
+                "tick": kept.column("tick").cast(pa.int64()),
+                "img_idx": kept.column("img_idx").cast(pa.int32()),
             }
         )
         if "page_url" in batch.column_names:
             out = out.append_column(
-                "page_url", pa.array(rows["page_url"], type=pa.string())
-            )
+                "page_url", kept.column("page_url").cast(pa.string()))
         return out

@@ -21,6 +21,38 @@ def test_corpus_404s():
     assert w.fetch(w.seeds()[0])[0] == 200
 
 
+def test_image_bytes_404_for_pages_that_404():
+    """An image url of a page or host that 404s has no payload either:
+    image_bytes applies resolve()'s bounds and raises KeyError, which
+    ImageFetcher turns into an ok=False row."""
+    import pyarrow as pa
+    import pytest
+
+    from owlcrawler_ray.stages.images import ImageFetcher
+
+    w = SyntheticWeb(TEST_WEB)
+    pi = TEST_WEB.base_pages  # first page past host 1's last page
+    assert w.fetch(f"http://host-1.test/page-{pi}.html")[0] == 404
+    hot = TEST_WEB.pages_on(0)
+    # urls shaped exactly like a live page's images (images_on does not
+    # bound-check), so only the bounds check can turn them away
+    dead = [m["image_url"]
+            for hi, p in ((1, pi), (1, pi + 7), (0, hot),
+                          (TEST_WEB.num_hosts, 0), (999, 3))
+            for m in w.images_on(hi, p)]
+    assert "http://host-1.test/img-12-0.png" in dead
+    for url in dead:
+        with pytest.raises(KeyError):
+            w.image_bytes(url)
+    got = ImageFetcher(TEST_WEB)(pa.table({"image_url": dead}))
+    assert got.column("ok").to_pylist() == [False] * len(dead)
+    assert all(b == b"" for b in got.column("bytes").to_pylist())
+    # the last real page of each host still serves its images
+    live = [m["image_url"] for hi in range(TEST_WEB.num_hosts)
+            for m in w.images_on(hi, TEST_WEB.pages_on(hi) - 1)]
+    assert live and all(w.image_bytes(u) for u in live)
+
+
 def test_corpus_html_parses_with_reference_semantics():
     w = SyntheticWeb(TEST_WEB)
     status, html = w.fetch(w.page_url(1, 0))

@@ -478,3 +478,31 @@ def test_admit_parity_widen_path_skips_seen_prefix(ray_session, tmp_path):
         assert again.column("url").to_pylist() == seeds[2:4]
     finally:
         c.shutdown()
+
+
+def test_round_task_is_exported_once_not_per_round(ray_session, tmp_path):
+    """The fused round task is ONE module-level remote function. Ray
+    exports each distinct remote function to the GCS function table (the
+    ``fun`` KV namespace) and every worker keeps the functions it loaded
+    for its lifetime, so a per-round closure grew both with the number of
+    rounds. Export is per job: at most one new key however many rounds
+    run, and none once it is exported."""
+    from ray.experimental.internal_kv import _internal_kv_list
+
+    def n_funcs():
+        return len(_internal_kv_list(b"RemoteFunction", namespace=b"fun"))
+
+    grown = {}
+    for rounds in (2, 6):
+        base = tmp_path / f"r{rounds}"
+        before = n_funcs()
+        # run_crawl alone: reading the tables back runs Ray Data, whose
+        # own per-read functions would swamp the count
+        c, summary = run_crawl(CrawlConfig(
+            web=SMALL_WEB, budget_per_round=7, max_rounds=rounds,
+            out_dir=f"{base}/out", ckpt_dir=f"{base}/ckpt",
+            fetch_concurrency=2, image_concurrency=1))
+        c.shutdown()
+        assert summary["rounds"] == rounds
+        grown[rounds] = n_funcs() - before
+    assert grown[2] <= 1 and grown[6] == 0, grown

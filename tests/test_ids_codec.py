@@ -184,9 +184,16 @@ def test_synth_pixels_bit_identical_to_uncached():
 
     for i, (w, h) in enumerate(
             [(32, 32), (48, 32), (64, 48), (96, 64), (192, 128), (1, 1),
-             (7, 3)] * 4):
+             (7, 3), (1, 9), (9, 1)] * 4):
         a = codec.synth_pixels(f"bit-{i}", w, h)
         assert np.array_equal(a, uncached(f"bit-{i}", w, h)), (i, w, h)
+    # the img_scale=2 shapes the bulk benchmark crawl serves, ~100 ids
+    # each: the diagonal sine table must match full-size sin everywhere
+    for w, h in [(64, 64), (96, 64), (128, 96), (192, 128)]:
+        for i in range(100):
+            a = codec.synth_pixels(f"s2-{w}x{h}-{i}", w, h)
+            assert np.array_equal(a, uncached(f"s2-{w}x{h}-{i}", w, h)), (
+                i, w, h)
     # cached base arrays are read-only: a caller mutating its output
     # cannot poison later images
     out = codec.synth_pixels("ro-check", 48, 32)
@@ -223,6 +230,94 @@ def test_phash_matches_reference_form():
     for i in range(10):
         px = codec.synth_pixels(f"ph-ref-{i}", 96, 64)
         assert codec.phash64(px) == reference(px)
+    # the same inputs through the batch kernel in ONE call mixing shapes
+    rng = np.random.default_rng(11)
+    imgs = []
+    for k in range(70):
+        h, w = shapes[k % len(shapes)]
+        imgs.append(rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8))
+    imgs += [codec.synth_pixels(f"ph-ref-{i}", 96, 64) for i in range(10)]
+    got = codec.phash_batch(np.stack([codec.phash_sample(p) for p in imgs]))
+    assert got.dtype == np.int64 and got.shape == (len(imgs),)
+    assert got.tolist() == [reference(p) for p in imgs]
+    assert codec.phash_batch(
+        np.empty((0, 32, 32, 3), dtype=np.uint8)).shape == (0,)
+
+
+def test_image_decoder_matches_per_row_reference():
+    """ImageDecoder (validate + inflate per payload, dequantize only the
+    phash grid, one batched phash, pass-through columns taken from the
+    batch) vs a per-row reference built from codec.decode + phash64, on
+    one batch mixing all 3 fmts, 1x1 and odd shapes, an empty payload
+    (a failed fetch: skipped, not counted), foreign bytes and a truncated
+    zlib stream (undecodable: dropped and counted in n_bad)."""
+    import numpy as np
+    import pyarrow as pa
+
+    from owlcrawler_ray.functions import ids
+    from owlcrawler_ray.stages.images import ImageDecoder
+
+    good = codec.encode(codec.synth_pixels("trunc", 40, 30), "webp")
+    payloads = []
+    for k, (w, h) in enumerate([(1, 1), (7, 3), (33, 17), (64, 48),
+                                (1, 9), (96, 64)]):
+        for fmt in ("png", "jpeg", "webp"):
+            px = codec.synth_pixels(f"dec-{k}-{fmt}", w, h)
+            payloads.append(codec.encode(px, fmt))
+    bad = {3: b"", 8: b"\x89PNG\r\n\x1a\nnot ours", 12: good[:len(good) // 2],
+           15: good[:10]}
+    for i, b in sorted(bad.items()):
+        payloads.insert(i, b)
+    n_undecodable = sum(1 for b in bad.values() if b)
+    n = len(payloads)
+    batch = pa.table({
+        "image_url": [f"http://host-0.test/img-{i}-0.png" for i in range(n)],
+        "caption": [f"caption {i}" for i in range(n)],
+        "tick": pa.array(range(100, 100 + n), pa.int64()),
+        "img_idx": pa.array([i % 3 for i in range(n)], pa.int32()),
+        "page_url": [f"http://host-0.test/page-{i}.html" for i in range(n)],
+        "bytes": pa.array(payloads, pa.large_binary()),
+        "ok": [True] * n,
+    })
+
+    def reference(batch):
+        rows = []
+        for r in batch.to_pylist():
+            if not r["bytes"]:
+                continue
+            try:
+                pix, fmt, w, h = codec.decode(r["bytes"])
+            except ValueError:
+                continue
+            rows.append({
+                "image_id": ids.doc_id(r["image_url"]), "bytes": r["bytes"],
+                "w": w, "h": h, "fmt": fmt, "caption": r["caption"],
+                "phash": codec.phash64(pix), "tick": r["tick"],
+                "img_idx": r["img_idx"], "page_url": r["page_url"]})
+        return rows
+
+    dec = ImageDecoder()
+    out = dec(batch)
+    assert out.schema == pa.schema([
+        ("image_id", pa.string()), ("bytes", pa.large_binary()),
+        ("w", pa.int32()), ("h", pa.int32()), ("fmt", pa.string()),
+        ("caption", pa.string()), ("phash", pa.int64()),
+        ("tick", pa.int64()), ("img_idx", pa.int32()),
+        ("page_url", pa.string())])
+    want = reference(batch)
+    assert out.to_pylist() == want
+    assert out.num_rows == n - len(bad) and dec.n_bad == n_undecodable
+    assert {r["fmt"] for r in want} == {"png", "jpeg", "webp"}
+    # without page_url the row shape is the same minus that column
+    out2 = ImageDecoder()(batch.drop_columns(["page_url"]))
+    assert out2.to_pylist() == [
+        {k: v for k, v in r.items() if k != "page_url"} for r in want]
+    # a batch of only bad payloads: zero rows, full schema
+    all_bad = batch.take(sorted(bad))
+    dec3 = ImageDecoder()
+    none = dec3(all_bad)
+    assert none.num_rows == 0 and none.schema == out.schema
+    assert dec3.n_bad == n_undecodable
 
 
 def test_image_bytes_memo_matches_fresh_instance():
