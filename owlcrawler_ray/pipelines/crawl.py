@@ -3,7 +3,10 @@
 Architecture (SURVEY.md §3.4) — replaces the reference's NATS queues +
 CouchDB store + worker processes (fetcher.go / extractor.go) with:
 
-  frontier shards (actors, per-host heaps)  ->  ADMIT (dequeue-dedup parity)
+  state actors, one per shard index: actor i hosts seen shard i (url
+  hash) AND frontier shard i (host hash) — max(ns, nf) processes, not
+  ns + nf (state/shard.py)
+  frontier shards (per-host heaps)  ->  ADMIT (dequeue-dedup parity)
     -> ONE heavy distributed pass (Ray tasks over arrow slices): fused
        fetch + single-pass extract + image fetch/decode/phash, full page
        rows AND decoded image rows written to the round dirs from inside
@@ -15,7 +18,8 @@ CouchDB store + worker processes (fetcher.go / extractor.go) with:
        (tick/fetch_seq/links_to_queue/fetched_on, url-keyed, merged back
        into pages_table()/images_table() at read time)
     -> new links seq-numbered in (tick, doc-order) = NATS publish order
-    -> seen actors commit successes; checkpoint (frontier+seen+counters)
+    -> seen shards commit successes; checkpoint (frontier+seen+counters,
+       one call per state actor)
 
 Why raw Ray tasks for the heavy pass instead of Dataset.map_batches: the
 pass is a driver-coordinated scatter-gather with a HARD BARRIER (tick
@@ -33,7 +37,7 @@ any budget_per_round chunking.
 Scale notes: per-round working set is bounded by the politeness budget
 (budget_per_round ticks); html/image bytes go task -> round parquet and
 never cross the object store or reach the driver; frontier/seen state
-lives in sharded actors; driver-side bookkeeping per round is
+lives in the sharded state actors; driver-side bookkeeping per round is
 O(admitted + new links) url strings, independent of total crawl size.
 Measured: 0.901 throughput scaling efficiency from N=2 to 4N=8 cpus
 (BASELINE.md).
@@ -65,9 +69,9 @@ from ..sources.corpus import SyntheticWeb, WebConfig
 from ..stages.extract import extract_batch
 from ..stages.fetch import CorpusFetcher, FactoryFetcher, cached_fetcher
 from ..stages.images import ImageDecoder, ImageFetcher
-from ..state.frontier import FrontierShard, entries_table
+from ..state.frontier import entries_table
 from ..state.politeness import PolitenessConfig, PolitenessGate
-from ..state.seen import SeenShard
+from ..state.shard import StateShard
 
 EPOCH_US = 1420070400000000  # 2015-01-01T00:00:00 (virtual-clock origin)
 
@@ -324,6 +328,19 @@ def _collect_arrow(ds) -> pa.Table:
     return pa.concat_tables(tables, promote_options="default")
 
 
+def _round_blocks(n: int, conc: int) -> int:
+    """Heavy-pass task count for a round of ``n`` distinct pages at
+    ``conc`` parallel tasks: ~128 pages per task, at least one task per
+    CPU, at most 256 tasks and never more tasks than pages. Coarse blocks
+    leave straggler tails at the round barrier and too-fine blocks choke
+    the driver-side scheduler (both measured). The floor is ``conc``, not
+    more: a trivial ``num_cpus=1`` task costs ~9 ms of CPU across driver,
+    raylet and worker (an actor call with the same Arrow argument ~2.7
+    ms, 4-vCPU VM), while a ~30-page task of a small polite round holds
+    only ~15 ms of page work."""
+    return max(1, min(n, 256, max(conc, math.ceil(n / 128))))
+
+
 def _slice_tables(tbl: pa.Table, n_blocks: int) -> list[pa.Table]:
     """Even driver-side split -> one block per slice (avoids a repartition
     pass; rd.from_arrow(list) makes each table its own block)."""
@@ -331,6 +348,11 @@ def _slice_tables(tbl: pa.Table, n_blocks: int) -> list[pa.Table]:
     n_blocks = max(1, min(n_blocks, n)) if n else 1
     step = math.ceil(n / n_blocks) if n else 1
     return [tbl.slice(i, step) for i in range(0, n, step)] or [tbl]
+
+
+# the crawl's state actors (module level, like _fetch_extract_task: one
+# actor class exported per job, not one per Crawler)
+_STATE_ACTOR = ray.remote(num_cpus=0)(StateShard)
 
 
 # seen-checkpoint chain compaction threshold: a shard whose delta chain
@@ -361,8 +383,6 @@ class Crawler:
         # last committed round ({} until the first commit or restore)
         self._seen_chain: dict[str, list[str]] = {}
         self._last_ckpt_round: int = -1
-        seen_cls = ray.remote(num_cpus=0)(SeenShard)
-        frontier_cls = ray.remote(num_cpus=0)(FrontierShard)
         spill = (
             os.path.join(cfg.ckpt_dir, "seen_spill") if cfg.seen_spill else None
         )
@@ -379,13 +399,13 @@ class Crawler:
                 for fn in os.listdir(spill):
                     if fn.startswith("seen_run_"):
                         os.remove(os.path.join(spill, fn))
-        self.seen = [
-            seen_cls.remote(i, spill_dir=spill,
-                            max_mem_urls=cfg.seen_max_mem_urls)
-            for i in range(cfg.num_seen_shards)
-        ]
-        self.frontier = [
-            frontier_cls.remote(i) for i in range(cfg.num_frontier_shards)
+        # seen shard i and frontier shard i share actor i: one process
+        # per shard index, not one per role (state/shard.py)
+        ns, nf = cfg.num_seen_shards, cfg.num_frontier_shards
+        self.state = [
+            _STATE_ACTOR.remote(i, i < ns, i < nf, spill_dir=spill,
+                                max_mem_urls=cfg.seen_max_mem_urls)
+            for i in range(max(ns, nf))
         ]
         web_for_robots = self.web
 
@@ -529,7 +549,7 @@ class Crawler:
             idx = np.where(shard == s)[0]
             if not len(idx):
                 continue
-            futs.append(self.frontier[s].push_table.remote(
+            futs.append(self.state[s].frontier_push.remote(
                 t_all.take(pa.array(idx, type=pa.int64()))
             ))
         ray.get(futs)
@@ -551,7 +571,7 @@ class Crawler:
         for sh in range(self.cfg.num_seen_shards):
             idx = np.where(shards == sh)[0]
             if len(idx):
-                futs.append(self.seen[sh].contains_many.remote(
+                futs.append(self.state[sh].seen_contains.remote(
                     [uniq[i] for i in idx]))
                 fidx.append(idx)
         for idx, mask in zip(fidx, ray.get(futs)):
@@ -575,7 +595,8 @@ class Crawler:
         nf = self.cfg.num_frontier_shards
         W = K
         while True:
-            peeks = ray.get([self.frontier[s].peek.remote(W) for s in range(nf)])
+            peeks = ray.get([self.state[s].frontier_peek.remote(W)
+                             for s in range(nf)])
             horizon: tuple[float, int] | None = None
             for t in peeks:
                 if t.num_rows == W:  # shard may hold more beyond its peek
@@ -624,7 +645,7 @@ class Crawler:
                                  value_set=consumed.combine_chunks())
                     )
                     if len(shard_seqs):
-                        futs.append(self.frontier[s].remove_seqs.remote(
+                        futs.append(self.state[s].frontier_remove.remote(
                             shard_seqs.to_pylist()))
                 ray.get(futs)
                 return ent.slice(0, scanned).filter(
@@ -641,7 +662,8 @@ class Crawler:
         now = float(self.tick * self.cfg.tick_seconds)
         nf = self.cfg.num_frontier_shards
         W = max(self.cfg.budget_per_round, 64)
-        peeks = ray.get([self.frontier[s].peek.remote(W) for s in range(nf)])
+        peeks = ray.get([self.state[s].frontier_peek.remote(W)
+                         for s in range(nf)])
         entries = []
         for t in peeks:
             entries.extend(
@@ -689,7 +711,7 @@ class Crawler:
                 q for q in peeks[s].column("discovered_seq").to_pylist() if q in cset
             ]
             if shard_seqs:
-                futs.append(self.frontier[s].remove_seqs.remote(shard_seqs))
+                futs.append(self.state[s].frontier_remove.remote(shard_seqs))
         ray.get(futs)
         return entries_table(
             [a[2] for a in admitted],
@@ -715,11 +737,7 @@ class Crawler:
         tbl = admitted.take(first_idx)
         n = tbl.num_rows
         conc = max(1, min(cfg.fetch_concurrency, math.ceil(n / cfg.fetch_batch_size)))
-        # block sizing: ~100 pages/task keeps tasks ~1s — coarse blocks
-        # leave straggler tails at the round barrier, too-fine blocks choke
-        # the driver-side scheduler (both measured); floor at 2x concurrency
-        n_blocks = max(1, min(256, max(2 * conc, math.ceil(n / 128))))
-        n_blocks = min(n_blocks, max(1, n))
+        n_blocks = _round_blocks(n, conc)
         raw_tmp = table_store.begin_round(cfg.out_dir, "pages", self.round_id)
         imgs_tmp = (
             table_store.begin_round(cfg.out_dir, "images", self.round_id)
@@ -910,7 +928,7 @@ class Crawler:
             for s in range(cfg.num_seen_shards):
                 idx = np.where(shards == s)[0]
                 if len(idx):
-                    futs.append(self.seen[s].add_many.remote(
+                    futs.append(self.state[s].seen_add.remote(
                         [s_urls[i] for i in idx]))
             ray.get(futs)
         tmr["seen_commit"] = time.perf_counter() - _t0
@@ -936,30 +954,31 @@ class Crawler:
 
     # ------------------------------------------------------------------
     def _checkpoint(self) -> None:
-        """Incremental checkpoint: frontier shards snapshot driver-side
-        (O(queued) — the live working set), but the seen set goes through
-        the delta-chain protocol — each SeenShard actor writes ONLY the
-        urls it gained since the last acked checkpoint (SeenShard.
-        ckpt_write), prior chain files are hardlinked forward so every
-        round dir is self-contained, and the manifest's commit is what
-        lets the shards drop their pending buffers (ckpt_ack). Per-round
-        cost is O(progress), not O(|seen|), and the seen bytes never
-        transit the driver."""
-        fr = ray.get([f.snapshot.remote() for f in self.frontier])
+        """Incremental checkpoint, ONE call per state actor: frontier
+        shards snapshot driver-side (O(queued) — the live working set),
+        but the seen set goes through the delta-chain protocol — each
+        seen shard writes ONLY the urls it gained since the last acked
+        checkpoint (SeenShard.ckpt_write), prior chain files are
+        hardlinked forward so every round dir is self-contained, and the
+        manifest's commit is what lets the shards drop their pending
+        buffers (ckpt_ack). Per-round cost is O(progress), not O(|seen|),
+        and the seen bytes never transit the driver."""
         tmp = self.ckpt.begin(self.round_id)
-        self.ckpt.write_frontier(tmp, fr)
         prev_chain = self._seen_chain or {}
         # LSM-style compaction: past _CKPT_CHAIN_MAX files a shard's chain
         # is rewritten as one full snapshot (amortized O(|shard|/64 per
         # round)), bounding both restore reads and per-round link fan-out
-        recs = ray.get([
-            s.ckpt_write.remote(
+        outs = ray.get([
+            a.checkpoint.remote(
                 tmp, self.round_id,
                 len(prev_chain.get(str(i), [])) >= _CKPT_CHAIN_MAX,
                 len(prev_chain.get(str(i), [])),  # unique-name seq
             )
-            for i, s in enumerate(self.seen)
+            for i, a in enumerate(self.state)
         ])
+        self.ckpt.write_frontier(
+            tmp, [fr for fr, _ in outs[:self.cfg.num_frontier_shards]])
+        recs = [rec for _, rec in outs[:self.cfg.num_seen_shards]]
         # actor-written files must be visible driver-side BEFORE the
         # manifest commits — the incremental protocol requires the
         # checkpoint root on storage shared by driver and seen shards
@@ -973,7 +992,7 @@ class Crawler:
                     f"seen shard {i} wrote checkpoint file {rec['file']!r} "
                     f"that is not visible at {tmp!r} — the checkpoint dir "
                     "must be on storage shared between the driver and the "
-                    "seen-shard actors"
+                    "state actors"
                 )
         chain: dict[str, list[str]] = {}
         inherit: dict[str, list[str]] = {}
@@ -1003,7 +1022,8 @@ class Crawler:
         }
         manifest["seen_chain"] = chain
         self.ckpt.commit(self.round_id, manifest)
-        ray.get([s.ckpt_ack.remote() for s in self.seen])
+        ray.get([a.ckpt_ack.remote()
+                 for a in self.state[:self.cfg.num_seen_shards]])
         self._seen_chain = chain
         self._last_ckpt_round = self.round_id
         pruned = self.ckpt.prune_old(self.cfg.ckpt_keep)
@@ -1043,10 +1063,11 @@ class Crawler:
                     "refusing to resume (delete the checkpoint dir to start "
                     "fresh)"
                 )
-        ray.get(
-            [f.restore.remote(t) for f, t in zip(self.frontier, fr)]
-            + [s.restore.remote(t) for s, t in zip(self.seen, sn)]
-        )
+        ray.get([
+            a.restore.remote(fr[i] if i < len(fr) else None,
+                             sn[i] if i < len(sn) else None)
+            for i, a in enumerate(self.state)
+        ])
         chain = manifest.get("seen_chain")
         if chain is None:
             # legacy full-snapshot round: its seen_shard files become the
@@ -1054,7 +1075,7 @@ class Crawler:
             # and writes only deltas from here on
             d = self.ckpt._dir(latest)
             chain = {}
-            for i in range(len(self.seen)):
+            for i in range(self.cfg.num_seen_shards):
                 name = f"seen_shard_{i:04d}.parquet"
                 chain[str(i)] = (
                     [name] if os.path.exists(os.path.join(d, name)) else []
@@ -1097,9 +1118,7 @@ class Crawler:
             )
             admit_sec = time.perf_counter() - _ta
             if not admitted.num_rows:
-                if cfg.mode == "polite" and sum(
-                    ray.get([f.size.remote() for f in self.frontier])
-                ):
+                if cfg.mode == "polite" and self._sizes()[0]:
                     # buckets empty but frontier not: advance virtual time
                     self.tick += 1
                     continue
@@ -1119,13 +1138,19 @@ class Crawler:
         self._checkpoint()
         return self.summary()
 
+    def _sizes(self) -> tuple[int, int]:
+        """(queued frontier entries, seen urls) summed over the shards."""
+        fs, ss = zip(*ray.get([a.sizes.remote() for a in self.state]))
+        return sum(fs), sum(ss)
+
     def summary(self) -> dict:
+        frontier_left, seen = self._sizes()
         return {
             "rounds": len(self.metrics["rounds"]),
             "ticks": self.tick,
             "fetched": self.fetch_seq,
-            "frontier_left": sum(ray.get([f.size.remote() for f in self.frontier])),
-            "seen": sum(ray.get([s.size.remote() for s in self.seen])),
+            "frontier_left": frontier_left,
+            "seen": seen,
         }
 
     # output views ------------------------------------------------------
@@ -1208,7 +1233,7 @@ class Crawler:
         return table_store.read_all_arrow(self.cfg.out_dir, "sites")
 
     def shutdown(self) -> None:
-        for a in self.frontier + self.seen:
+        for a in self.state:
             ray.kill(a)
 
 

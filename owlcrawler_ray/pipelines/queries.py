@@ -4949,7 +4949,15 @@ def _bench_shingles_batch(batch: pa.Table) -> pa.Table:
 def _bench_shingle_ref(src):
     """Build + broadcast the benchmark shingle set from a (doc_id, text)
     Dataset: distinct-per-batch partials, tiny driver union, one
-    ray.put."""
+    ray.put.
+
+    Scale ceiling: the union is a driver-side Python set of every
+    distinct holdout shingle, and the distinct 3-gram vocabulary grows
+    roughly linearly with the holdout's token count, not with its row
+    count. ~100 B per shingle puts a 10^8-token holdout at ~10 GB of
+    driver heap plus an equally large broadcast. Past a few million
+    shingles this wants a shingle-hash-partitioned semi-join (or a
+    broadcast Bloom filter with an exact second pass) instead."""
     bench: set = set()
     for row in src.map_batches(
         _bench_shingles_batch, batch_format="pyarrow"

@@ -18,13 +18,13 @@ pages/images rounds after that point are discarded (their ``_SUCCESS`` is
 removed) so the resumed run re-produces them byte-identically.
 
 Deployment requirement: the checkpoint root must live on storage shared
-by the driver AND every SeenShard actor (single node, NFS/cluster FS, or
-an object-store mount) — the incremental protocol has actors write their
-seen deltas directly into the round dir so the seen bytes never transit
-the driver. The crawl loop verifies each actor-written file is visible
-driver-side BEFORE committing the manifest, so a mis-deployed
-non-shared root fails loudly at the first checkpoint instead of
-producing a manifest that names unreachable files.
+by the driver AND every state actor that hosts a seen shard (single
+node, NFS/cluster FS, or an object-store mount) — the incremental
+protocol has the actors write their seen deltas directly into the round
+dir so the seen bytes never transit the driver. The crawl loop verifies
+each actor-written file is visible driver-side BEFORE committing the
+manifest, so a mis-deployed non-shared root fails loudly at the first
+checkpoint instead of producing a manifest that names unreachable files.
 """
 
 from __future__ import annotations
@@ -103,14 +103,14 @@ class CheckpointManager:
                     # previous committed round — its absence means the
                     # chain invariant is broken (external deletion, a
                     # partially swept dir, or a checkpoint root that is
-                    # not shared with the SeenShard actors); a copy
+                    # not shared with the state actors); a copy
                     # fallback can never repair that, so fail loudly here
                     raise RuntimeError(
                         f"seen-chain file {name!r} missing from committed "
                         f"round dir {src_dir!r}; checkpoint chain "
                         "invariant broken (was the checkpoint root "
                         "modified externally, or is it not on storage "
-                        "shared with the seen-shard actors?)"
+                        "shared with the state actors?)"
                     )
                 try:
                     os.link(src, dst)

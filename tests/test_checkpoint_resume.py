@@ -62,6 +62,34 @@ def test_resume_is_identical(ray_session, tmp_path):
             assert g == w, f"{name} row mismatch: {g} != {w}"
 
 
+@pytest.mark.parametrize("ns,nf", [(3, 2), (2, 3)])
+def test_resume_with_unequal_shard_counts_is_identical(ray_session, tmp_path,
+                                                       ns, nf):
+    """Kill and resume with unequal seen and frontier shard counts: the
+    checkpoint and restore fan-outs pair frontier file i and seen chain i
+    with state actor i, including the actors that host one role only."""
+    full_base = str(tmp_path / "full")
+    part_base = str(tmp_path / "part")
+    kw = dict(num_seen_shards=ns, num_frontier_shards=nf)
+
+    c_full, _ = run_crawl(_cfg(full_base, **kw))
+    full = _rows(c_full)
+    c_full.shutdown()
+
+    c1, s1 = run_crawl(_cfg(part_base, max_ticks=12, **kw))
+    assert s1["fetched"] < len(full[0])
+    c1.shutdown()
+    c2, s2 = run_crawl(_cfg(part_base, budget_per_round=17, **kw),
+                       resume=True)
+    resumed = _rows(c2)
+    c2.shutdown()
+
+    assert s2["fetched"] == len(full[0]) == s2["seen"]
+    assert s2["frontier_left"] == 0
+    for got, want, name in zip(resumed, full, ("pages", "attempts", "images")):
+        assert got == want, f"{name} mismatch"
+
+
 def test_resume_refuses_changed_web(ray_session, tmp_path):
     base = str(tmp_path / "cfgchange")
     shutil.rmtree(base, ignore_errors=True)

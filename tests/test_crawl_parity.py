@@ -2,6 +2,7 @@
 attempt log, fetch order, seen set, page extraction and image emission —
 at any budget chunking (north-rule ordering/URL-seen parity)."""
 
+import math
 import shutil
 
 import pytest
@@ -54,9 +55,7 @@ def oracle():
     return run_oracle(SyntheticWeb(SMALL_WEB))
 
 
-@pytest.mark.parametrize("budget", [7, 1000])
-def test_parity_at_budget(ray_session, tmp_path, oracle, budget):
-    got = _crawl(str(tmp_path / f"b{budget}"), budget)
+def _assert_parity(got, oracle):
     want_attempts = [
         (a["tick"], a["url"], a["status"]) for a in oracle.attempts
     ]
@@ -72,6 +71,76 @@ def test_parity_at_budget(ray_session, tmp_path, oracle, budget):
         assert p["fetch_seq"] == want["fetch_seq"]
     want_imgs = [(i["image_id"], i["caption"]) for i in oracle.images]
     assert [(i[0], i[1]) for i in got["images"]] == want_imgs
+
+
+@pytest.mark.parametrize("budget", [7, 1000])
+def test_parity_at_budget(ray_session, tmp_path, oracle, budget):
+    _assert_parity(_crawl(str(tmp_path / f"b{budget}"), budget), oracle)
+
+
+@pytest.mark.parametrize("ns,nf", [(3, 2), (2, 3)])
+def test_parity_with_unequal_shard_counts(ray_session, tmp_path, oracle,
+                                          ns, nf):
+    """Unequal seen and frontier shard counts: the trailing state actors
+    host one role only, and every driver fan-out must address exactly the
+    actors that host the role it touches."""
+    got = _crawl(str(tmp_path / f"s{ns}f{nf}"), 7,
+                 num_seen_shards=ns, num_frontier_shards=nf)
+    _assert_parity(got, oracle)
+    assert got["summary"]["seen"] == len(oracle.seen)
+    assert got["summary"]["frontier_left"] == 0
+
+
+@pytest.mark.parametrize("ns,nf", [(4, 4), (3, 2), (2, 3)])
+def test_crawler_starts_one_state_actor_per_shard_index(ray_session,
+                                                         tmp_path, ns, nf):
+    """Seen shard i and frontier shard i share actor i: a Crawler starts
+    max(ns, nf) actor processes, not ns + nf, and shutdown() kills every
+    one of them."""
+    import ray
+    from ray._private import state as ray_state
+
+    from owlcrawler_ray.pipelines.crawl import Crawler
+
+    def alive() -> set[str]:
+        return {
+            aid for aid, a in ray_state.actors().items()
+            if a["State"] == "ALIVE"
+            and a["ActorClassName"].endswith("StateShard")
+        }
+
+    before = alive()
+    c = Crawler(CrawlConfig(
+        web=SMALL_WEB, out_dir=f"{tmp_path}/out", ckpt_dir=f"{tmp_path}/ckpt",
+        num_seen_shards=ns, num_frontier_shards=nf,
+    ))
+    try:
+        sizes = ray.get([a.sizes.remote() for a in c.state])
+        assert len(alive() - before) == max(ns, nf) == len(c.state)
+        # _seed() queued every seed on the frontier shards; no url is seen
+        assert sum(f for f, _ in sizes) == len(c.web.seeds())
+        assert all(s == 0 for _, s in sizes)
+        # trailing actors host one role: the absent one reports 0
+        assert all(f == 0 for f, _ in sizes[nf:])
+    finally:
+        c.shutdown()
+    for a in c.state:
+        with pytest.raises(ray.exceptions.RayActorError):
+            ray.get(a.sizes.remote())
+
+
+def test_round_blocks():
+    from owlcrawler_ray.pipelines.crawl import _round_blocks
+
+    # small rounds: one task per parallel slot, never more than pages
+    for conc in (1, 2, 4, 16):
+        for n in (1, 2, conc, 3 * conc, 128 * conc):
+            assert _round_blocks(n, conc) == min(conc, n), (n, conc)
+    # large rounds: ~128 pages per task, capped at 256 tasks
+    assert _round_blocks(128 * 4 + 1, 4) == 5
+    assert _round_blocks(10_000, 2) == math.ceil(10_000 / 128)
+    assert _round_blocks(110_000, 32) == 256
+    assert _round_blocks(0, 4) == 1
 
 
 def test_virtual_clock_and_timestamps(ray_session, tmp_path, oracle):
@@ -458,13 +527,13 @@ def test_admit_parity_widen_path_skips_seen_prefix(ray_session, tmp_path):
         for s in range(cfg.num_seen_shards):
             us = [u for u, sh in zip(dup_urls, shards) if sh == s]
             if us:
-                futs.append(c.seen[s].add_many.remote(us))
+                futs.append(c.state[s].seen_add.remote(us))
         ray.get(futs)
         c._push_frontier(
             dup_urls, [1] * 12, [-1.0] * 12,
             list(range(1000, 1012)),
         )
-        before = sum(ray.get([f.size.remote() for f in c.frontier]))
+        before = c._sizes()[0]
         admitted = c._admit_parity()
         # first-K unseen = the first two SEEDS by (priority, seq)
         seeds = c.web.seeds()
@@ -472,7 +541,7 @@ def test_admit_parity_widen_path_skips_seen_prefix(ray_session, tmp_path):
         assert admitted.num_rows == 2
         # every seen entry scanned on the way was consumed from the
         # frontier alongside the two admitted seeds, none re-admittable
-        after = sum(ray.get([f.size.remote() for f in c.frontier]))
+        after = c._sizes()[0]
         assert after == before - 12 - 2
         again = c._admit_parity()
         assert again.column("url").to_pylist() == seeds[2:4]

@@ -7,6 +7,7 @@ from owlcrawler_ray.state import seen as seen_mod
 from owlcrawler_ray.state.frontier import FrontierShard, entries_table
 from owlcrawler_ray.state.politeness import PolitenessConfig, PolitenessGate
 from owlcrawler_ray.state.seen import SeenShard
+from owlcrawler_ray.state.shard import StateShard
 
 URLS = [f"http://h{i % 7}.test/p{i}" for i in range(500)]
 
@@ -69,6 +70,46 @@ def test_frontier_snapshot_roundtrip():
     f2.restore(f.snapshot())
     assert f2.size() == 2
     assert f2.peek(10).column("url").to_pylist() == ["a", "c"]
+
+
+def test_state_shard_hosts_either_role(tmp_path):
+    """One state actor per shard index: both roles delegate to the plain
+    shards, and a single-role actor (unequal shard counts) reports 0 and
+    checkpoints None for the role it does not host."""
+    both = StateShard(1, True, True)
+    seen_only = StateShard(2, True, False)
+    frontier_only = StateShard(3, False, True)
+    assert both.seen.shard_id == both.frontier.shard_id == 1
+    assert seen_only.frontier is None and frontier_only.seen is None
+
+    ent = entries_table(["a", "b"], ["h", "h"], [0, 0], [0.0, 0.0], [1, 2])
+    assert both.frontier_push(ent) == 2
+    assert list(both.seen_add(["a", "x"])) == [True, True]
+    assert list(both.seen_contains(["a", "b"])) == [True, False]
+    assert both.frontier_peek(1).column("url").to_pylist() == ["a"]
+    assert both.frontier_remove([1]) == 1
+    assert both.sizes() == (1, 2)
+    frontier_only.frontier_push(ent)
+    seen_only.seen_add(["y"])
+    assert frontier_only.sizes() == (2, 0)
+    assert seen_only.sizes() == (0, 1)
+
+    fr, rec = both.checkpoint(str(tmp_path), 0)
+    assert fr.column("url").to_pylist() == ["b"]
+    assert rec["file"] and (tmp_path / rec["file"]).exists()
+    both.ckpt_ack()
+    assert frontier_only.checkpoint(str(tmp_path), 0)[1] is None
+    fr, rec = seen_only.checkpoint(str(tmp_path), 0)
+    assert fr is None and rec["file"]
+    frontier_only.ckpt_ack()  # no seen role: nothing to ack
+
+    back = StateShard(1, True, True)
+    back.restore(both.frontier.snapshot(), both.seen.snapshot())
+    assert back.sizes() == (1, 2)
+    assert list(back.seen_contains(["x", "y"])) == [True, False]
+    lone = StateShard(3, False, True)
+    lone.restore(frontier_only.frontier.snapshot(), None)
+    assert lone.sizes() == (2, 0)
 
 
 def test_politeness_parity_mode_noop_robots():
