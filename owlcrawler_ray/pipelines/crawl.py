@@ -1,25 +1,39 @@
 """The crawl loop: distributed rounds over actor-held frontier + seen state.
 
 Architecture (SURVEY.md §3.4) — replaces the reference's NATS queues +
-CouchDB store + worker processes (fetcher.go / extractor.go) with:
+CouchDB store + worker processes (fetcher.go / extractor.go) with state
+actors, one per shard index: actor i hosts seen shard i (url hash) AND
+frontier shard i (host hash) — max(ns, nf) processes, not ns + nf
+(state/shard.py). One round, with each step's state-actor traffic:
 
-  state actors, one per shard index: actor i hosts seen shard i (url
-  hash) AND frontier shard i (host hash) — max(ns, nf) processes, not
-  ns + nf (state/shard.py)
-  frontier shards (per-host heaps)  ->  ADMIT (dequeue-dedup parity)
-    -> ONE heavy distributed pass (Ray tasks over arrow slices): fused
-       fetch + single-pass extract + image fetch/decode/phash, full page
-       rows AND decoded image rows written to the round dirs from inside
-       the tasks (content-keyed parts -> retry-idempotent), slim table back
-    -> driver assigns politeness ticks per ATTEMPT (reference: one 5s tick
-       per actual GET, fetcher.go:96-99; dequeue-time seen check is free)
-    -> driver advisory link filter (ONE batched seen-shard RPC per round —
-       vs the reference's per-link HTTP HEAD) + stamps sidecar parquet
-       (tick/fetch_seq/links_to_queue/fetched_on, url-keyed, merged back
-       into pages_table()/images_table() at read time)
-    -> new links seq-numbered in (tick, doc-order) = NATS publish order
-    -> seen shards commit successes; checkpoint (frontier+seen+counters,
-       one call per state actor)
+  1. ADMIT (dequeue-dedup parity) from the next-round window the previous
+     round left on the driver: no RPC in steady state. Fallback to peek +
+     seen probe: the first round after construction or resume, a widened
+     parity window, a polite re-peek after an empty admission, and any
+     frontier push outside the loop (a generation counter drops the
+     window). The admission's removes ride on step 4.
+  2. ONE heavy distributed pass (Ray tasks over arrow slices): fused
+     fetch + single-pass extract + image fetch/decode/phash, full page
+     rows AND decoded image rows written to the round dirs from inside
+     the tasks (content-keyed parts -> retry-idempotent), slim table back.
+  3. the driver assigns politeness ticks per ATTEMPT (reference: one 5s
+     tick per actual GET, fetcher.go:96-99; dequeue-time seen check is
+     free) and writes the attempts table.
+  4. COMMIT, one call per actor, in this order: ack the previous
+     checkpoint, drop the round's admitted/discarded entries, probe the
+     round's link candidates against the seen set (the advisory link
+     filter: ONE batched probe per round vs the reference's per-link HTTP
+     HEAD), insert the round's successes, peek the next window.
+  5. stamps sidecar parquet (tick/fetch_seq/links_to_queue/fetched_on,
+     url-keyed, merged back into pages_table()/images_table() at read
+     time); new links seq-numbered in (tick, doc-order) = NATS publish
+     order.
+  6. ADVANCE, one call per actor, in this order: push the new links,
+     checkpoint when due (frontier+seen+counters; the manifest commits
+     driver-side after), probe the next window against the seen set. The
+     driver builds that window exactly: per frontier shard, the first W
+     by (priority, seq) of the step-4 peek plus that shard's new links,
+     which equals a peek(W) taken after the push.
 
 Why raw Ray tasks for the heavy pass instead of Dataset.map_batches: the
 pass is a driver-coordinated scatter-gather with a HARD BARRIER (tick
@@ -37,7 +51,8 @@ any budget_per_round chunking.
 Scale notes: per-round working set is bounded by the politeness budget
 (budget_per_round ticks); html/image bytes go task -> round parquet and
 never cross the object store or reach the driver; frontier/seen state
-lives in the sharded state actors; driver-side bookkeeping per round is
+lives in the sharded state actors and costs two actor calls per actor
+per steady-state round; driver-side bookkeeping per round is
 O(admitted + new links) url strings, independent of total crawl size.
 Measured: 0.901 throughput scaling efficiency from N=2 to 4N=8 cpus
 (BASELINE.md).
@@ -350,6 +365,68 @@ def _slice_tables(tbl: pa.Table, n_blocks: int) -> list[pa.Table]:
     return [tbl.slice(i, step) for i in range(0, n, step)] or [tbl]
 
 
+_QUEUE_ORDER = [("priority", "ascending"), ("discovered_seq", "ascending")]
+
+
+def _queue_sorted(t: pa.Table) -> pa.Table:
+    """Frontier entries in dequeue order, (priority, seq) — a total
+    order, seqs are unique."""
+    return t.take(pc.sort_indices(t, sort_keys=_QUEUE_ORDER))
+
+
+def next_window(peek: pa.Table, new: pa.Table | None, w: int) -> pa.Table:
+    """A frontier shard's ``peek(w)`` after ``new`` is pushed, from the
+    ``peek(w)`` taken before the push: any entry among the first ``w``
+    of the union is among the first ``w`` of its own part, so the first
+    ``w`` of (peek ∪ new) is exact."""
+    if new is None or not new.num_rows:
+        return peek
+    return _queue_sorted(pa.concat_tables([peek, new])).slice(0, w)
+
+
+def _merge_window(peeks: list[pa.Table], w: int,
+                  cut: bool) -> tuple[pa.Table, bool]:
+    """Merge per-shard ``peek(w)`` tables into the global dequeue order.
+    With ``cut`` (parity admission), cut it at the horizon: a shard that
+    filled its peek may hold more entries past its last one, so nothing
+    after the smallest such last entry is known to be next. Returns
+    (entries, truncated)."""
+    ent = _queue_sorted(pa.concat_tables(peeks))
+    horizon: tuple[float, int] | None = None
+    for t in peeks if cut else ():
+        if t.num_rows == w:  # shard may hold more beyond its peek
+            last = (
+                t.column("priority")[w - 1].as_py(),
+                t.column("discovered_seq")[w - 1].as_py(),
+            )
+            horizon = last if horizon is None else min(horizon, last)
+    if horizon is None:
+        return ent, False
+    hp, hs = horizon
+    prio = ent.column("priority")
+    seq = ent.column("discovered_seq")
+    return ent.filter(
+        pc.or_(
+            pc.less(prio, hp),
+            pc.and_(pc.equal(prio, hp), pc.less_equal(seq, hs)),
+        )
+    ), True
+
+
+@dataclass
+class _Window:
+    """The next admission's input, built at the end of the previous
+    round: per-shard peeks, the merged entries (cut at the horizon in
+    parity mode) and their seen mask. Valid only for the frontier
+    generation and window size it was built for."""
+    gen: int
+    w: int
+    peeks: list[pa.Table]
+    ent: pa.Table
+    truncated: bool
+    seen: np.ndarray
+
+
 # the crawl's state actors (module level, like _fetch_extract_task: one
 # actor class exported per job, not one per Crawler)
 _STATE_ACTOR = ray.remote(num_cpus=0)(StateShard)
@@ -425,6 +502,19 @@ class Crawler:
         self.fetch_log: list[dict] = []
         self.metrics: dict = {"rounds": []}
         self._add_sites_lock = threading.Lock()
+        # state-actor work the loop defers to the next commit call: the
+        # ack of the last committed checkpoint and, per frontier shard,
+        # the seqs an admission consumed
+        self._ack_pending = False
+        self._removes: dict[int, list[int]] = {}
+        # the next admission's window, and the frontier generation that
+        # guards it: every push outside the loop (seeds, add_sites, from
+        # any thread) bumps the generation under the lock, so a window
+        # built around such a push is dropped rather than served stale
+        self._window: _Window | None = None
+        self._frontier_gen = 0
+        self._frontier_lock = threading.Lock()
+        self._admit_path = "peek"
         restored = False
         if resume:
             restored = self._restore()
@@ -433,6 +523,16 @@ class Crawler:
             # (before the shard actors could load them), so the shards
             # start empty here by construction
             self._seed()
+        # checkpoint lineage: (first, last, count) of the committed pages
+        # and images rounds — scanned once here, then kept up to date as
+        # the loop commits rounds (round ids only grow)
+        self._lineage = {}
+        for name in ("pages", "images"):
+            r = table_store.list_rounds(cfg.out_dir, name)
+            self._lineage[name] = (
+                {"first": r[0], "last": r[-1], "count": len(r)} if r
+                else {"first": None, "last": None, "count": 0}
+            )
 
     # ------------------------------------------------------------------
     def _seed(self) -> None:
@@ -535,97 +635,148 @@ class Crawler:
     def _host_shard(self, hosts: list[str]) -> np.ndarray:
         return ids.shard_of(hosts, self.cfg.num_frontier_shards)
 
-    def _push_frontier(self, urls, depths, prios, seqs) -> None:
-        if not len(urls):
-            return
+    def _route_entries(self, urls, depths, prios,
+                       seqs) -> list[pa.Table | None]:
+        """Frontier entries split by frontier shard (None = none there)."""
         hosts = ids.host_of_many(urls)
         shard = self._host_shard(hosts)
         # build ONE Arrow table, route shards with take — the old
         # per-shard python list comprehensions were 4 x O(links) of
         # driver work per round (SCALING.md mega-round links_push)
         t_all = entries_table(urls, hosts, depths, prios, seqs)
-        futs = []
+        out: list[pa.Table | None] = []
         for s in range(self.cfg.num_frontier_shards):
             idx = np.where(shard == s)[0]
-            if not len(idx):
-                continue
-            futs.append(self.state[s].frontier_push.remote(
-                t_all.take(pa.array(idx, type=pa.int64()))
-            ))
+            out.append(t_all.take(pa.array(idx, type=pa.int64()))
+                       if len(idx) else None)
+        return out
+
+    def _push_frontier(self, urls, depths, prios, seqs) -> None:
+        """A push from outside the crawl loop (seeds, add_sites): bumps
+        the frontier generation, which drops any next-round window."""
+        if not len(urls):
+            return
+        tables = self._route_entries(urls, depths, prios, seqs)
+        with self._frontier_lock:
+            self._frontier_gen += 1
+            futs = [self.state[s].frontier_push.remote(t)
+                    for s, t in enumerate(tables) if t is not None]
         ray.get(futs)
+
+    def _route_seen(self, url_arr: pa.Array) -> tuple[list, tuple]:
+        """Dedup an Arrow string array and split the uniques by seen
+        shard: (per-shard probe lists, None where empty; the routing that
+        _gather_seen maps the per-shard masks back through). The blake2b
+        shard hash is the one per-string python cost kept — it must stay
+        stable across processes and checkpoints (ids.py)."""
+        uniq_arr = pc.unique(url_arr)
+        uniq = uniq_arr.to_pylist()
+        shards = ids.shard_of(uniq, self.cfg.num_seen_shards)
+        idxs = [np.where(shards == sh)[0]
+                for sh in range(self.cfg.num_seen_shards)]
+        lists = [[uniq[i] for i in idx] if len(idx) else None
+                 for idx in idxs]
+        return lists, (url_arr, uniq_arr, idxs)
+
+    @staticmethod
+    def _gather_seen(route: tuple, masks: list) -> np.ndarray:
+        """Per-occurrence seen mask from per-shard probe masks."""
+        url_arr, uniq_arr, idxs = route
+        seen_u = np.zeros(len(uniq_arr), dtype=bool)
+        for idx, mask in zip(idxs, masks):
+            if len(idx):
+                seen_u[idx] = np.asarray(mask, dtype=bool)
+        pos = pc.index_in(url_arr, value_set=uniq_arr)
+        return seen_u[pos.to_numpy(zero_copy_only=False)]
 
     def _seen_mask_np(self, url_arr: pa.Array) -> np.ndarray:
         """Vectorized seen-set membership for an Arrow string array:
         dedup -> batched per-shard RPC -> index_in map-back, one output
-        per occurrence. The blake2b shard hash is the one per-string
-        python cost kept — it must stay stable across processes and
-        checkpoints (ids.py)."""
-        n = len(url_arr)
-        if not n:
+        per occurrence."""
+        if not len(url_arr):
             return np.zeros(0, dtype=bool)
-        uniq_arr = pc.unique(url_arr)
-        uniq = uniq_arr.to_pylist()
-        seen_u = np.zeros(len(uniq), dtype=bool)
-        shards = ids.shard_of(uniq, self.cfg.num_seen_shards)
-        futs, fidx = [], []
-        for sh in range(self.cfg.num_seen_shards):
-            idx = np.where(shards == sh)[0]
-            if len(idx):
-                futs.append(self.state[sh].seen_contains.remote(
-                    [uniq[i] for i in idx]))
-                fidx.append(idx)
-        for idx, mask in zip(fidx, ray.get(futs)):
-            seen_u[idx] = np.asarray(mask, dtype=bool)
-        pos = pc.index_in(url_arr, value_set=uniq_arr)
-        return seen_u[pos.to_numpy(zero_copy_only=False)]
+        lists, route = self._route_seen(url_arr)
+        futs = [self.state[sh].seen_contains.remote(l)
+                for sh, l in enumerate(lists) if l]
+        got = iter(ray.get(futs))
+        return self._gather_seen(
+            route, [next(got) if l else None for l in lists])
 
     # ------------------------------------------------------------------
+    def _flush(self, ack: bool = True) -> None:
+        """Send the state-actor work the loop deferred to its next commit
+        call (pending admission removes; with ``ack``, the last
+        checkpoint's ack) now, for paths that read or snapshot the state
+        outside the round: a fallback peek, sizes, a standalone
+        checkpoint."""
+        ack = ack and self._ack_pending
+        ns = self.cfg.num_seen_shards
+        futs = [
+            a.commit.remote(ack, self._removes.get(i), None, None, 0)
+            for i, a in enumerate(self.state)
+            if self._removes.get(i) or (ack and i < ns)
+        ]
+        self._removes = {}
+        if ack:
+            self._ack_pending = False
+        ray.get(futs)
+
+    def _defer_removes(self, peeks: list[pa.Table], consumed) -> None:
+        """Queue the seqs an admission consumed (``consumed``: an Arrow
+        array of seqs) for the round's commit call, per frontier shard."""
+        for s, t in enumerate(peeks):
+            seqs = t.column("discovered_seq")
+            mine = seqs.filter(pc.is_in(seqs, value_set=consumed))
+            if len(mine):
+                self._removes.setdefault(s, []).extend(mine.to_pylist())
+
+    def _take_window(self, w: int) -> _Window | None:
+        """The window the previous round built for this admission, if it
+        is still exact: same frontier generation, same window size."""
+        win, self._window = self._window, None
+        if win is None or win.gen != self._frontier_gen or win.w != w:
+            return None
+        return win
+
+    def _peek_window(self, w: int, parity: bool) -> _Window:
+        """The fallback: peek every frontier shard and probe the seen set
+        for the merged entries (two calls per actor)."""
+        self._flush(ack=False)
+        peeks = ray.get([self.state[s].frontier_peek.remote(w)
+                         for s in range(self.cfg.num_frontier_shards)])
+        ent, truncated = _merge_window(peeks, w, cut=parity)
+        seen = self._seen_mask_np(ent.column("url").combine_chunks())
+        return _Window(self._frontier_gen, w, peeks, ent, truncated, seen)
+
+    def _parity_k(self) -> int:
+        """Parity admission budget of the next round (<= 0: none)."""
+        K = self.cfg.budget_per_round
+        if self.cfg.max_ticks is not None:
+            K = min(K, self.cfg.max_ticks - self.tick)
+        return K
+
+    def _polite_w(self) -> int:
+        return max(self.cfg.budget_per_round, 64)
+
     def _admit_parity(self) -> pa.Table:
         """First-K-unseen occurrences in global (priority, seq) order —
         the reference's dequeue loop (fetcher.go:94-103) in batch form.
         Seen occurrences encountered on the way are discarded tick-free.
         Returns an ENTRY_SCHEMA table in admit order (all Arrow/numpy:
         the old per-entry tuple walk was ~1 s of a 110k-tick round)."""
-        K = self.cfg.budget_per_round
-        empty = entries_table([], [], [], [], [])
-        if self.cfg.max_ticks is not None:
-            K = min(K, self.cfg.max_ticks - self.tick)
-            if K <= 0:
-                return empty
-        nf = self.cfg.num_frontier_shards
+        K = self._parity_k()
+        if K <= 0:
+            return entries_table([], [], [], [], [])
         W = K
+        win = self._take_window(W)
+        self._admit_path = "window" if win is not None else "peek"
         while True:
-            peeks = ray.get([self.state[s].frontier_peek.remote(W)
-                             for s in range(nf)])
-            horizon: tuple[float, int] | None = None
-            for t in peeks:
-                if t.num_rows == W:  # shard may hold more beyond its peek
-                    last = (
-                        t.column("priority")[W - 1].as_py(),
-                        t.column("discovered_seq")[W - 1].as_py(),
-                    )
-                    horizon = last if horizon is None else min(horizon, last)
-            ent = pa.concat_tables(peeks)
-            ent = ent.take(
-                pc.sort_indices(
-                    ent,
-                    sort_keys=[("priority", "ascending"),
-                               ("discovered_seq", "ascending")],
-                )
-            )
-            if horizon is not None:
-                hp, hs = horizon
-                prio = ent.column("priority")
-                seq = ent.column("discovered_seq")
-                ent = ent.filter(
-                    pc.or_(
-                        pc.less(prio, hp),
-                        pc.and_(pc.equal(prio, hp), pc.less_equal(seq, hs)),
-                    )
-                )
+            if win is None:
+                win = self._peek_window(W, parity=True)
+            ent = win.ent
             if not ent.num_rows:
-                return empty
-            unseen = ~self._seen_mask_np(ent.column("url").combine_chunks())
+                return entries_table([], [], [], [], [])
+            unseen = ~win.seen
             cum = np.cumsum(unseen)
             n_unseen = int(cum[-1])
             # the reference loop stops right after the Kth unseen entry:
@@ -635,23 +786,16 @@ class Crawler:
                 int(np.searchsorted(cum, K)) + 1 if n_unseen >= K
                 else ent.num_rows
             )
-            truncated = horizon is not None
-            if n_unseen >= K or not truncated:
+            if n_unseen >= K or not win.truncated:
                 consumed = ent.column("discovered_seq").slice(0, scanned)
-                futs = []
-                for s in range(nf):
-                    shard_seqs = peeks[s].column("discovered_seq").filter(
-                        pc.is_in(peeks[s].column("discovered_seq"),
-                                 value_set=consumed.combine_chunks())
-                    )
-                    if len(shard_seqs):
-                        futs.append(self.state[s].frontier_remove.remote(
-                            shard_seqs.to_pylist()))
-                ray.get(futs)
+                self._defer_removes(win.peeks, consumed.combine_chunks())
                 return ent.slice(0, scanned).filter(
                     pa.array(unseen[:scanned])
                 )
-            W *= 2  # scanned window exhausted by discards; widen and retry
+            # scanned window exhausted by discards; widen and retry
+            W *= 2
+            win = None
+            self._admit_path = "widen"
 
     def _admit_polite(self) -> pa.Table:
         """Scale-mode admission: per-host token buckets cap each host's
@@ -660,27 +804,22 @@ class Crawler:
         gate's URL parse is semantic, and the scan is bounded by the
         peek window W); only the return shape is Arrow."""
         now = float(self.tick * self.cfg.tick_seconds)
-        nf = self.cfg.num_frontier_shards
-        W = max(self.cfg.budget_per_round, 64)
-        peeks = ray.get([self.state[s].frontier_peek.remote(W)
-                         for s in range(nf)])
-        entries = []
-        for t in peeks:
-            entries.extend(
-                zip(
-                    t.column("priority").to_pylist(),
-                    t.column("discovered_seq").to_pylist(),
-                    t.column("url").to_pylist(),
-                    t.column("host").to_pylist(),
-                    t.column("depth").to_pylist(),
-                )
-            )
-        entries.sort(key=lambda e: (e[0], e[1]))
-        seen_mask = self._seen_mask_np(
-            pa.array([e[2] for e in entries], pa.string()))
+        W = self._polite_w()
+        win = self._take_window(W)
+        self._admit_path = "window" if win is not None else "peek"
+        if win is None:
+            win = self._peek_window(W, parity=False)
+        ent = win.ent
+        entries = zip(
+            ent.column("priority").to_pylist(),
+            ent.column("discovered_seq").to_pylist(),
+            ent.column("url").to_pylist(),
+            ent.column("host").to_pylist(),
+            ent.column("depth").to_pylist(),
+        )
         by_host: dict[str, list] = {}
         discard = []
-        for e, seen in zip(entries, seen_mask):
+        for e, seen in zip(entries, win.seen):
             if seen:
                 discard.append(e[1])
                 continue
@@ -696,23 +835,16 @@ class Crawler:
         admitted.sort(key=lambda a: (a[0], a[1]))
         if self.cfg.max_ticks is not None:
             cap = max(0, self.cfg.max_ticks - self.tick)
-            # the truncated entries stay queued in the frontier (cset is
-            # built from the kept slice), so REFUND their already-debited
-            # host tokens — same virtual instant, exact inverse of the
-            # take — or those hosts would be permanently undercounted on
-            # a resume with a raised max_ticks
+            # the truncated entries stay queued in the frontier (the
+            # removes below cover the kept slice only), so REFUND their
+            # already-debited host tokens — same virtual instant, exact
+            # inverse of the take — or those hosts would be permanently
+            # undercounted on a resume with a raised max_ticks
             for _, _, _, h, _ in admitted[cap:]:
                 self.gate.refund(h, 1)
             admitted = admitted[:cap]
-        cset = set(discard) | {a[1] for a in admitted}
-        futs = []
-        for s in range(nf):
-            shard_seqs = [
-                q for q in peeks[s].column("discovered_seq").to_pylist() if q in cset
-            ]
-            if shard_seqs:
-                futs.append(self.state[s].frontier_remove.remote(shard_seqs))
-        ray.get(futs)
+        self._defer_removes(win.peeks, pa.array(
+            discard + [a[1] for a in admitted], pa.int64()))
         return entries_table(
             [a[2] for a in admitted],
             [a[3] for a in admitted],
@@ -722,8 +854,14 @@ class Crawler:
         )
 
     # ------------------------------------------------------------------
-    def _process_round(self, admitted: pa.Table) -> dict:
+    def _process_round(self, admitted: pa.Table) -> tuple[dict, tuple | None]:
+        """Run one admitted round: the heavy pass, tick walk, COMMIT,
+        stamps, ADVANCE (module docstring, steps 2-6). Returns the round's
+        metrics and, when a checkpoint was due, (tmp dir, per-actor
+        checkpoint outputs) for _commit_checkpoint — the caller records
+        the metrics first, since the manifest carries them."""
         cfg = self.cfg
+        ns, nf = cfg.num_seen_shards, cfg.num_frontier_shards
         tmr: dict[str, float] = {}
         _t0 = time.perf_counter()
         # distinct urls, first-occurrence order (dup occurrences resolve at
@@ -779,8 +917,10 @@ class Crawler:
                 for s in _slice_tables(tbl, n_blocks)
             ]))
         table_store.commit_round(cfg.out_dir, "pages", self.round_id)
+        self._note_round("pages")
         if imgs_tmp is not None:
             table_store.commit_round(cfg.out_dir, "images", self.round_id)
+            self._note_round("images")
         tmr["fetch_extract"] = time.perf_counter() - _t0
         _t0 = time.perf_counter()
         # ---- politeness-tick assignment (driver, VECTORIZED) -----------
@@ -813,6 +953,39 @@ class Crawler:
         self.fetch_seq += n_s
         tmr["tick_walk"] = time.perf_counter() - _t0
         _t0 = time.perf_counter()
+        # ---- COMMIT: one call per state actor, sent before the attempts
+        # write so the actors work while the driver writes ---------------
+        # slim rows for successes, in TICK order (successes filtered from
+        # the admit-order walk above are already tick-ascending), so ONE
+        # index_in + take replaces the old python membership mask + sort
+        # — these driver loops were 2.7 s + 2.4 s of a 110k-tick
+        # mega-round (SCALING.md)
+        succ = slim.take(pc.index_in(s_urls_arr, value_set=slim_urls))
+        cands = succ.column("fetch_candidates").combine_chunks()
+        flat = pc.list_flatten(cands)
+        parent = pc.list_parent_indices(cands).to_numpy(zero_copy_only=False)
+        # the round's link candidates, probed against the seen set before
+        # its successes are inserted (the replacement for the reference's
+        # per-link HEAD check)
+        probe, route = (self._route_seen(flat) if len(parent)
+                        else ([None] * ns, None))
+        add = self._route_seen(s_urls_arr)[0] if n_s else [None] * ns
+        w_next = max(0, self._parity_k() if cfg.mode == "parity"
+                     else self._polite_w())
+        with self._frontier_lock:
+            gen = self._frontier_gen
+            commits = [
+                a.commit.remote(
+                    self._ack_pending, self._removes.get(i),
+                    probe[i] if i < ns else None,
+                    add[i] if i < ns else None,
+                    w_next if i < nf else 0,
+                )
+                for i, a in enumerate(self.state)
+            ]
+        self._ack_pending, self._removes = False, {}
+        tmr["seen_commit"] = time.perf_counter() - _t0
+        _t0 = time.perf_counter()
         if cfg.keep_logs:
             round_attempts_py = att_urls.to_pylist()
             self.attempts_log.extend(
@@ -838,22 +1011,12 @@ class Crawler:
         )
         tmr["attempts_write"] = time.perf_counter() - _t0
         _t0 = time.perf_counter()
+        got = ray.get(commits)
+        tmr["seen_commit"] += time.perf_counter() - _t0
+        _t0 = time.perf_counter()
         # ---- advisory link filter + stamps (driver, VECTORIZED) ---------
-        # slim rows for successes, in TICK order (successes filtered from
-        # the admit-order walk above are already tick-ascending), so ONE
-        # index_in + take replaces the old python membership mask + sort
-        # — these driver loops were 2.7 s + 2.4 s of a 110k-tick
-        # mega-round (SCALING.md)
-        succ = slim.take(pc.index_in(s_urls_arr, value_set=slim_urls))
-        cands = succ.column("fetch_candidates").combine_chunks()
-        flat = pc.list_flatten(cands)
-        parent = pc.list_parent_indices(cands).to_numpy(zero_copy_only=False)
         if len(parent):
-            # batched seen-shard RPC for ALL candidates of the round (the
-            # replacement for the reference's per-link HEAD check):
-            # dedup -> per-shard fan-out -> index_in map-back, the shared
-            # _seen_mask_np pattern (this block was its third near-copy)
-            flat_seen = self._seen_mask_np(flat)
+            flat_seen = self._gather_seen(route, [m for m, _ in got[:ns]])
             # drop a candidate fetched EARLIER this round (tick <= the
             # linking page's tick); later-tick fetches stay queued —
             # exactly the old per-candidate dict condition
@@ -915,23 +1078,44 @@ class Crawler:
         new_seqs = np.arange(self.next_seq, self.next_seq + n_new,
                              dtype=np.int64)
         self.next_seq += n_new
-        self._push_frontier(
-            kept_vals, new_depths, np.zeros(n_new, np.float32), new_seqs
+        pushes = (
+            self._route_entries(kept_vals, new_depths,
+                                np.zeros(n_new, np.float32), new_seqs)
+            if n_new else [None] * nf
         )
+        # ---- the next admission's window: per shard, the first w_next
+        # of the pre-push peek plus the shard's new links (next_window)
+        wprobe: list[list[str] | None] = [None] * ns
+        wroute = None
+        if w_next:
+            wpeeks = [next_window(p, t, w_next)
+                      for (_, p), t in zip(got[:nf], pushes)]
+            went, truncated = _merge_window(wpeeks, w_next,
+                                            cut=cfg.mode == "parity")
+            if went.num_rows:
+                wprobe, wroute = self._route_seen(
+                    went.column("url").combine_chunks())
         tmr["links_push"] = time.perf_counter() - _t0
         _t0 = time.perf_counter()
-        # ---- commit seen state ------------------------------------------
-        if n_s:
-            s_urls = s_urls_arr.to_pylist()
-            shards = ids.shard_of(s_urls, cfg.num_seen_shards)
-            futs = []
-            for s in range(cfg.num_seen_shards):
-                idx = np.where(shards == s)[0]
-                if len(idx):
-                    futs.append(self.state[s].seen_add.remote(
-                        [s_urls[i] for i in idx]))
-            ray.get(futs)
-        tmr["seen_commit"] = time.perf_counter() - _t0
+        # ---- ADVANCE: one call per state actor --------------------------
+        tmp = (self.ckpt.begin(self.round_id)
+               if self.round_id % cfg.checkpoint_every == 0 else None)
+        outs = ray.get([
+            a.advance.remote(
+                pushes[i] if i < nf else None,
+                self._ckpt_args(tmp, i) if tmp else None,
+                wprobe[i] if i < ns else None,
+            )
+            for i, a in enumerate(self.state)
+        ])
+        if w_next:
+            seen = (self._gather_seen(wroute, [m for _, m in outs[:ns]])
+                    if wroute else np.zeros(0, dtype=bool))
+            self._window = _Window(gen, w_next, wpeeks, went, truncated,
+                                   seen)
+        tmr["checkpoint"] = 0.0
+        tmr["checkpoint" if tmp else "links_push"] += (
+            time.perf_counter() - _t0)
         succ_hosts = (
             admitted.column("host").combine_chunks()
             .filter(keep_arr).filter(pa.array(succ_mask))
@@ -941,7 +1125,7 @@ class Crawler:
             zip(vc.field("values").to_pylist(),
                 (int(c) for c in vc.field("counts").to_pylist()))
         )
-        return {
+        m = {
             "round": self.round_id,
             "admitted": admitted.num_rows,
             "attempts": n_att,
@@ -951,31 +1135,49 @@ class Crawler:
             "per_host_fetches": per_host,
             "timings": {k: round(v, 3) for k, v in tmr.items()},
         }
+        return m, ((tmp, [o for o, _ in outs]) if tmp else None)
 
     # ------------------------------------------------------------------
+    def _note_round(self, name: str) -> None:
+        """Count round ``self.round_id`` of output table ``name`` into the
+        checkpoint lineage (a re-written id inside the span is not new)."""
+        lin = self._lineage[name]
+        if lin["last"] is None or self.round_id > lin["last"]:
+            if lin["first"] is None:
+                lin["first"] = self.round_id
+            lin["last"] = self.round_id
+            lin["count"] += 1
+
+    def _ckpt_args(self, tmp: str, i: int) -> tuple:
+        """StateShard.checkpoint arguments for actor ``i``. LSM-style
+        compaction: past _CKPT_CHAIN_MAX files a shard's chain is
+        rewritten as one full snapshot (amortized O(|shard|/64 per
+        round)), bounding both restore reads and per-round link fan-out;
+        the chain length doubles as the file names' unique seq."""
+        n = len(self._seen_chain.get(str(i), []))
+        return tmp, self.round_id, n >= _CKPT_CHAIN_MAX, n
+
     def _checkpoint(self) -> None:
-        """Incremental checkpoint, ONE call per state actor: frontier
-        shards snapshot driver-side (O(queued) — the live working set),
-        but the seen set goes through the delta-chain protocol — each
-        seen shard writes ONLY the urls it gained since the last acked
-        checkpoint (SeenShard.ckpt_write), prior chain files are
-        hardlinked forward so every round dir is self-contained, and the
-        manifest's commit is what lets the shards drop their pending
-        buffers (ckpt_ack). Per-round cost is O(progress), not O(|seen|),
-        and the seen bytes never transit the driver."""
+        """A checkpoint outside the round loop's advance call (after the
+        loop ends): flush what the loop deferred, then one checkpoint call
+        per state actor."""
+        self._flush()
         tmp = self.ckpt.begin(self.round_id)
+        outs = ray.get([a.checkpoint.remote(*self._ckpt_args(tmp, i))
+                        for i, a in enumerate(self.state)])
+        self._commit_checkpoint(tmp, outs)
+
+    def _commit_checkpoint(self, tmp: str, outs: list) -> None:
+        """Incremental checkpoint, driver side: frontier shards snapshot
+        driver-side (O(queued) — the live working set), but the seen set
+        goes through the delta-chain protocol — each seen shard wrote ONLY
+        the urls it gained since the last acked checkpoint
+        (SeenShard.ckpt_write), prior chain files are hardlinked forward
+        so every round dir is self-contained, and the manifest's commit is
+        what lets the shards drop their pending buffers (ckpt_ack, sent
+        with the next call). Per-round cost is O(progress), not O(|seen|),
+        and the seen bytes never transit the driver."""
         prev_chain = self._seen_chain or {}
-        # LSM-style compaction: past _CKPT_CHAIN_MAX files a shard's chain
-        # is rewritten as one full snapshot (amortized O(|shard|/64 per
-        # round)), bounding both restore reads and per-round link fan-out
-        outs = ray.get([
-            a.checkpoint.remote(
-                tmp, self.round_id,
-                len(prev_chain.get(str(i), [])) >= _CKPT_CHAIN_MAX,
-                len(prev_chain.get(str(i), [])),  # unique-name seq
-            )
-            for i, a in enumerate(self.state)
-        ])
         self.ckpt.write_frontier(
             tmp, [fr for fr, _ in outs[:self.cfg.num_frontier_shards]])
         recs = [rec for _, rec in outs[:self.cfg.num_seen_shards]]
@@ -1015,15 +1217,17 @@ class Crawler:
             "config_fingerprint": self.cfg.fingerprint(),
             "metrics": self.metrics["rounds"][-1] if self.metrics["rounds"] else {},
             "lineage": {
-                "pages_rounds": table_store.list_rounds(self.cfg.out_dir, "pages"),
-                "images_rounds": table_store.list_rounds(self.cfg.out_dir, "images"),
+                "pages_rounds": dict(self._lineage["pages"]),
+                "images_rounds": dict(self._lineage["images"]),
             },
             "politeness": self.gate.state(),
         }
         manifest["seen_chain"] = chain
         self.ckpt.commit(self.round_id, manifest)
-        ray.get([a.ckpt_ack.remote()
-                 for a in self.state[:self.cfg.num_seen_shards]])
+        # the seen shards drop their pending buffers with the next call
+        # they get (commit's first step); until then a crash only re-sends
+        # the same urls, which restore()'s add_many absorbs
+        self._ack_pending = True
         self._seen_chain = chain
         self._last_ckpt_round = self.round_id
         pruned = self.ckpt.prune_old(self.cfg.ckpt_keep)
@@ -1118,28 +1322,33 @@ class Crawler:
             )
             admit_sec = time.perf_counter() - _ta
             if not admitted.num_rows:
+                # _sizes() first sends this admission's discards
                 if cfg.mode == "polite" and self._sizes()[0]:
                     # buckets empty but frontier not: advance virtual time
                     self.tick += 1
                     continue
                 break
-            m = self._process_round(admitted)
+            m, ckpt = self._process_round(admitted)
             m["timings"]["admit"] = round(admit_sec, 3)
-            # append BEFORE checkpointing: the manifest snapshots
+            # "window" (no RPC), "peek" or "widen" (fallback peeks)
+            m["admit_path"] = self._admit_path
+            # append BEFORE the manifest commits: it snapshots
             # metrics["rounds"][-1], which must be THIS round's entry,
-            # not the previous round's (the checkpoint timing itself is
+            # not the previous round's (the manifest's own time is
             # stamped after — a checkpoint can't time itself)
             self.metrics["rounds"].append(m)
-            _tc = time.perf_counter()
-            if self.round_id % cfg.checkpoint_every == 0:
-                self._checkpoint()
-            m["timings"]["checkpoint"] = round(time.perf_counter() - _tc, 3)
+            if ckpt is not None:
+                _tc = time.perf_counter()
+                self._commit_checkpoint(*ckpt)
+                m["timings"]["checkpoint"] = round(
+                    m["timings"]["checkpoint"] + time.perf_counter() - _tc, 3)
             self.round_id += 1
         self._checkpoint()
         return self.summary()
 
     def _sizes(self) -> tuple[int, int]:
         """(queued frontier entries, seen urls) summed over the shards."""
+        self._flush(ack=False)
         fs, ss = zip(*ray.get([a.sizes.remote() for a in self.state]))
         return sum(fs), sum(ss)
 

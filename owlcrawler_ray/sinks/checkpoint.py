@@ -12,10 +12,22 @@ Here every round commits a full, consistent snapshot:
 
 manifest.json carries counters (next_seq, tick, fetch_seq), per-round
 metrics (attempts, successes, new links, per-host fetch counts), config
-fingerprint, and lineage (which pages/images round dirs this state
-produced). Resume = restore from the highest round whose manifest parses;
-pages/images rounds after that point are discarded (their ``_SUCCESS`` is
-removed) so the resumed run re-produces them byte-identically.
+fingerprint, and lineage (first, last and count of the pages/images round
+dirs this state produced — O(1) bytes however long the crawl). Resume =
+restore from the highest round whose manifest parses; pages/images rounds
+after that point are discarded (their ``_SUCCESS`` is removed) so the
+resumed run re-produces them byte-identically.
+
+The seen shards keep the urls of their last delta write pending until
+the crawl acknowledges the manifest's commit. That ack reaches the state
+actors with the crawl loop's next call to them (the first step of the
+next round's commit), not as a call of its own; a crash before it only
+re-sends those pending urls in the next delta, which ``restore()``'s
+add_many absorbs.
+
+Committed round ids are read from disk once per manager (and again by
+``latest_round()``, the restore path) and then tracked in memory, so a
+checkpoint's commit and retention parse no manifests.
 
 Deployment requirement: the checkpoint root must live on storage shared
 by the driver AND every state actor that hosts a seen shard (single
@@ -29,6 +41,7 @@ checkpoint instead of producing a manifest that names unreachable files.
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 import shutil
@@ -41,6 +54,20 @@ class CheckpointManager:
     def __init__(self, root: str):
         self.root = root
         os.makedirs(root, exist_ok=True)
+        self._committed = self._scan()  # sorted committed round ids
+
+    def _scan(self) -> list[int]:
+        """Committed round ids on disk: dirs whose manifest parses."""
+        out = set()
+        for name in os.listdir(self.root):
+            if not name.startswith("round=") or name.endswith(".tmp"):
+                continue
+            try:
+                with open(os.path.join(self.root, name, "manifest.json")) as f:
+                    out.add(int(json.load(f)["round"]))
+            except (OSError, ValueError, KeyError):
+                continue  # partial/corrupt round: not committed
+        return sorted(out)
 
     def _dir(self, round_id: int) -> str:
         return os.path.join(self.root, f"round={round_id:06d}")
@@ -61,8 +88,8 @@ class CheckpointManager:
     def write_frontier(tmp: str, frontier_shards: list[pa.Table]) -> None:
         """Stage the frontier shards into a begin()-opened tmp dir with the
         canonical names load() scans for — the ONE place the frontier file
-        naming lives (save() and the crawl loop's incremental _checkpoint
-        both route through here)."""
+        naming lives (save() and the crawl loop's incremental
+        _commit_checkpoint both route through here)."""
         for i, t in enumerate(frontier_shards):
             pq.write_table(
                 t, os.path.join(tmp, f"frontier_shard_{i:04d}.parquet")
@@ -134,52 +161,35 @@ class CheckpointManager:
         with open(mpath + ".tmp", "w") as f:
             json.dump({"round": round_id, **manifest}, f, indent=1, sort_keys=True)
         os.rename(mpath + ".tmp", mpath)
+        i = bisect.bisect_left(self._committed, round_id)
+        if i == len(self._committed) or self._committed[i] != round_id:
+            self._committed.insert(i, round_id)
         return d
 
     def latest_round(self) -> int | None:
         if not os.path.isdir(self.root):
             return None
-        best = None
-        for name in os.listdir(self.root):
-            if not name.startswith("round=") or name.endswith(".tmp"):
-                continue
-            mpath = os.path.join(self.root, name, "manifest.json")
-            try:
-                with open(mpath) as f:
-                    m = json.load(f)
-                r = int(m["round"])
-                best = r if best is None else max(best, r)
-            except (OSError, ValueError, KeyError):
-                continue  # partial/corrupt round: not committed
-        return best
+        self._committed = self._scan()
+        return self._committed[-1] if self._committed else None
 
     def prune_old(self, keep: int) -> list[int]:
         """Delete committed checkpoint rounds older than the newest ``keep``
-        (plus any stray ``.tmp`` dirs below them). Each round holds a FULL
+        (plus any stray dirs below them). Each round holds a FULL
         frontier + seen snapshot, so without retention a long crawl's
         checkpoint dir grows O(rounds x |seen|) — at 10^10 URLs that is the
         disk bound, not the output tables. ``keep`` >= 2 preserves the
         multi-round fallback _restore relies on when the newest manifest is
-        lost mid-write. Uncommitted dirs (no parsable manifest) are never
-        counted toward ``keep`` but are swept when older than the cutoff.
-        Returns the pruned round ids."""
-        if keep <= 0 or not os.path.isdir(self.root):
+        lost mid-write. Uncommitted dirs (no parsable manifest, or a
+        ``.tmp`` stage) are never counted toward ``keep`` but are swept when
+        older than the cutoff. Returns the pruned committed round ids."""
+        if keep <= 0 or len(self._committed) <= keep:
             return []
-        committed = []
-        for name in os.listdir(self.root):
-            if not name.startswith("round=") or name.endswith(".tmp"):
-                continue
-            try:
-                with open(os.path.join(self.root, name, "manifest.json")) as f:
-                    committed.append(int(json.load(f)["round"]))
-            except (OSError, ValueError, KeyError):
-                continue
-        committed.sort()
-        if len(committed) <= keep:
-            return []
-        cutoff = committed[-keep]  # newest `keep` survive
-        committed_set = set(committed)
-        pruned = []
+        cutoff = self._committed[-keep]  # newest `keep` survive
+        pruned = self._committed[:-keep]
+        self._committed = self._committed[-keep:]
+        # one listing of the root (O(retained) entries): it also sweeps
+        # the uncommitted leftovers of a crash (a dir swapped in before its
+        # manifest was written), which are not in the committed list
         for name in os.listdir(self.root):
             if not name.startswith("round="):
                 continue
@@ -190,13 +200,7 @@ class CheckpointManager:
             if rid < cutoff:
                 shutil.rmtree(os.path.join(self.root, name),
                               ignore_errors=True)
-                # uncommitted leftovers (a crash between the dir swap and
-                # the manifest write) are swept but NOT reported: the
-                # returned ids feed the metrics' pruned-round history, and
-                # a never-committed round was never part of it
-                if not name.endswith(".tmp") and rid in committed_set:
-                    pruned.append(rid)
-        return sorted(pruned)
+        return pruned
 
     def load(self, round_id: int) -> tuple[list[pa.Table], list[pa.Table], dict]:
         d = self._dir(round_id)

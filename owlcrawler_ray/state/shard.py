@@ -14,6 +14,12 @@ it held as a stand-alone actor, and checkpoints keep their files and
 fingerprint. ``SeenShard`` and ``FrontierShard`` stay plain classes;
 this one only delegates, and folds the per-role driver fan-outs that
 touch both roles (checkpoint, restore, sizes) into one call.
+
+The crawl loop talks to each actor twice per round, through ``commit``
+and ``advance``; each runs its steps in a fixed order so the driver can
+reason about the state every step sees. The per-operation methods stay
+for the loop's fallback paths (first round, widened parity window) and
+for callers outside the loop.
 """
 
 from __future__ import annotations
@@ -71,6 +77,40 @@ class StateShard:
         rec = (self.seen.ckpt_write(out_dir, round_id, force_full, seq)
                if self.seen else None)
         return fr, rec
+
+    # -- the crawl loop's two calls per round ------------------------------
+    def commit(self, ack: bool, removes: list[int] | None,
+               probe: list[str] | None, add: list[str] | None,
+               peek_k: int) -> tuple[np.ndarray | None, pa.Table | None]:
+        """Close a round, in this order: acknowledge the previous
+        checkpoint (its manifest has committed since), drop this round's
+        admitted and discarded frontier entries, probe the round's link
+        candidates against the seen set BEFORE its successes are inserted,
+        insert the successes, and peek the first ``peek_k`` frontier
+        entries before any new link is pushed. Returns (probe mask, peek);
+        None for a step with no input or no role."""
+        if ack:
+            self.ckpt_ack()
+        if removes and self.frontier:
+            self.frontier.remove_seqs(removes)
+        mask = self.seen.contains_many(probe) if probe else None
+        if add:
+            self.seen.add_many(add)
+        peek = self.frontier.peek(peek_k) if peek_k and self.frontier else None
+        return mask, peek
+
+    def advance(self, push: pa.Table | None, ckpt: tuple | None,
+                probe: list[str] | None) -> tuple[tuple | None,
+                                                  np.ndarray | None]:
+        """Open the next round, in this order: push the round's new links,
+        write the checkpoint when one is due (``ckpt`` = the arguments of
+        ``checkpoint``), and probe the next admission window against the
+        seen set. Returns (checkpoint output, probe mask)."""
+        if push is not None and push.num_rows:
+            self.frontier.push_table(push)
+        out = self.checkpoint(*ckpt) if ckpt is not None else None
+        mask = self.seen.contains_many(probe) if probe else None
+        return out, mask
 
     def ckpt_ack(self) -> None:
         if self.seen:

@@ -278,3 +278,68 @@ def test_prune_reports_only_committed_rounds(tmp_path):
     assert pruned == [0, 2]  # committed sweeps only
     left = sorted(os.listdir(ck.root))
     assert left == ["round=000003", "round=000004"]  # dir 1 swept too
+
+
+# ---- checkpoint bookkeeping is O(1) per round ---------------------------
+
+def test_manifest_size_flat_across_rounds(ray_session, tmp_path):
+    """The manifest's lineage is (first, last, count) per output table,
+    not a list of every round dir: past the first rounds, a manifest's
+    size (less the seen chain, the last round's metrics and the host
+    buckets, which are bounded elsewhere) stays flat as rounds go by."""
+    base = str(tmp_path / "flat")
+    c, s = run_crawl(_cfg(base, budget_per_round=1, ckpt_keep=0))
+    c.shutdown()
+    assert s["rounds"] >= 20
+    root = f"{base}/ckpt"
+    manifests = {}
+    for d in os.listdir(root):
+        if d.startswith("round=") and not d.endswith(".tmp"):
+            with open(os.path.join(root, d, "manifest.json")) as f:
+                m = json.load(f)
+            manifests[m["round"]] = m
+    sizes = {
+        r: len(json.dumps({k: v for k, v in m.items()
+                           if k not in ("seen_chain", "metrics",
+                                        "politeness")},
+                          indent=1, sort_keys=True))
+        for r, m in manifests.items()
+    }
+    late = [n for r, n in sizes.items() if r >= 10]
+    assert len(late) >= 10
+    assert max(late) - min(late) <= 4, sizes  # counters gaining a digit
+    for r, m in manifests.items():
+        for lin in m["lineage"].values():
+            assert lin["count"] == lin["last"] - lin["first"] + 1
+            assert lin["last"] <= r
+
+
+def test_crawl_loop_parses_no_manifest(ray_session, tmp_path, monkeypatch):
+    """Retention (prune_old) and commit work from the committed round ids
+    the manager tracks in memory: once the crawler is built, the loop
+    reads no manifest back, however many rounds it keeps or prunes."""
+    import types
+
+    from owlcrawler_ray.pipelines.crawl import Crawler
+    from owlcrawler_ray.sinks import checkpoint as ckmod
+
+    base = str(tmp_path / "noparse")
+    c = Crawler(_cfg(base, budget_per_round=2, ckpt_keep=2))
+    loads = []
+
+    def load(f):
+        loads.append(f.name)
+        return json.load(f)
+
+    monkeypatch.setattr(ckmod, "json", types.SimpleNamespace(
+        load=load, dump=json.dump))
+    try:
+        s = c.run()
+    finally:
+        c.shutdown()
+    assert s["rounds"] >= 5
+    assert c.metrics["ckpt_pruned_total"] >= 3
+    assert loads == []
+    kept = sorted(d for d in os.listdir(f"{base}/ckpt")
+                  if d.startswith("round="))
+    assert len(kept) == 2

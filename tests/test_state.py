@@ -363,6 +363,50 @@ def test_frontier_model_based_property():
     run()
 
 
+def test_next_window_equals_peek_after_push():
+    """The crawl's next-round window (crawl.next_window): the first W by
+    (priority, seq) of a peek(W) taken BEFORE a push, merged with the
+    pushed entries, equals peek(W) taken AFTER the push — for any
+    priorities (negative ones included), duplicate urls, removes before
+    the peek (foreign seqs too), seqs interleaved across the two parts,
+    any W >= 1 and empty shards or pushes."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from owlcrawler_ray.pipelines.crawl import next_window
+
+    prio = st.sampled_from([-2.5, -1.0, 0.0, 0.0, 0.0, 0.5, 3.0])
+    item = st.tuples(prio, st.integers(0, 4))  # (priority, url id)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        before=st.lists(item, max_size=20),
+        new=st.lists(item, max_size=20),
+        removes=st.lists(st.integers(0, 60), max_size=12),
+        seqs=st.permutations(list(range(40))),
+        w=st.integers(1, 25),
+    )
+    def run(before, new, removes, seqs, w):
+        it = iter(seqs)
+
+        def table(items):
+            return entries_table(
+                [f"http://h.test/p{u}" for _, u in items],
+                ["h.test"] * len(items), [1] * len(items),
+                [p for p, _ in items], [next(it) for _ in items],
+            )
+
+        f = FrontierShard(0)
+        f.push_table(table(before))
+        f.remove_seqs(removes)
+        pre = f.peek(w)
+        pushed = table(new)
+        f.push_table(pushed)
+        assert next_window(pre, pushed, w).to_pydict() == f.peek(w).to_pydict()
+
+    run()
+
+
 def test_politeness_token_bucket_property():
     """Property check: over any admit sequence, a host can never be
     granted more than burst + rate * elapsed tokens in total (the token
