@@ -1,6 +1,6 @@
-"""HTML text + link extraction with the reference's exact semantics.
+r"""HTML text + link extraction with the reference's exact semantics.
 
-Behavioral spec (reference: /root/reference/parse/parse.go):
+Behavioral spec (reference: owlcrawler ``parse/parse.go``):
 
 ExtractText (parse.go:33-85):
   * a tokenizer walks the document; a *tracked tag* state is set on every
@@ -28,12 +28,55 @@ ExtractLinks (parse.go:88-131):
         (parse.go:121-124);
   * fetch candidacy is decided per-link by an injected ``should_fetch``
     callback (parse.go:30, 110, 117); append order = document order.
+
+The tokenizer is Python's ``html.parser.HTMLParser``: ``extract_text``,
+``extract_links`` and ``extract_images`` run it and are the spec (the
+serial oracle, ``pipelines/oracle.py``, calls them). The crawl's hot path,
+``extract_all``, returns the same three results from one page walk and
+takes a fast path that builds no parser object:
+
+  * one ``findall`` of ``_TOKEN`` splits the page into a closed grammar
+    of token forms, each with simple HTMLParser semantics:
+      - text ``[^<]+`` — one data event, ``html.unescape``d (only runs
+        holding ``&`` can change);
+      - start tags ``<name attr …>`` / ``<name attr … />``: the name ends
+        only at ``[\t\n\r\f />\x00]`` (HTMLParser's tag-name rule), so
+        only those ASCII characters separate attributes here too; names
+        lower-cased; attribute values double-quoted, single-quoted,
+        unquoted (not starting with a quote or ``=``) or absent (``None``;
+        ``=""`` is ``""``), unescaped; ``script``/``style`` never match;
+      - ``<script …>[^<]*</script>`` and ``<style …>[^<]*</style>`` (names
+        ASCII case-insensitive) as one raw-text token: the start tag, its
+        content as ONE un-unescaped data event, and the end tag — the
+        content holds no ``<``, so its first ``</script`` is the close;
+      - end tags ``</name …>`` up to the first ``>``;
+      - ``<!doctype …>`` and comments ``<!-- … -->`` closed by the first
+        ``--\s*>`` after the opener — no events that matter here;
+      - every non-text form also takes the whitespace after it (text is
+        stripped, so that whitespace never reaches the output);
+  * if the tokens do not cover the page (their lengths do not sum to
+    ``len(page)``: ``findall`` skips what no form matches), the WHOLE
+    page runs through ``_CombinedExtractor``, the HTMLParser path, from
+    byte 0. No page is split between the two paths.
+
+The token walk routes through the same ``_record_text``,
+``_collect_hrefs`` and ``_collect_img`` as the parser subclasses, so tag
+routing and URL resolution live in one place.
+``tests/test_parse.py`` guards the equivalence: a hypothesis fuzz over
+an adversarial fragment alphabet and every page of two corpus webs, each
+checked against the three HTMLParser extractors. That fuzz is also the
+guard for CPython itself — recent security releases changed
+HTMLParser's comment and raw-text (script/style) handling; if the
+running version disagrees with a token form, the fuzz test fails.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from html import unescape
 from html.parser import HTMLParser
+from operator import itemgetter
 from typing import Callable
 from urllib.parse import urlsplit
 
@@ -231,6 +274,10 @@ def fetchable_links(payload: str, original_url: str) -> list[str]:
     return fetch
 
 
+def _always(url: str) -> bool:
+    return True
+
+
 class _CombinedExtractor(HTMLParser):
     """Single-pass text + links + images extractor (hot-path fusion of
     _TextExtractor, _LinkExtractor and _ImageExtractor — identical
@@ -266,7 +313,7 @@ class _CombinedExtractor(HTMLParser):
         # fetch candidates BEFORE the seen policy -> should_fetch is
         # always-true here (the crawl's advisory filter runs downstream)
         _collect_hrefs(self.scheme, self.host, attrs,
-                       self.to_store, self.to_fetch, lambda u: True)
+                       self.to_store, self.to_fetch, _always)
 
     def _img(self, attrs) -> None:
         _collect_img(self.scheme, self.host, attrs, self.images)
@@ -275,15 +322,109 @@ class _CombinedExtractor(HTMLParser):
         _record_text(self.page, self._tok, data)
 
 
+# ---- the fast path's token grammar (module docstring) -----------------
+_WS = r"[\t\n\r\f ]"
+_ANAME = r"[a-zA-Z_:][-a-zA-Z0-9_:.]*"
+# double-quoted | single-quoted | unquoted (no leading quote or "=")
+_AVALUE = r"""(?:"([^"]*)"|'([^']*)'|([^\s"'=>][^\s>]*))"""
+# one attribute: name, "=" when valued, one of the three value groups
+_ATTR_PARTS = re.compile(
+    _WS + "+(" + _ANAME + ")(?:" + _WS + "*(=)" + _WS + "*" + _AVALUE + ")?")
+# the same, uncaptured, for the tokenizer (the pattern has no literal "(")
+_ATTRS = "(?:" + re.sub(r"\((?!\?)", "(?:", _ATTR_PARTS.pattern) + ")*"
+_SCRIPT = "[sS][cC][rR][iI][pP][tT]"
+_STYLE = "[sS][tT][yY][lL][eE]"
+# groups: 1 whole token, 2 text, 3 tag name, 4 attrs, 5 "/" of "/>",
+# 6 end tag or whole script element, 7 "<style", 8 style content. Every
+# non-text form also takes the whitespace after it: a whitespace-only
+# run records nothing, and a text run's leading whitespace is stripped
+# by _record_text anyway (re's \s and str.strip() agree on every code
+# point), so one token fewer per tag boundary changes no output.
+_TOKEN = re.compile(
+    r"(([^<]+)|(?:"
+    r"<(?!(?:" + _SCRIPT + "|" + _STYLE + r")[\t\n\r\f />])"
+    r"([a-zA-Z][^\t\n\r\f />\x00]*)(" + _ATTRS + ")" + _WS + r"*(/?)>"
+    r"|(</[a-zA-Z][^>]*>"
+    "|<" + _SCRIPT + _ATTRS + _WS + "*>[^<]*</" + _SCRIPT + _WS + "*>)"
+    "|(<" + _STYLE + ")" + _ATTRS + _WS + "*>([^<]*)</" + _STYLE + _WS
+    + "*>"
+    "|<![dD][oO][cC][tT][yY][pP][eE][^>]*>"
+    r"|<!--(?s:.*?)--\s*>"
+    r")\s*)"
+)
+_whole = itemgetter(0)
+
+
+def _attr_list(attrs: str) -> list[tuple[str, str | None]]:
+    """Group 4 of a start tag -> HTMLParser's attrs list."""
+    out = []
+    for name, eq, dq, sq, bare in _ATTR_PARTS.findall(attrs):
+        if eq:
+            val = dq or sq or bare
+            if "&" in val:
+                val = unescape(val)
+        else:
+            val = None
+        out.append((name.lower(), val))
+    return out
+
+
+def _extract_tokens(payload: str, scheme: str, host: str):
+    """The fast path: None when the grammar does not cover the page."""
+    toks = _TOKEN.findall(payload)
+    if sum(map(len, map(_whole, toks))) != len(payload):
+        return None
+    page = PageStructure()
+    to_fetch: list[str] = []
+    to_store: list[str] = []
+    images: list[tuple[str, str]] = []
+    tok = ""
+    for _, text, name, attrs, slash, reset, style, css in toks:
+        if text:
+            _record_text(page, tok, unescape(text) if "&" in text else text)
+        elif name:
+            name = name.lower()
+            if slash:
+                # self-closing: tracking untouched, <a/> is no link source
+                if name == "img":
+                    _collect_img(scheme, host, _attr_list(attrs), images)
+                continue
+            tok = name if name in _TRACKED else ""
+            if name == "a":
+                _collect_hrefs(scheme, host, _attr_list(attrs), to_store,
+                               to_fetch, _always)
+            elif name == "img":
+                _collect_img(scheme, host, _attr_list(attrs), images)
+        elif reset:
+            # an end tag, or a script element: its start tag tracks
+            # "script" (content dropped) and its end tag resets
+            tok = ""
+        elif style:
+            # style is untracked: start tag resets, content is text
+            _record_text(page, "", css)
+            tok = ""
+    return page, to_fetch, to_store, images
+
+
 def extract_all(payload: str, original_url: str):
-    """One tokenizer pass -> (PageStructure, fetch_candidates, to_store,
+    """One page walk -> (PageStructure, fetch_candidates, to_store,
     images). fetch_candidates = fetch-class links BEFORE the seen policy
-    (the crawl's advisory filter applies it downstream)."""
+    (the crawl's advisory filter applies it downstream). Takes the token
+    fast path when its grammar covers the page, else the HTMLParser path
+    (module docstring); both equal the three standalone extractors."""
     try:
         parts = urlsplit(original_url)
         scheme, host = parts.scheme, parts.netloc
     except ValueError:
         scheme, host = "", ""
+    out = _extract_tokens(payload, scheme, host)
+    if out is not None:
+        return out
+    return _extract_parser(payload, scheme, host)
+
+
+def _extract_parser(payload: str, scheme: str, host: str):
+    """The whole-page fallback: ``_CombinedExtractor`` from byte 0."""
     p = _CombinedExtractor(scheme, host)
     try:
         p.feed(payload)

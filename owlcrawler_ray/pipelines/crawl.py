@@ -202,10 +202,13 @@ def _fetch_extract(batch: pa.Table, web_cfg, raw_tmp, imgs_tmp,
 
     Everything round-specific is an argument, so one module-level remote
     function (``_fetch_extract_task``) serves every round. The image
-    stages are stateless kernels and are built per call; the page fetcher
-    comes from the per-process ``cached_fetcher``: a real HttpFetcher
-    holds sockets + a thread pool, cannot be pickled, and is worth
-    building once per configuration per worker process, not per task."""
+    stages are built per call: the decoder is a stateless kernel, and the
+    image fetcher reads the process's ``shared_web`` — the web the corpus
+    page fetcher renders from, so a page's image metadata is derived once
+    per process, not once per stage. The page fetcher comes from the
+    per-process ``cached_fetcher``: a real HttpFetcher holds sockets + a
+    thread pool, cannot be pickled, and is worth building once per
+    configuration per worker process, not per task."""
     if fetch_inline:
         f = cached_fetcher(
             fetcher_factory if fetcher_factory is not None
@@ -432,6 +435,11 @@ class _Window:
 _STATE_ACTOR = ray.remote(num_cpus=0)(StateShard)
 
 
+# the output tables written once per crawl round (windex = the river's
+# per-round index deltas, river.py); "sites" rounds are per submission
+_ROUND_TABLES = ("pages", "images", "stamps", "attempts", "windex")
+
+
 # seen-checkpoint chain compaction threshold: a shard whose delta chain
 # reaches this many files rewrites it as one full snapshot on the next
 # checkpoint (LSM compaction — bounds restore reads and link fan-out)
@@ -463,19 +471,11 @@ class Crawler:
         spill = (
             os.path.join(cfg.ckpt_dir, "seen_spill") if cfg.seen_spill else None
         )
-        if spill and not (resume and self.ckpt.latest_round() is not None):
-            # FRESH crawl (or resume that will find no checkpoint) over a
-            # reused ckpt_dir: SeenShard.__init__ loads every seen_run_*
-            # spill file it finds — correct for mid-crawl actor restarts,
-            # but ACROSS crawls it would resurrect the previous crawl's
-            # seen set and silently suppress fetches. Clear the stale runs
-            # DRIVER-SIDE before the shard actors exist: loading a
-            # previous 10^10-URL seen set into every shard only
-            # to discard it is O(that whole set) of wasted startup work.
-            if os.path.isdir(spill):
-                for fn in os.listdir(spill):
-                    if fn.startswith("seen_run_"):
-                        os.remove(os.path.join(spill, fn))
+        if not (resume and self.ckpt.latest_round() is not None):
+            # FRESH crawl (or resume that will find no checkpoint) over
+            # reused dirs: it starts over, so nothing of an earlier crawl
+            # may survive into it
+            self._clear_earlier_crawl(spill)
         # seen shard i and frontier shard i share actor i: one process
         # per shard index, not one per role (state/shard.py)
         ns, nf = cfg.num_seen_shards, cfg.num_frontier_shards
@@ -519,9 +519,9 @@ class Crawler:
         if resume:
             restored = self._restore()
         if not restored:
-            # stale seen-spill runs were already cleared driver-side above
-            # (before the shard actors could load them), so the shards
-            # start empty here by construction
+            # an earlier crawl's spill runs were already cleared
+            # driver-side above (before the shard actors could load
+            # them), so the shards start empty here by construction
             self._seed()
         # checkpoint lineage: (first, last, count) of the committed pages
         # and images rounds — scanned once here, then kept up to date as
@@ -533,6 +533,31 @@ class Crawler:
                 {"first": r[0], "last": r[-1], "count": len(r)} if r
                 else {"first": None, "last": None, "count": 0}
             )
+
+    def _clear_earlier_crawl(self, spill: str | None) -> None:
+        """Delete what an earlier crawl left in the dirs a fresh crawl is
+        about to use:
+          * its checkpoint rounds — retention counts committed round ids,
+            so ``prune_old`` would keep the earlier crawl's newest rounds
+            and delete the rounds this crawl commits, and a later resume
+            would restore the earlier crawl;
+          * its output-table rounds (every table the crawl writes, the
+            ``sites`` docs included) — the views read every committed
+            round, so a shorter fresh crawl would report the earlier
+            crawl's rows beyond its own;
+          * its seen-spill runs — ``SeenShard.__init__`` loads every
+            ``seen_run_*`` file it finds (right for a mid-crawl actor
+            restart), which would resurrect the earlier seen set and
+            suppress fetches. They go DRIVER-SIDE, before the shard
+            actors exist: loading a 10^10-URL seen set into every shard
+            only to discard it is O(that set) of wasted startup work."""
+        self.ckpt.clear()
+        for name in _ROUND_TABLES + ("sites",):
+            table_store.prune_rounds_after(self.cfg.out_dir, name, -1)
+        if spill and os.path.isdir(spill):
+            for fn in os.listdir(spill):
+                if fn.startswith("seen_run_"):
+                    os.remove(os.path.join(spill, fn))
 
     # ------------------------------------------------------------------
     def _seed(self) -> None:
@@ -1300,9 +1325,8 @@ class Crawler:
         # boundaries (budget_per_round may change across a resume), so the
         # stale dirs must go or commit_round would keep them and drop the
         # recomputed data (resume re-production promise, checkpoint.py).
-        # windex = the river's derived per-round index deltas (river.py);
-        # stale deltas must go with the stale pages rounds they indexed
-        for name in ("pages", "images", "stamps", "attempts", "windex"):
+        # (stale windex deltas go with the stale pages rounds they indexed)
+        for name in _ROUND_TABLES:
             pruned = table_store.prune_rounds_after(
                 self.cfg.out_dir, name, c["round_id"]
             )

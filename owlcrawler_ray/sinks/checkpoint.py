@@ -202,6 +202,15 @@ class CheckpointManager:
                               ignore_errors=True)
         return pruned
 
+    def clear(self) -> None:
+        """Delete every round dir, committed or not: a fresh crawl over a
+        reused root starts with no checkpoint history."""
+        for name in os.listdir(self.root):
+            if name.startswith("round="):
+                shutil.rmtree(os.path.join(self.root, name),
+                              ignore_errors=True)
+        self._committed = []
+
     def load(self, round_id: int) -> tuple[list[pa.Table], list[pa.Table], dict]:
         d = self._dir(round_id)
         with open(os.path.join(d, "manifest.json")) as f:

@@ -278,3 +278,17 @@ class SyntheticWeb:
         hi = int(host.split("-")[1].split(".")[0])
         k = int(rng.integers(1, max(cfg.pages_on(hi) // 2, 2)))
         return f"User-agent: *\nDisallow: /page-{k}\n"
+
+
+# one SyntheticWeb per configuration per process, so the stages of one
+# worker that read the same web (the page fetch renders a page, the image
+# fetch then synthesizes its images) share the image-metadata memo
+# instead of deriving every page's metadata once each
+_SHARED: dict[WebConfig, SyntheticWeb] = {}
+
+
+def shared_web(cfg: WebConfig) -> SyntheticWeb:
+    web = _SHARED.get(cfg)
+    if web is None:
+        web = _SHARED[cfg] = SyntheticWeb(cfg)
+    return web

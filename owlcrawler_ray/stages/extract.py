@@ -12,7 +12,9 @@ Output columns (Arrow list columns, doc order preserved):
   seen-set actors), img_urls/img_captions: list<string>.
 
 HTML parsing is inherently per-document; the batch loop is over documents
-(one tokenizer pass each), with all column assembly vectorized via Arrow.
+(one ``extract_all`` walk each: one regex tokenization of the page, or
+the HTMLParser pass when the page falls outside the token grammar — see
+``functions/parse.py``), with all column assembly vectorized via Arrow.
 """
 
 from __future__ import annotations

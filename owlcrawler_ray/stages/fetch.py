@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from ..sources.corpus import SyntheticWeb, WebConfig
+from ..sources.corpus import WebConfig, shared_web
 
 USER_AGENT = "OwlCrawlerRay - https://github.com/fmpwizard/owlcrawler (rebuild)"
 
@@ -29,7 +29,7 @@ class CorpusFetcher:
     batches — never per batch/row)."""
 
     def __init__(self, web_cfg: WebConfig):
-        self.web = SyntheticWeb(web_cfg)
+        self.web = shared_web(web_cfg)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch.column("url").to_pylist()

@@ -21,7 +21,7 @@ import logging
 import pyarrow as pa
 
 from ..functions import codec, ids
-from ..sources.corpus import SyntheticWeb, WebConfig
+from ..sources.corpus import WebConfig, shared_web
 
 _LOG = logging.getLogger("owlcrawler_ray.images")
 
@@ -30,7 +30,7 @@ class ImageFetcher:
     session per actor). Missing/foreign urls yield empty bytes + ok=False."""
 
     def __init__(self, web_cfg: WebConfig):
-        self.web = SyntheticWeb(web_cfg)
+        self.web = shared_web(web_cfg)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch.column("image_url").to_pylist()

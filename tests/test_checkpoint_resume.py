@@ -109,8 +109,8 @@ def test_restart_without_resume_flag_starts_fresh(ray_session, tmp_path):
     shutil.rmtree(base, ignore_errors=True)
     c1, s1 = run_crawl(_cfg(base, max_ticks=12))
     c1.shutdown()
-    # fresh (non-resume) run over the same dirs: committed rounds are
-    # skipped idempotently, state rebuilt from scratch deterministically
+    # fresh (non-resume) run over the same dirs: the earlier crawl's
+    # rounds are cleared, state rebuilt from scratch deterministically
     c2, s2 = run_crawl(_cfg(base))
     try:
         assert s2["fetched"] >= s1["fetched"]
@@ -143,6 +143,35 @@ def test_fresh_crawl_does_not_inherit_stale_spill_runs(ray_session, tmp_path):
         assert len(urls) == len(set(urls)) == s1["fetched"]
     finally:
         c2.shutdown()
+
+
+def test_fresh_crawl_over_reused_dirs_starts_over(ray_session, tmp_path):
+    """A fresh crawl over the dirs of an earlier, longer crawl starts over:
+    checkpoint retention must not keep the earlier crawl's newer round
+    ids (pruning the fresh crawl's own rounds broke its seen chain), the
+    views must not serve the earlier crawl's rows, and a later resume
+    continues the fresh crawl — row-identical to one uninterrupted run."""
+    base = str(tmp_path / "reuse")
+    kw = dict(budget_per_round=5, ckpt_keep=2)
+    c1, s1 = run_crawl(_cfg(base, **kw))
+    full = _rows(c1)
+    c1.shutdown()
+    assert s1["rounds"] > 4  # more rounds than the retention keeps
+
+    c2, s2 = run_crawl(_cfg(base, max_ticks=6, **kw))
+    try:
+        assert 0 < s2["fetched"] < s1["fetched"]
+        assert c2.pages_table().num_rows == s2["fetched"]
+        assert c2.ckpt.latest_round() < s1["rounds"]
+    finally:
+        c2.shutdown()
+
+    c3, s3 = run_crawl(_cfg(base, **kw), resume=True)
+    resumed = _rows(c3)
+    c3.shutdown()
+    assert s3["fetched"] == s1["fetched"]
+    for got, want, name in zip(resumed, full, ("pages", "attempts", "images")):
+        assert got == want, name
 
 
 def test_resume_prunes_stale_rounds_after_checkpoint(ray_session, tmp_path):

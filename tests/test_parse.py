@@ -1,5 +1,5 @@
 """Golden tests pinning the reference's extractor semantics
-(/root/reference/parse/parse.go + parse/parse_test.go behavior):
+(owlcrawler parse/parse.go + parse/parse_test.go behavior):
 tracked-tag routing, script drop, trim, last-title-wins, per-tag-boundary
 reset, the three href classes, document order, self-closing neutrality."""
 
@@ -182,27 +182,70 @@ def test_extract_all_equivalent_to_separate_passes():
         assert imgs == want_imgs
 
 
-def test_extract_all_fuzz_equivalence():
-    """Hypothesis fuzz: the fused single-pass extractor must agree with the
-    three separate extractors on arbitrary tag soup."""
-    from hypothesis import given, settings
+# fuzz alphabet: well-formed tokens of every fast-path form (so whole
+# documents take it), their near misses, and raw fragments that split
+# tags, so documents also fall back and the two paths are compared across
+# the grammar's edges
+FUZZ_FRAGMENTS = [
+    # attributes: double/single-quoted, unquoted, empty, valueless,
+    # entities, upper case, spaces around "=", repeats, "/" endings
+    "<a href='/x'>", '<a href="//h.t/y">', "<a href=http://z/w>",
+    "<a href=/u/>", '<a href="/v"/>', "<A HREF='/up'>", "<a href=''>",
+    '<a href="">', "<a href>", "<a href = '/sp' >", "<a href='/1' href='/2'>",
+    "<a href='/e?a=1&amp;b=2'>", '<a title="&lt;t&gt;" href="/t">',
+    "<a href='/d' disabled>", "<a href==/eq>", "<a\thref='/tab'\n>",
+    "<img src='/i.png' alt='c'>", '<IMG SRC="/I.PNG" ALT="C"/>',
+    "<img src=/bare.png alt=x>", "<img alt='no src'>", "<img src=''>",
+    "<img src='/e&amp;.png' alt='&quot;q&quot;'>",
+    # \xa0 and \v are whitespace to re but not to HTMLParser's tag names
+    "<a\xa0href='/nbsp'>", "<a\x0bhref='/vt'>", "<a href='/x'\xa0>",
+    "<a href=/q\x0b>", "<a\x00>",
+    # names: tracked, untracked, upper case, dashed, near script/style
+    "<a-b>", "<a:b href='/ns'>", "<scripts>", "</scripts>", "<h1>", "</h1>",
+    "<H2>", "</H2 >", "<title>", "</title>", "<TITLE>", "<h4>", "</h4>",
+    "<br/>", "<br />", "<p>", "</p>", "<div class='x'>", "</div>", "</a>",
+    # raw text: upper/mixed case, entities and "<" in content, odd ends
+    "<script>", "</script>", "</script >", "<script/>", "<SCRIPT>",
+    "</SCRIPT>", "<script type='t'>", "<style>", "</style>", "<Style>",
+    "</STYLE>", "<style media=all>", "<script>var a = 1 &amp; 2;</script>",
+    "<SCRIPT>if (a < b) {}</SCRIPT>", "<Style>p { x: 1 } &amp;</Style>",
+    "<style>a<b</style>", "<script>x</script >", "<script>y</ script>",
+    # declarations and comments
+    "<!DOCTYPE html>", "<!doctype html>", "<!DocType x>", "<!-- c -->",
+    "<!--", "-->", "<!-- a -- >", "<!---->", "<!-->", "<!x>", "<?pi?>",
+    # text, entities, stray markup and split tags
+    "text ", "  ", "\n", "&amp;", "&lt;", "&#65;", "&", "&nbsp", "\xa0",
+    "\x0b", "<", ">", "'", '"', "x<y>z", "</>", "</ a>", "<a", " href",
+    "=", "'/frag'", "/>",
+]
+
+
+def test_extract_all_fuzz_equivalence(monkeypatch):
+    """Hypothesis fuzz: extract_all (token fast path or the HTMLParser
+    fallback) must agree with the three separate extractors on tag soup,
+    and the alphabet must drive documents down both paths."""
+    from hypothesis import HealthCheck, given, settings
     from hypothesis import strategies as st
 
+    from owlcrawler_ray.functions import parse
     from owlcrawler_ray.functions.parse import extract_all
 
-    frag = st.sampled_from(
-        ["<a href='/x'>", "<a href='//h.t/y'>", "<a href='http://z/w'>",
-         "<a>", "</a>", "<h1>", "</h1>", "<title>", "</title>", "<script>",
-         "</script>", "<img src='/i.png' alt='c'>", "<br/>", "<p>", "</p>",
-         "text ", "  ", "&amp;", "<", ">", "'", '"', "<div class='x'>",
-         "</div>", "<h4>", "</h4>", "<style>", "</style>", "x<y>z"]
-    )
+    calls = {"docs": 0, "fallback": 0}
+    fallback = parse._extract_parser
 
-    @given(st.lists(frag, min_size=0, max_size=30))
-    @settings(max_examples=150, deadline=None)
+    def counting(*args):
+        calls["fallback"] += 1
+        return fallback(*args)
+
+    monkeypatch.setattr(parse, "_extract_parser", counting)
+
+    @given(st.lists(st.sampled_from(FUZZ_FRAGMENTS), max_size=30))
+    @settings(max_examples=2500, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
     def check(parts):
         html = "".join(parts)
         base = "http://host.test/p"
+        calls["docs"] += 1
         page, fetch, store, imgs = extract_all(html, base)
         assert page == extract_text(html)
         want_fetch, want_store = extract_links(html, base, lambda u: True)
@@ -211,3 +254,37 @@ def test_extract_all_fuzz_equivalence():
         assert imgs == extract_images(html, base)
 
     check()
+    assert 0 < calls["fallback"] < calls["docs"]
+
+
+def test_extract_all_corpus_pages_take_fast_path(monkeypatch):
+    """Every page of a polite-shaped web (light, image-free, robots) and a
+    bulk-shaped web (heavy text, images) takes the token fast path and
+    equals the three HTMLParser extractors."""
+    from owlcrawler_ray.functions import parse
+    from owlcrawler_ray.functions.parse import extract_all
+    from owlcrawler_ray.sources.corpus import SyntheticWeb, WebConfig
+
+    def no_fallback(*args):
+        raise AssertionError("corpus page fell back to HTMLParser")
+
+    monkeypatch.setattr(parse, "_extract_parser", no_fallback)
+    polite = WebConfig(seed=3, num_hosts=64, base_pages=40, hot_factor=1,
+                       n_seed_hosts=64, paragraphs=2, words_per_paragraph=30,
+                       max_images=0, robots_frac=0.5)
+    bulk = WebConfig(seed=3, num_hosts=24, base_pages=60, hot_factor=4,
+                     n_seed_hosts=24, fanout=4, paragraphs=12,
+                     words_per_paragraph=50, img_scale=2)
+    n = 0
+    for cfg in (polite, bulk):
+        web = SyntheticWeb(cfg)
+        for hi in range(cfg.num_hosts):
+            for pi in range(cfg.pages_on(hi)):
+                url = web.page_url(hi, pi)
+                html = web.fetch(url)[1].decode("utf-8")
+                want_fetch, want_store = extract_links(html, url)
+                assert extract_all(html, url) == (
+                    extract_text(html), want_fetch, want_store,
+                    extract_images(html, url)), url
+                n += 1
+    assert n == 2560 + 1620
