@@ -477,17 +477,14 @@ def run_megaround() -> dict:
     # pre-fill the frontier with the entire web so ONE round admits the
     # full budget (BFS growth would otherwise need many warmup rounds)
     # roots are ALREADY queued by Crawler's seed step (n_seed_hosts ==
-    # num_hosts), so only the unseeded page-1..N-1 urls are pushed here —
-    # a duplicate root occurrence would just be dropped at dequeue dedup
+    # num_hosts), so only the unseeded page-1..N-1 urls are pushed here
     urls = []
     for i in range(web.num_hosts):
         urls.extend(
             f"http://host-{i}.test/page-{j}.html"
             for j in range(1, web.pages_on(i))
         )
-    c._push_frontier(urls, [1] * len(urls), [0.0] * len(urls),
-                     list(range(c.next_seq, c.next_seq + len(urls))))
-    c.next_seq += len(urls)
+    c._push_frontier(urls, [1] * len(urls), [0.0] * len(urls))
     t0 = time.perf_counter()
     summary = c.run()
     wall = time.perf_counter() - t0

@@ -6,12 +6,16 @@ actors, one per shard index: actor i hosts seen shard i (url hash) AND
 frontier shard i (host hash) — max(ns, nf) processes, not ns + nf
 (state/shard.py). One round, with each step's state-actor traffic:
 
-  1. ADMIT (dequeue-dedup parity) from the next-round window the previous
-     round left on the driver: no RPC in steady state. Fallback to peek +
-     seen probe: the first round after construction or resume, a widened
-     parity window, a polite re-peek after an empty admission, and any
-     frontier push outside the loop (a generation counter drops the
-     window). The admission's removes ride on step 4.
+  1. ADMIT from the next-round window the previous round left on the
+     driver: no RPC in steady state. No queued entry is ever in the seen
+     set (dedup happens at commit, step 4, not at dequeue as in the
+     reference, fetcher.go:94-103), so parity admission is the first K
+     entries of the window in (priority, seq) order, and polite
+     admission spends each host's tokens on its first queued entries.
+     Fallback to a peek alone: the first round after construction or
+     resume, a polite re-peek after an empty admission, and any frontier
+     push outside the loop (a generation counter drops the window). The
+     admission's removes ride on step 4.
   2. ONE heavy distributed pass (Ray tasks over arrow slices): fused
      fetch + single-pass extract + image fetch/decode/phash, full page
      rows AND decoded image rows written to the round dirs from inside
@@ -20,20 +24,28 @@ frontier shard i (host hash) — max(ns, nf) processes, not ns + nf
      tick per actual GET, fetcher.go:96-99; dequeue-time seen check is
      free) and writes the attempts table.
   4. COMMIT, one call per actor, in this order: ack the previous
-     checkpoint, drop the round's admitted/discarded entries, probe the
-     round's link candidates against the seen set (the advisory link
-     filter: ONE batched probe per round vs the reference's per-link HTTP
-     HEAD), insert the round's successes, peek the next window.
+     checkpoint, remove the round's admitted entries (and, polite, its
+     robots-disallowed ones), probe the round's link candidates against
+     the seen set (the advisory link filter: ONE batched probe per round
+     vs the reference's per-link HTTP HEAD), insert the round's
+     successes, drop every queued occurrence of them (the dedup: a url's
+     queued copies all sit on its host's frontier shard), peek the next
+     window.
   5. stamps sidecar parquet (tick/fetch_seq/links_to_queue/fetched_on,
      url-keyed, merged back into pages_table()/images_table() at read
      time); new links seq-numbered in (tick, doc-order) = NATS publish
      order.
-  6. ADVANCE, one call per actor, in this order: push the new links,
-     checkpoint when due (frontier+seen+counters; the manifest commits
-     driver-side after), probe the next window against the seen set. The
-     driver builds that window exactly: per frontier shard, the first W
-     by (priority, seq) of the step-4 peek plus that shard's new links,
-     which equals a peek(W) taken after the push.
+  6. ADVANCE, one call per actor, in this order: push the new links
+     (none that is seen or was fetched this round), checkpoint when due
+     (frontier+seen+counters; the manifest commits driver-side after).
+     The driver builds the next window exactly: per frontier shard, the
+     first W by (priority, seq) of the step-4 peek plus that shard's new
+     links, which equals a peek(W) taken after the push. In polite mode
+     both peek and window take at most ceil(burst) entries per host — no
+     more than a host can spend in a round — so while a shard holds at
+     most W / ceil(burst) hosts its window reaches every host with queued
+     work, not just the few hosts with the longest runs at the queue
+     head.
 
 Why raw Ray tasks for the heavy pass instead of Dataset.map_batches: the
 pass is a driver-coordinated scatter-gather with a HARD BARRIER (tick
@@ -377,57 +389,44 @@ def _queue_sorted(t: pa.Table) -> pa.Table:
     return t.take(pc.sort_indices(t, sort_keys=_QUEUE_ORDER))
 
 
-def next_window(peek: pa.Table, new: pa.Table | None, w: int) -> pa.Table:
-    """A frontier shard's ``peek(w)`` after ``new`` is pushed, from the
-    ``peek(w)`` taken before the push: any entry among the first ``w``
-    of the union is among the first ``w`` of its own part, so the first
-    ``w`` of (peek ∪ new) is exact."""
+def _cap_per_host(t: pa.Table, per_host: int) -> pa.Table:
+    """The entries of a dequeue-ordered table whose host has fewer than
+    ``per_host`` entries before them (0: all)."""
+    if not per_host or t.num_rows <= per_host:
+        return t
+    taken: dict[str, int] = {}
+    keep = []
+    for h in t.column("host").to_pylist():
+        n = taken.get(h, 0)
+        taken[h] = n + 1
+        keep.append(n < per_host)
+    return t.filter(pa.array(keep))
+
+
+def next_window(peek: pa.Table, new: pa.Table | None, w: int,
+                per_host: int = 0) -> pa.Table:
+    """A frontier shard's ``peek(w, per_host)`` after ``new`` is pushed,
+    from the ``peek(w, per_host)`` taken before the push. An entry the
+    pre-push peek left out is either past its host's cap (and so it stays
+    past it) or has w capped entries ahead of it; a new entry can only
+    replace an old one of its host by sorting ahead of it. So the first
+    ``w`` capped entries of (peek ∪ new) are exact."""
     if new is None or not new.num_rows:
         return peek
-    return _queue_sorted(pa.concat_tables([peek, new])).slice(0, w)
-
-
-def _merge_window(peeks: list[pa.Table], w: int,
-                  cut: bool) -> tuple[pa.Table, bool]:
-    """Merge per-shard ``peek(w)`` tables into the global dequeue order.
-    With ``cut`` (parity admission), cut it at the horizon: a shard that
-    filled its peek may hold more entries past its last one, so nothing
-    after the smallest such last entry is known to be next. Returns
-    (entries, truncated)."""
-    ent = _queue_sorted(pa.concat_tables(peeks))
-    horizon: tuple[float, int] | None = None
-    for t in peeks if cut else ():
-        if t.num_rows == w:  # shard may hold more beyond its peek
-            last = (
-                t.column("priority")[w - 1].as_py(),
-                t.column("discovered_seq")[w - 1].as_py(),
-            )
-            horizon = last if horizon is None else min(horizon, last)
-    if horizon is None:
-        return ent, False
-    hp, hs = horizon
-    prio = ent.column("priority")
-    seq = ent.column("discovered_seq")
-    return ent.filter(
-        pc.or_(
-            pc.less(prio, hp),
-            pc.and_(pc.equal(prio, hp), pc.less_equal(seq, hs)),
-        )
-    ), True
+    return _cap_per_host(_queue_sorted(pa.concat_tables([peek, new])),
+                         per_host).slice(0, w)
 
 
 @dataclass
 class _Window:
     """The next admission's input, built at the end of the previous
-    round: per-shard peeks, the merged entries (cut at the horizon in
-    parity mode) and their seen mask. Valid only for the frontier
-    generation and window size it was built for."""
+    round: per-shard peeks and their entries merged into dequeue order.
+    Valid only for the frontier generation and window size it was built
+    for."""
     gen: int
     w: int
     peeks: list[pa.Table]
     ent: pa.Table
-    truncated: bool
-    seen: np.ndarray
 
 
 # the crawl's state actors (module level, like _fetch_extract_task: one
@@ -583,13 +582,7 @@ class Crawler:
             ),
             self.cfg.out_dir, "sites", 0,
         )
-        self._push_frontier(
-            seeds,
-            [0] * len(seeds),
-            [0.0] * len(seeds),
-            list(range(len(seeds))),
-        )
-        self.next_seq = len(seeds)
+        self._push_frontier(seeds, [0] * len(seeds), [0.0] * len(seeds))
 
     def add_sites(self, urls: list[str]) -> int:
         """Serialized entry for runtime seed injection: the webapp can
@@ -652,9 +645,7 @@ class Crawler:
             ),
             self.cfg.out_dir, "sites", rid,
         )
-        seqs = list(range(self.next_seq, self.next_seq + len(fresh)))
-        self.next_seq += len(fresh)
-        self._push_frontier(fresh, [0] * len(fresh), [0.0] * len(fresh), seqs)
+        self._push_frontier(fresh, [0] * len(fresh), [0.0] * len(fresh))
         return len(fresh)
 
     def _host_shard(self, hosts: list[str]) -> np.ndarray:
@@ -676,13 +667,26 @@ class Crawler:
                        if len(idx) else None)
         return out
 
-    def _push_frontier(self, urls, depths, prios, seqs) -> None:
-        """A push from outside the crawl loop (seeds, add_sites): bumps
-        the frontier generation, which drops any next-round window."""
+    def _push_frontier(self, urls, depths, prios) -> None:
+        """A push from outside the crawl loop (seeds, add_sites), which
+        may run on another thread than the loop: takes the next seqs,
+        pushes only the urls the seen set does not hold, and bumps the
+        frontier generation, which drops any next-round window. All of it
+        happens under the frontier lock, like the loop's seq allocation
+        and commit: a commit sent first inserts its successes before the
+        probe reads them, and one sent after drops them from the queue
+        after the push."""
         if not len(urls):
             return
-        tables = self._route_entries(urls, depths, prios, seqs)
         with self._frontier_lock:
+            seqs = list(range(self.next_seq, self.next_seq + len(urls)))
+            self.next_seq += len(urls)
+            keep = np.flatnonzero(
+                ~self._seen_mask_np(pa.array(urls, pa.string())))
+            if not len(keep):
+                return
+            tables = self._route_entries(
+                *([v[i] for i in keep] for v in (urls, depths, prios, seqs)))
             self._frontier_gen += 1
             futs = [self.state[s].frontier_push.remote(t)
                     for s, t in enumerate(tables) if t is not None]
@@ -737,7 +741,7 @@ class Crawler:
         ack = ack and self._ack_pending
         ns = self.cfg.num_seen_shards
         futs = [
-            a.commit.remote(ack, self._removes.get(i), None, None, 0)
+            a.commit.remote(ack, self._removes.get(i), None, None, None, 0)
             for i, a in enumerate(self.state)
             if self._removes.get(i) or (ack and i < ns)
         ]
@@ -763,15 +767,25 @@ class Crawler:
             return None
         return win
 
-    def _peek_window(self, w: int, parity: bool) -> _Window:
-        """The fallback: peek every frontier shard and probe the seen set
-        for the merged entries (two calls per actor)."""
-        self._flush(ack=False)
-        peeks = ray.get([self.state[s].frontier_peek.remote(w)
-                         for s in range(self.cfg.num_frontier_shards)])
-        ent, truncated = _merge_window(peeks, w, cut=parity)
-        seen = self._seen_mask_np(ent.column("url").combine_chunks())
-        return _Window(self._frontier_gen, w, peeks, ent, truncated, seen)
+    def _per_host(self) -> int:
+        """Per-host cap of a polite window: a host never spends more than
+        ``burst`` tokens in a round (0 in parity mode: no cap)."""
+        return (math.ceil(self.cfg.politeness.burst)
+                if self.cfg.mode == "polite" else 0)
+
+    def _admission_window(self, w: int) -> _Window:
+        """The window the previous round left, or the fallback: peek every
+        frontier shard (one call per actor)."""
+        win = self._take_window(w)
+        self._admit_path = "window" if win is not None else "peek"
+        if win is None:
+            self._flush(ack=False)
+            peeks = ray.get([
+                self.state[s].frontier_peek.remote(w, self._per_host())
+                for s in range(self.cfg.num_frontier_shards)])
+            win = _Window(self._frontier_gen, w, peeks,
+                          _queue_sorted(pa.concat_tables(peeks)))
+        return win
 
     def _parity_k(self) -> int:
         """Parity admission budget of the next round (<= 0: none)."""
@@ -784,56 +798,31 @@ class Crawler:
         return max(self.cfg.budget_per_round, 64)
 
     def _admit_parity(self) -> pa.Table:
-        """First-K-unseen occurrences in global (priority, seq) order —
+        """The first K queued entries in global (priority, seq) order —
         the reference's dequeue loop (fetcher.go:94-103) in batch form.
-        Seen occurrences encountered on the way are discarded tick-free.
-        Returns an ENTRY_SCHEMA table in admit order (all Arrow/numpy:
-        the old per-entry tuple walk was ~1 s of a 110k-tick round)."""
+        Its seen check discards nothing here: no queued entry is seen.
+        Each shard's first K hold the global first K. Returns an
+        ENTRY_SCHEMA table in admit order."""
         K = self._parity_k()
         if K <= 0:
             return entries_table([], [], [], [], [])
-        W = K
-        win = self._take_window(W)
-        self._admit_path = "window" if win is not None else "peek"
-        while True:
-            if win is None:
-                win = self._peek_window(W, parity=True)
-            ent = win.ent
-            if not ent.num_rows:
-                return entries_table([], [], [], [], [])
-            unseen = ~win.seen
-            cum = np.cumsum(unseen)
-            n_unseen = int(cum[-1])
-            # the reference loop stops right after the Kth unseen entry:
-            # scanned = that prefix; admitted = unseen within it,
-            # discards = seen within it (all scanned seqs are consumed)
-            scanned = (
-                int(np.searchsorted(cum, K)) + 1 if n_unseen >= K
-                else ent.num_rows
-            )
-            if n_unseen >= K or not win.truncated:
-                consumed = ent.column("discovered_seq").slice(0, scanned)
-                self._defer_removes(win.peeks, consumed.combine_chunks())
-                return ent.slice(0, scanned).filter(
-                    pa.array(unseen[:scanned])
-                )
-            # scanned window exhausted by discards; widen and retry
-            W *= 2
-            win = None
-            self._admit_path = "widen"
+        win = self._admission_window(K)
+        ent = win.ent.slice(0, K)
+        self._defer_removes(win.peeks,
+                            ent.column("discovered_seq").combine_chunks())
+        return ent
 
     def _admit_polite(self) -> pa.Table:
         """Scale-mode admission: per-host token buckets cap each host's
         share of a round; hosts starve independently, not each other.
-        The robots gate + token-bucket walk stays per-entry python (the
-        gate's URL parse is semantic, and the scan is bounded by the
-        peek window W); only the return shape is Arrow."""
+        The window holds each host's first ceil(burst) queued entries, so
+        with at most W / ceil(burst) hosts per shard every host with
+        queued work and a token is admitted. The robots
+        gate + token-bucket walk stays per-entry python (the gate's URL
+        parse is semantic, and the scan is bounded by the window); only
+        the return shape is Arrow."""
         now = float(self.tick * self.cfg.tick_seconds)
-        W = self._polite_w()
-        win = self._take_window(W)
-        self._admit_path = "window" if win is not None else "peek"
-        if win is None:
-            win = self._peek_window(W, parity=False)
+        win = self._admission_window(self._polite_w())
         ent = win.ent
         entries = zip(
             ent.column("priority").to_pylist(),
@@ -844,10 +833,7 @@ class Crawler:
         )
         by_host: dict[str, list] = {}
         discard = []
-        for e, seen in zip(entries, win.seen):
-            if seen:
-                discard.append(e[1])
-                continue
+        for e in entries:
             if not self.gate.allowed(e[2]):
                 discard.append(e[1])  # robots-disallowed: drop permanently
                 continue
@@ -995,8 +981,21 @@ class Crawler:
         probe, route = (self._route_seen(flat) if len(parent)
                         else ([None] * ns, None))
         add = self._route_seen(s_urls_arr)[0] if n_s else [None] * ns
+        # the successes again, split by frontier shard: their queued
+        # copies all sit on the shard of their host, which drops them
+        succ_hosts = (
+            admitted.column("host").combine_chunks()
+            .filter(keep_arr).filter(pa.array(succ_mask))
+        )
+        drop: list[list[str] | None] = [None] * nf
+        if n_s:
+            fshard = self._host_shard(succ_hosts.to_pylist())
+            s_urls_np = np.array(s_urls_arr.to_pylist(), dtype=object)
+            drop = [s_urls_np[fshard == i].tolist() or None
+                    for i in range(nf)]
         w_next = max(0, self._parity_k() if cfg.mode == "parity"
                      else self._polite_w())
+        cap = self._per_host()
         with self._frontier_lock:
             gen = self._frontier_gen
             commits = [
@@ -1004,7 +1003,8 @@ class Crawler:
                     self._ack_pending, self._removes.get(i),
                     probe[i] if i < ns else None,
                     add[i] if i < ns else None,
-                    w_next if i < nf else 0,
+                    drop[i] if i < nf else None,
+                    w_next if i < nf else 0, cap,
                 )
                 for i, a in enumerate(self.state)
             ]
@@ -1053,7 +1053,7 @@ class Crawler:
                                  np.int64(2**62))
             keep = ~(flat_seen | (in_round & (cand_tick <= t_np[parent])))
         else:
-            keep = np.zeros(0, dtype=bool)
+            keep = in_round = np.zeros(0, dtype=bool)
         kept_vals = flat.filter(pa.array(keep))
         kept_parent = parent[keep]
         offsets = np.zeros(n_s + 1, dtype=np.int32)
@@ -1100,26 +1100,26 @@ class Crawler:
             succ.column("depth").to_numpy(zero_copy_only=False)
             .astype(np.int32)[kept_parent] + 1
         )
-        new_seqs = np.arange(self.next_seq, self.next_seq + n_new,
-                             dtype=np.int64)
-        self.next_seq += n_new
+        with self._frontier_lock:  # add_sites takes seqs too
+            new_seqs = np.arange(self.next_seq, self.next_seq + n_new,
+                                 dtype=np.int64)
+            self.next_seq += n_new
+        # a kept link fetched later this round is in links_to_queue and
+        # has its seq, but is seen now: it is not queued
+        push = np.flatnonzero(~in_round[keep])
         pushes = (
-            self._route_entries(kept_vals, new_depths,
-                                np.zeros(n_new, np.float32), new_seqs)
-            if n_new else [None] * nf
+            self._route_entries(
+                kept_vals.take(pa.array(push)), new_depths[push],
+                np.zeros(len(push), np.float32), new_seqs[push])
+            if len(push) else [None] * nf
         )
         # ---- the next admission's window: per shard, the first w_next
         # of the pre-push peek plus the shard's new links (next_window)
-        wprobe: list[list[str] | None] = [None] * ns
-        wroute = None
         if w_next:
-            wpeeks = [next_window(p, t, w_next)
+            wpeeks = [next_window(p, t, w_next, cap)
                       for (_, p), t in zip(got[:nf], pushes)]
-            went, truncated = _merge_window(wpeeks, w_next,
-                                            cut=cfg.mode == "parity")
-            if went.num_rows:
-                wprobe, wroute = self._route_seen(
-                    went.column("url").combine_chunks())
+            self._window = _Window(gen, w_next, wpeeks,
+                                   _queue_sorted(pa.concat_tables(wpeeks)))
         tmr["links_push"] = time.perf_counter() - _t0
         _t0 = time.perf_counter()
         # ---- ADVANCE: one call per state actor --------------------------
@@ -1129,22 +1129,12 @@ class Crawler:
             a.advance.remote(
                 pushes[i] if i < nf else None,
                 self._ckpt_args(tmp, i) if tmp else None,
-                wprobe[i] if i < ns else None,
             )
             for i, a in enumerate(self.state)
         ])
-        if w_next:
-            seen = (self._gather_seen(wroute, [m for _, m in outs[:ns]])
-                    if wroute else np.zeros(0, dtype=bool))
-            self._window = _Window(gen, w_next, wpeeks, went, truncated,
-                                   seen)
         tmr["checkpoint"] = 0.0
         tmr["checkpoint" if tmp else "links_push"] += (
             time.perf_counter() - _t0)
-        succ_hosts = (
-            admitted.column("host").combine_chunks()
-            .filter(keep_arr).filter(pa.array(succ_mask))
-        )
         vc = pc.value_counts(succ_hosts)
         per_host = dict(
             zip(vc.field("values").to_pylist(),
@@ -1160,7 +1150,7 @@ class Crawler:
             "per_host_fetches": per_host,
             "timings": {k: round(v, 3) for k, v in tmr.items()},
         }
-        return m, ((tmp, [o for o, _ in outs]) if tmp else None)
+        return m, ((tmp, outs) if tmp else None)
 
     # ------------------------------------------------------------------
     def _note_round(self, name: str) -> None:
@@ -1297,6 +1287,7 @@ class Crawler:
                              sn[i] if i < len(sn) else None)
             for i, a in enumerate(self.state)
         ])
+        self._drop_seen_queued(fr)
         chain = manifest.get("seen_chain")
         if chain is None:
             # legacy full-snapshot round: its seen_shard files become the
@@ -1334,6 +1325,23 @@ class Crawler:
                 self.metrics.setdefault("pruned_on_resume", {})[name] = pruned
         return True
 
+    def _drop_seen_queued(self, fr: list[pa.Table]) -> None:
+        """Drop the queued entries of a restored frontier whose url is
+        seen. Checkpoints written while dedup ran at dequeue hold such
+        entries; after this, no queued entry is seen."""
+        urls = [t.column("url").combine_chunks() for t in fr]
+        if not sum(len(u) for u in urls):
+            return
+        seen = self._seen_mask_np(pa.concat_arrays(urls))
+        futs, at = [], 0
+        for i, u in enumerate(urls):
+            mine = u.filter(pa.array(seen[at:at + len(u)]))
+            at += len(u)
+            if len(mine):
+                futs.append(
+                    self.state[i].frontier_drop.remote(mine.to_pylist()))
+        ray.get(futs)
+
     # ------------------------------------------------------------------
     def run(self) -> dict:
         cfg = self.cfg
@@ -1354,7 +1362,7 @@ class Crawler:
                 break
             m, ckpt = self._process_round(admitted)
             m["timings"]["admit"] = round(admit_sec, 3)
-            # "window" (no RPC), "peek" or "widen" (fallback peeks)
+            # "window" (no RPC) or "peek" (the fallback)
             m["admit_path"] = self._admit_path
             # append BEFORE the manifest commits: it snapshots
             # metrics["rounds"][-1], which must be THIS round's entry,

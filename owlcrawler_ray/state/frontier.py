@@ -8,10 +8,17 @@ assigned at link emission. Shard = hash(host) % num_shards so one host's
 queue lives on one shard (politeness needs per-host ordering); parity mode
 uses priority=0 everywhere, making (seq) the total order.
 
-Duplicate enqueues are NORMAL (the reference's frontier holds duplicates;
-dedup is authoritative only at dequeue — SURVEY.md §2.3 F1). The frontier
-therefore stores every occurrence; admission discards/defers per the
-dedup-at-dequeue semantics (pipelines/crawl.py).
+No queued entry is in the seen set. The reference keeps duplicates in its
+queue and discards seen ones at dequeue (SURVEY.md §2.3 F1); here the
+crawl's state actors drop every queued occurrence of a URL when a fetch of
+it commits (``drop_urls``, through the url -> seqs index), and the crawl
+loop pushes only unseen URLs (pipelines/crawl.py). Queue order among
+unseen entries is the reference's, so dequeue order is unchanged; a
+duplicate of an UNSEEN url stays queued and resolves at tick assignment.
+
+Each host's entries live in their own heap, under a heap of host heads, so
+a peek reads only as far into a host's queue as it takes from it: the
+first k entries cost O(k log hosts) with or without a per-host cap.
 """
 
 from __future__ import annotations
@@ -31,96 +38,170 @@ ENTRY_SCHEMA = pa.schema(
     ]
 )
 
+Entry = tuple[float, int, str, str, int]  # (priority, seq, url, host, depth)
+
+
+def _ascending(heap: list):
+    """The items of a heap in ascending order, lazily and without
+    changing it: the smallest m cost O(m log m)."""
+    if not heap:
+        return
+    todo = [(heap[0], 0)]
+    n = len(heap)
+    while todo:
+        item, i = heapq.heappop(todo)
+        yield item
+        for j in (2 * i + 1, 2 * i + 2):
+            if j < n:
+                heapq.heappush(todo, (heap[j], j))
+
+
+def _table(entries: list[Entry]) -> pa.Table:
+    return pa.table(
+        {
+            "url": [e[2] for e in entries],
+            "host": [e[3] for e in entries],
+            "depth": pa.array([e[4] for e in entries], type=pa.int32()),
+            "priority": pa.array([e[0] for e in entries], type=pa.float32()),
+            "discovered_seq": pa.array([e[1] for e in entries],
+                                       type=pa.int64()),
+        },
+        schema=ENTRY_SCHEMA,
+    )
+
 
 class FrontierShard:
-    """One frontier shard (run as a Ray actor by the crawl pipeline)."""
+    """One frontier shard (run inside a crawl state actor)."""
 
     def __init__(self, shard_id: int):
         self.shard_id = shard_id
-        # lazy-deletion heap of (priority, seq, url, host, depth)
-        self.heap: list[tuple[float, int, str, str, int]] = []
-        self.removed: set[int] = set()  # seqs popped by admission
-        self.present: set[int] = set()  # seqs currently live in the heap
-        self.live = 0
+        self._reset()
+
+    def _reset(self) -> None:
+        # host -> heap of its entries. A removed entry stays in its heap
+        # until it reaches the root (lazy deletion), but a root is always
+        # live, and a host with no live entry has no heap.
+        self.hosts: dict[str, list[Entry]] = {}
+        # (priority, seq, host) of each host's root; an entry whose host
+        # root has changed since is stale and skipped
+        self.heads: list[tuple[float, int, str]] = []
+        self.by_seq: dict[int, Entry] = {}  # every live entry
+        self.by_url: dict[str, list[int]] = {}  # url -> its live seqs
 
     def push_table(self, table: pa.Table) -> int:
-        urls = table.column("url").to_pylist()
-        hosts = table.column("host").to_pylist()
-        depths = table.column("depth").to_pylist()
-        prios = table.column("priority").to_pylist()
-        seqs = table.column("discovered_seq").to_pylist()
-        for u, h, d, p, s in zip(urls, hosts, depths, prios, seqs):
-            heapq.heappush(self.heap, (float(p), int(s), u, h, int(d)))
-            self.present.add(int(s))
-        self.live += len(urls)
-        return self.live
-
-    def _compact(self) -> None:
-        while self.heap and self.heap[0][1] in self.removed:
-            _, s, *_ = heapq.heappop(self.heap)
-            self.removed.discard(s)
-
-    def peek(self, k: int) -> pa.Table:
-        """First k live entries by (priority, seq) without removing them."""
-        self._compact()
-        out: list[tuple[float, int, str, str, int]] = []
-        if k > 0 and self.heap:
-            if k >= self.live:
-                items = [e for e in self.heap if e[1] not in self.removed]
-                out = sorted(items)[:k]
+        by_seq, by_url, hosts = self.by_seq, self.by_url, self.hosts
+        cols = [table.column(c).to_pylist() for c in
+                ("priority", "discovered_seq", "url", "host", "depth")]
+        for e in zip(*cols):
+            s = e[1]
+            if s in by_seq:
+                continue
+            by_seq[s] = e
+            by_url.setdefault(e[2], []).append(s)
+            heap = hosts.get(e[3])
+            if heap is None:
+                hosts[e[3]] = [e]
             else:
-                out = [e for e in heapq.nsmallest(k + len(self.removed), self.heap)
-                       if e[1] not in self.removed][:k]
-        return pa.table(
-            {
-                "url": [e[2] for e in out],
-                "host": [e[3] for e in out],
-                "depth": pa.array([e[4] for e in out], type=pa.int32()),
-                "priority": pa.array([e[0] for e in out], type=pa.float32()),
-                "discovered_seq": pa.array([e[1] for e in out], type=pa.int64()),
-            },
-            schema=ENTRY_SCHEMA,
-        )
+                heapq.heappush(heap, e)
+                if heap[0] is not e:
+                    continue
+            heapq.heappush(self.heads, (e[0], s, e[3]))
+        return len(by_seq)
+
+    def _is_live(self, e: Entry) -> bool:
+        return self.by_seq.get(e[1]) is e
+
+    def _kill(self, seq: int) -> None:
+        e = self.by_seq.pop(seq)
+        seqs = self.by_url[e[2]]
+        seqs.remove(seq)
+        if not seqs:
+            del self.by_url[e[2]]
+        heap = self.hosts[e[3]]
+        if heap[0] is not e:
+            return  # the live root stays the root
+        while heap and not self._is_live(heap[0]):
+            heapq.heappop(heap)
+        if heap:
+            heapq.heappush(self.heads, (heap[0][0], heap[0][1], e[3]))
+        else:
+            del self.hosts[e[3]]
+
+    def _after_removes(self) -> int:
+        # each root change leaves a stale head behind: rebuild the heads
+        # once they outnumber the hosts twice over
+        if len(self.heads) > 2 * len(self.hosts) + 64:
+            self.heads = [(hp[0][0], hp[0][1], h)
+                          for h, hp in self.hosts.items()]
+            heapq.heapify(self.heads)
+        return len(self.by_seq)
 
     def remove_seqs(self, seqs: list[int]) -> int:
-        # count only seqs actually LIVE in this shard: `not in removed`
-        # alone is not idempotent (compaction discards seqs from
-        # `removed`, re-arming a replayed remove), and a foreign seq
-        # would decrement `live` below the real entry count — either way
-        # the crawl loop would see an empty frontier while entries
-        # remain (caught by the round-4 review)
-        n = 0
+        """Remove the entries with these seqs; seqs not live here (already
+        removed, or another shard's) are ignored, so a replayed remove is
+        a no-op."""
         for s in seqs:
             s = int(s)
-            if s in self.present:
-                self.present.discard(s)
-                self.removed.add(s)
-                n += 1
-        self.live -= n
-        self._compact()
-        return self.live
+            if s in self.by_seq:
+                self._kill(s)
+        return self._after_removes()
+
+    def drop_urls(self, urls: list[str]) -> int:
+        """Remove every queued occurrence of these urls (they were just
+        fetched: the seen set holds them now)."""
+        for u in urls:
+            for s in list(self.by_url.get(u, ())):
+                self._kill(s)
+        return self._after_removes()
+
+    def peek(self, k: int, per_host: int = 0) -> pa.Table:
+        """The first k live entries by (priority, seq), without removing
+        them, taking at most ``per_host`` from any host (0: no cap).
+
+        A k-way merge of the host heaps, started lazily from the heads
+        heap: a host's heap is read only once its root is the smallest
+        entry not yet taken, and only as far as the peek takes from it."""
+        out: list[Entry] = []
+        if k <= 0 or not self.by_seq:
+            return _table(out)
+        if not per_host and k >= len(self.by_seq):
+            return self.snapshot()  # all of it: one sort, no merge
+        heads = _ascending(self.heads)
+        nxt = next(heads, None)
+        streams: list = []  # (entry, host, iterator over its heap)
+        taken: dict[str, int] = {}
+        while len(out) < k:
+            if nxt is not None and (not streams
+                                    or nxt[:2] < streams[0][0][:2]):
+                p, s, h = nxt
+                nxt = next(heads, None)
+                heap = self.hosts.get(h)
+                if h not in taken and heap and heap[0][1] == s:
+                    taken[h] = 0
+                    it = _ascending(heap)
+                    heapq.heappush(streams, (next(it), h, it))
+                continue
+            if not streams:
+                break
+            e, h, it = heapq.heappop(streams)
+            if self._is_live(e):
+                out.append(e)
+                taken[h] += 1
+                if per_host and taken[h] >= per_host:
+                    continue  # this host is done
+            e = next(it, None)
+            if e is not None:
+                heapq.heappush(streams, (e, h, it))
+        return _table(out)
 
     def size(self) -> int:
-        return self.live
+        return len(self.by_seq)
 
     def snapshot(self) -> pa.Table:
-        items = sorted(e for e in self.heap if e[1] not in self.removed)
-        return pa.table(
-            {
-                "url": [e[2] for e in items],
-                "host": [e[3] for e in items],
-                "depth": pa.array([e[4] for e in items], type=pa.int32()),
-                "priority": pa.array([e[0] for e in items], type=pa.float32()),
-                "discovered_seq": pa.array([e[1] for e in items], type=pa.int64()),
-            },
-            schema=ENTRY_SCHEMA,
-        )
+        return _table(sorted(self.by_seq.values()))
 
     def restore(self, table: pa.Table) -> int:
-        self.heap = []
-        self.removed = set()
-        self.present = set()
-        self.live = 0
+        self._reset()
         return self.push_table(table)
 
 

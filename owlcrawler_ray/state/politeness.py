@@ -171,9 +171,10 @@ class _CompiledRules:
 
 
 class PolitenessGate:
-    """Held inside the crawl driver (parity mode) or one actor per frontier
-    shard (polite mode — buckets are per-host and hosts are host-sharded,
-    so no cross-actor coordination is ever needed).
+    """Held on the crawl driver in both modes; polite admission consults
+    it for every entry of the round's window. Buckets are per host and
+    hosts are host-sharded, so a gate per frontier shard would need no
+    cross-actor coordination (ROADMAP item 4).
 
     Robots rules come from (a) static config (``disallow``) and/or (b) a
     ``robots_fetcher(host) -> text`` callback — the REAL path: the crawl

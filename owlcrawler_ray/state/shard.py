@@ -18,8 +18,15 @@ touch both roles (checkpoint, restore, sizes) into one call.
 The crawl loop talks to each actor twice per round, through ``commit``
 and ``advance``; each runs its steps in a fixed order so the driver can
 reason about the state every step sees. The per-operation methods stay
-for the loop's fallback paths (first round, widened parity window) and
-for callers outside the loop.
+for the loop's fallback peek (first round after construction or resume,
+a polite re-peek) and for callers outside the loop.
+
+The actors keep one invariant between the two roles: no queued frontier
+entry is in the seen set. ``commit`` drops the queued occurrences of the
+urls it inserts into the seen set, before its peek; the loop, seeds,
+``add_sites`` and a restore push only urls the seen set does not hold
+(pipelines/crawl.py). A url's host fixes its frontier shard, so every
+queued occurrence of a url sits on one shard and the drop is local to it.
 """
 
 from __future__ import annotations
@@ -54,11 +61,14 @@ class StateShard:
     def frontier_push(self, table: pa.Table) -> int:
         return self.frontier.push_table(table)
 
-    def frontier_peek(self, k: int) -> pa.Table:
-        return self.frontier.peek(k)
+    def frontier_peek(self, k: int, per_host: int = 0) -> pa.Table:
+        return self.frontier.peek(k, per_host)
 
     def frontier_remove(self, seqs: list[int]) -> int:
         return self.frontier.remove_seqs(seqs)
+
+    def frontier_drop(self, urls: list[str]) -> int:
+        return self.frontier.drop_urls(urls)
 
     # -- both roles ------------------------------------------------------
     def sizes(self) -> tuple[int, int]:
@@ -81,14 +91,17 @@ class StateShard:
     # -- the crawl loop's two calls per round ------------------------------
     def commit(self, ack: bool, removes: list[int] | None,
                probe: list[str] | None, add: list[str] | None,
-               peek_k: int) -> tuple[np.ndarray | None, pa.Table | None]:
+               drop: list[str] | None, peek_k: int,
+               per_host: int = 0) -> tuple[np.ndarray | None, pa.Table | None]:
         """Close a round, in this order: acknowledge the previous
-        checkpoint (its manifest has committed since), drop this round's
-        admitted and discarded frontier entries, probe the round's link
-        candidates against the seen set BEFORE its successes are inserted,
-        insert the successes, and peek the first ``peek_k`` frontier
-        entries before any new link is pushed. Returns (probe mask, peek);
-        None for a step with no input or no role."""
+        checkpoint (its manifest has committed since), remove this round's
+        admitted and robots-discarded frontier entries, probe the round's link candidates
+        against the seen set BEFORE its successes are inserted, insert the
+        successes (``add``, this seen shard's share), drop every queued
+        occurrence of the successes (``drop``, this frontier shard's
+        share), and peek the first ``peek_k`` frontier entries, at most
+        ``per_host`` per host, before any new link is pushed. Returns
+        (probe mask, peek); None for a step with no input or no role."""
         if ack:
             self.ckpt_ack()
         if removes and self.frontier:
@@ -96,21 +109,20 @@ class StateShard:
         mask = self.seen.contains_many(probe) if probe else None
         if add:
             self.seen.add_many(add)
-        peek = self.frontier.peek(peek_k) if peek_k and self.frontier else None
+        if drop:
+            self.frontier.drop_urls(drop)
+        peek = (self.frontier.peek(peek_k, per_host)
+                if peek_k and self.frontier else None)
         return mask, peek
 
-    def advance(self, push: pa.Table | None, ckpt: tuple | None,
-                probe: list[str] | None) -> tuple[tuple | None,
-                                                  np.ndarray | None]:
+    def advance(self, push: pa.Table | None,
+                ckpt: tuple | None) -> tuple | None:
         """Open the next round, in this order: push the round's new links,
-        write the checkpoint when one is due (``ckpt`` = the arguments of
-        ``checkpoint``), and probe the next admission window against the
-        seen set. Returns (checkpoint output, probe mask)."""
+        and write the checkpoint when one is due (``ckpt`` = the arguments
+        of ``checkpoint``). Returns the checkpoint output."""
         if push is not None and push.num_rows:
             self.frontier.push_table(push)
-        out = self.checkpoint(*ckpt) if ckpt is not None else None
-        mask = self.seen.contains_many(probe) if probe else None
-        return out, mask
+        return self.checkpoint(*ckpt) if ckpt is not None else None
 
     def ckpt_ack(self) -> None:
         if self.seen:

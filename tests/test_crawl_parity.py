@@ -497,13 +497,13 @@ def test_add_sites_after_frontier_drained_parity(ray_session, tmp_path):
         c.shutdown()
 
 
-def test_admit_parity_widen_path_skips_seen_prefix(ray_session, tmp_path):
-    """The vectorized _admit_parity's widen-retry branch (W *= 2): when
-    the whole first peek window is already-seen entries, the admit must
-    widen, discard the seen prefix tick-free (consuming their seqs from
-    the frontier) and return the first-K UNSEEN entries in global
-    (priority, seq) order — the reference dequeue loop's behavior when
-    the queue head is full of duplicates."""
+def test_push_frontier_skips_seen_urls(ray_session, tmp_path):
+    """No queued entry is in the seen set: already-seen urls pushed from
+    outside the loop (``_push_frontier``: seeds, add_sites) never enter
+    the queue, even at a priority that sorts them ahead of every seed. So
+    the first admission is the first two SEEDS in global (priority, seq)
+    order — where the reference dequeue loop lands after discarding the
+    seen head of its queue tick-free."""
     import ray
 
     from owlcrawler_ray.functions import ids
@@ -511,7 +511,7 @@ def test_admit_parity_widen_path_skips_seen_prefix(ray_session, tmp_path):
 
     cfg = CrawlConfig(
         web=SMALL_WEB,
-        budget_per_round=2,  # K=2 -> first peek window is W=2 per shard
+        budget_per_round=2,
         out_dir=f"{tmp_path}/out",
         ckpt_dir=f"{tmp_path}/ckpt",
         fetch_concurrency=1,
@@ -519,8 +519,8 @@ def test_admit_parity_widen_path_skips_seen_prefix(ray_session, tmp_path):
     )
     c = Crawler(cfg)
     try:
-        # 12 already-seen urls at priority -1.0: they sort ahead of every
-        # seed (priority 0.0), so the K=2 peek sees ONLY seen entries
+        # 12 already-seen urls at priority -1.0: queued, they would sort
+        # ahead of every seed (priority 0.0)
         dup_urls = [f"http://dup{i}.example.com/" for i in range(12)]
         shards = ids.shard_of(dup_urls, cfg.num_seen_shards)
         futs = []
@@ -529,22 +529,22 @@ def test_admit_parity_widen_path_skips_seen_prefix(ray_session, tmp_path):
             if us:
                 futs.append(c.state[s].seen_add.remote(us))
         ray.get(futs)
-        c._push_frontier(
-            dup_urls, [1] * 12, [-1.0] * 12,
-            list(range(1000, 1012)),
-        )
         before = c._sizes()[0]
+        c._push_frontier(dup_urls, [1] * 12, [-1.0] * 12)
+        assert c._sizes()[0] == before  # none of them was queued
         admitted = c._admit_parity()
-        # first-K unseen = the first two SEEDS by (priority, seq)
         seeds = c.web.seeds()
         assert admitted.column("url").to_pylist() == seeds[:2]
         assert admitted.num_rows == 2
-        # every seen entry scanned on the way was consumed from the
-        # frontier alongside the two admitted seeds, none re-admittable
-        after = c._sizes()[0]
-        assert after == before - 12 - 2
+        # the admission consumed exactly the two seeds
+        assert c._sizes()[0] == before - 2
         again = c._admit_parity()
         assert again.column("url").to_pylist() == seeds[2:4]
+        # a mixed push queues only its unseen url
+        n = c._sizes()[0]
+        c._push_frontier([dup_urls[0], "http://new.example.com/"],
+                         [1, 1], [0.0, 0.0])
+        assert c._sizes()[0] == n + 1
     finally:
         c.shutdown()
 

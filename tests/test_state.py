@@ -407,6 +407,128 @@ def test_next_window_equals_peek_after_push():
     run()
 
 
+def _capped_scan(entries, k, per_host):
+    """The first k of ``entries`` by (priority, seq), at most
+    ``per_host`` per host (0: no cap) — the brute-force peek."""
+    out, taken = [], {}
+    for e in sorted(entries):
+        if len(out) == k:
+            break
+        if per_host and taken.get(e[3], 0) >= per_host:
+            continue
+        taken[e[3]] = taken.get(e[3], 0) + 1
+        out.append(e)
+    return out
+
+
+def test_frontier_capped_peek_matches_sorted_scan():
+    """FrontierShard's per-host heaps under a heap of host heads: after
+    any sequence of push_table, remove_seqs (foreign and repeated seqs
+    too) and drop_urls, peek(k, per_host) equals a brute-force sorted
+    scan of the live entries, for any k and cap, and snapshot/restore
+    keeps every live entry."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    prio = st.sampled_from([-1.0, 0.0, 0.0, 0.0, 2.5])
+    item = st.tuples(prio, st.integers(0, 4), st.integers(0, 5))
+    step = st.one_of(
+        st.tuples(st.just("push"), st.lists(item, max_size=8)),
+        st.tuples(st.just("remove"), st.lists(st.integers(0, 80),
+                                              max_size=6)),
+        st.tuples(st.just("drop"), st.lists(st.tuples(st.integers(0, 4),
+                                                      st.integers(0, 5)),
+                                            max_size=4)),
+        st.tuples(st.just("peek"), st.tuples(st.integers(0, 30),
+                                             st.integers(0, 4))),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(step, max_size=25),
+           seqs=st.permutations(list(range(200))))
+    def run(steps, seqs):
+        it = iter(seqs)
+        f = FrontierShard(0)
+        model: dict[int, tuple] = {}
+        for kind, arg in steps:
+            if kind == "push":
+                es = [(p, next(it), f"http://h{h}.test/p{u}", f"h{h}.test", 1)
+                      for p, h, u in arg]
+                f.push_table(entries_table(
+                    [e[2] for e in es], [e[3] for e in es],
+                    [e[4] for e in es], [e[0] for e in es],
+                    [e[1] for e in es]))
+                model.update((e[1], e) for e in es)
+            elif kind == "remove":
+                f.remove_seqs(arg)
+                for q in arg:
+                    model.pop(q, None)
+            elif kind == "drop":
+                urls = [f"http://h{h}.test/p{u}" for h, u in arg]
+                f.drop_urls(urls)
+                for q in [q for q, e in model.items() if e[2] in urls]:
+                    del model[q]
+            else:
+                k, cap = arg
+                got = f.peek(k, cap)
+                want = _capped_scan(model.values(), k, cap)
+                assert got.column("discovered_seq").to_pylist() == [
+                    e[1] for e in want]
+                assert got.column("url").to_pylist() == [e[2] for e in want]
+                assert got.column("host").to_pylist() == [e[3] for e in want]
+            assert f.size() == len(model)
+        f2 = FrontierShard(1)
+        f2.restore(f.snapshot())
+        assert f2.peek(len(model) + 1).column("discovered_seq").to_pylist() \
+            == [e[1] for e in sorted(model.values())]
+
+    run()
+
+
+def test_next_window_capped_equals_capped_peek_after_push():
+    """The polite next-round window: next_window(peek, new, w, per_host)
+    over a peek(w, per_host) taken BEFORE a push equals peek(w, per_host)
+    taken AFTER it — several hosts, any cap, any priorities, seqs
+    interleaved across the two parts, removes before the peek."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from owlcrawler_ray.pipelines.crawl import next_window
+
+    prio = st.sampled_from([-1.0, 0.0, 0.0, 0.0, 3.0])
+    item = st.tuples(prio, st.integers(0, 3), st.integers(0, 4))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        before=st.lists(item, max_size=24),
+        new=st.lists(item, max_size=24),
+        removes=st.lists(st.integers(0, 60), max_size=10),
+        seqs=st.permutations(list(range(48))),
+        w=st.integers(1, 20),
+        cap=st.integers(0, 4),
+    )
+    def run(before, new, removes, seqs, w, cap):
+        it = iter(seqs)
+
+        def table(items):
+            return entries_table(
+                [f"http://h{h}.test/p{u}" for _, h, u in items],
+                [f"h{h}.test" for _, h, _ in items], [1] * len(items),
+                [p for p, _, _ in items], [next(it) for _ in items],
+            )
+
+        f = FrontierShard(0)
+        f.push_table(table(before))
+        f.remove_seqs(removes)
+        pre = f.peek(w, cap)
+        pushed = table(new)
+        f.push_table(pushed)
+        assert next_window(pre, pushed, w, cap).to_pydict() \
+            == f.peek(w, cap).to_pydict()
+
+    run()
+
+
 def test_politeness_token_bucket_property():
     """Property check: over any admit sequence, a host can never be
     granted more than burst + rate * elapsed tokens in total (the token
