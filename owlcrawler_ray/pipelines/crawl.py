@@ -1236,6 +1236,8 @@ class Crawler:
                 "images_rounds": dict(self._lineage["images"]),
             },
             "politeness": self.gate.state(),
+            # no queued entry is seen: a resume need not probe the queue
+            "frontier_unseen": True,
         }
         manifest["seen_chain"] = chain
         self.ckpt.commit(self.round_id, manifest)
@@ -1287,7 +1289,8 @@ class Crawler:
                              sn[i] if i < len(sn) else None)
             for i, a in enumerate(self.state)
         ])
-        self._drop_seen_queued(fr)
+        if not manifest.get("frontier_unseen"):
+            self._drop_seen_queued(fr)
         chain = manifest.get("seen_chain")
         if chain is None:
             # legacy full-snapshot round: its seen_shard files become the
@@ -1328,7 +1331,8 @@ class Crawler:
     def _drop_seen_queued(self, fr: list[pa.Table]) -> None:
         """Drop the queued entries of a restored frontier whose url is
         seen. Checkpoints written while dedup ran at dequeue hold such
-        entries; after this, no queued entry is seen."""
+        entries (their manifests lack ``frontier_unseen``); after this,
+        no queued entry is seen."""
         urls = [t.column("url").combine_chunks() for t in fr]
         if not sum(len(u) for u in urls):
             return

@@ -6,14 +6,17 @@ are dropped (at-most-once, SURVEY.md §2.10) — a crash loses queued URLs.
 Here every round commits a full, consistent snapshot:
 
     ckpt/round=000042/
-        frontier_shard_0000.parquet ...   (every queued occurrence, seq order)
+        frontier_shard_0000.parquet ...   (every queued entry, seq order)
         seen_shard_0000.parquet ...       (url + url_hash per shard)
         manifest.json                     <- written LAST = the commit point
 
 manifest.json carries counters (next_seq, tick, fetch_seq), per-round
 metrics (attempts, successes, new links, per-host fetch counts), config
-fingerprint, and lineage (first, last and count of the pages/images round
-dirs this state produced — O(1) bytes however long the crawl). Resume =
+fingerprint, lineage (first, last and count of the pages/images round
+dirs this state produced — O(1) bytes however long the crawl), and
+``frontier_unseen``: no queued entry is in the seen set (a manifest
+without it was written while the crawl deduped at dequeue, and its
+resume drops the seen entries from the queue). Resume =
 restore from the highest round whose manifest parses; pages/images rounds
 after that point are discarded (their ``_SUCCESS`` is removed) so the
 resumed run re-produces them byte-identically.

@@ -1,4 +1,4 @@
-"""Sharded URL frontier: per-host priority heaps held in actors.
+"""Sharded URL frontier: one lazy-deletion heap per shard, held in actors.
 
 Replaces the reference's NATS ``fetch_url`` queue (fetcher.go:90,
 extractor.go:57-59; broker-held FIFO, queue-group round-robin). Entries are
@@ -16,14 +16,15 @@ loop pushes only unseen URLs (pipelines/crawl.py). Queue order among
 unseen entries is the reference's, so dequeue order is unchanged; a
 duplicate of an UNSEEN url stays queued and resolves at tick assignment.
 
-Each host's entries live in their own heap, under a heap of host heads, so
-a peek reads only as far into a host's queue as it takes from it: the
-first k entries cost O(k log hosts) with or without a per-host cap.
+A shard is one lazy-deletion heap plus the url -> seqs index. A small
+uncapped peek (parity admission) costs O(k log k); a per-host capped peek
+(polite admission) sorts the shard's live entries (``FrontierShard.peek``).
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import islice
 
 import numpy as np
 import pyarrow as pa
@@ -78,63 +79,39 @@ class FrontierShard:
         self._reset()
 
     def _reset(self) -> None:
-        # host -> heap of its entries. A removed entry stays in its heap
-        # until it reaches the root (lazy deletion), but a root is always
-        # live, and a host with no live entry has no heap.
-        self.hosts: dict[str, list[Entry]] = {}
-        # (priority, seq, host) of each host's root; an entry whose host
-        # root has changed since is stale and skipped
-        self.heads: list[tuple[float, int, str]] = []
+        # lazy-deletion heap: a heap item is live iff by_seq maps its seq
+        # to that very tuple; removed ones stay until they reach the root
+        self.heap: list[Entry] = []
         self.by_seq: dict[int, Entry] = {}  # every live entry
         self.by_url: dict[str, list[int]] = {}  # url -> its live seqs
 
     def push_table(self, table: pa.Table) -> int:
-        by_seq, by_url, hosts = self.by_seq, self.by_url, self.hosts
+        by_seq, by_url, heap = self.by_seq, self.by_url, self.heap
         cols = [table.column(c).to_pylist() for c in
                 ("priority", "discovered_seq", "url", "host", "depth")]
         for e in zip(*cols):
-            s = e[1]
-            if s in by_seq:
-                continue
-            by_seq[s] = e
-            by_url.setdefault(e[2], []).append(s)
-            heap = hosts.get(e[3])
-            if heap is None:
-                hosts[e[3]] = [e]
-            else:
+            if e[1] not in by_seq:
+                by_seq[e[1]] = e
+                by_url.setdefault(e[2], []).append(e[1])
                 heapq.heappush(heap, e)
-                if heap[0] is not e:
-                    continue
-            heapq.heappush(self.heads, (e[0], s, e[3]))
         return len(by_seq)
 
-    def _is_live(self, e: Entry) -> bool:
-        return self.by_seq.get(e[1]) is e
-
     def _kill(self, seq: int) -> None:
-        e = self.by_seq.pop(seq)
-        seqs = self.by_url[e[2]]
+        url = self.by_seq.pop(seq)[2]
+        seqs = self.by_url[url]
         seqs.remove(seq)
         if not seqs:
-            del self.by_url[e[2]]
-        heap = self.hosts[e[3]]
-        if heap[0] is not e:
-            return  # the live root stays the root
-        while heap and not self._is_live(heap[0]):
-            heapq.heappop(heap)
-        if heap:
-            heapq.heappush(self.heads, (heap[0][0], heap[0][1], e[3]))
-        else:
-            del self.hosts[e[3]]
+            del self.by_url[url]
 
-    def _after_removes(self) -> int:
-        # each root change leaves a stale head behind: rebuild the heads
-        # once they outnumber the hosts twice over
-        if len(self.heads) > 2 * len(self.hosts) + 64:
-            self.heads = [(hp[0][0], hp[0][1], h)
-                          for h, hp in self.hosts.items()]
-            heapq.heapify(self.heads)
-        return len(self.by_seq)
+    def _compact(self) -> int:
+        heap, by_seq = self.heap, self.by_seq
+        if len(heap) > 2 * len(by_seq) + 64:
+            self.heap = list(by_seq.values())
+            heapq.heapify(self.heap)
+        else:
+            while heap and by_seq.get(heap[0][1]) is not heap[0]:
+                heapq.heappop(heap)
+        return len(by_seq)
 
     def remove_seqs(self, seqs: list[int]) -> int:
         """Remove the entries with these seqs; seqs not live here (already
@@ -144,54 +121,43 @@ class FrontierShard:
             s = int(s)
             if s in self.by_seq:
                 self._kill(s)
-        return self._after_removes()
+        return self._compact()
 
     def drop_urls(self, urls: list[str]) -> int:
         """Remove every queued occurrence of these urls (they were just
         fetched: the seen set holds them now)."""
         for u in urls:
-            for s in list(self.by_url.get(u, ())):
+            for s in self.by_url.get(u, ())[:]:
                 self._kill(s)
-        return self._after_removes()
+        return self._compact()
 
     def peek(self, k: int, per_host: int = 0) -> pa.Table:
         """The first k live entries by (priority, seq), without removing
         them, taking at most ``per_host`` from any host (0: no cap).
 
-        A k-way merge of the host heaps, started lazily from the heads
-        heap: a host's heap is read only once its root is the smallest
-        entry not yet taken, and only as far as the peek takes from it."""
+        A small uncapped peek walks the heap in ascending order and stops
+        at its k-th live entry. A capped peek passes every entry of a
+        host already at its cap (with fewer than k / per_host hosts, the
+        whole queue), and a large peek takes most of the queue: both scan
+        one sort of the live entries, which runs in C and beats the
+        Python heap walk there."""
+        by_seq = self.by_seq
+        if per_host or 8 * k >= len(by_seq):
+            ordered = iter(sorted(by_seq.values()))
+        else:
+            ordered = (e for e in _ascending(self.heap)
+                       if by_seq.get(e[1]) is e)
+        if not per_host:
+            return _table(list(islice(ordered, max(k, 0))))
         out: list[Entry] = []
-        if k <= 0 or not self.by_seq:
-            return _table(out)
-        if not per_host and k >= len(self.by_seq):
-            return self.snapshot()  # all of it: one sort, no merge
-        heads = _ascending(self.heads)
-        nxt = next(heads, None)
-        streams: list = []  # (entry, host, iterator over its heap)
         taken: dict[str, int] = {}
-        while len(out) < k:
-            if nxt is not None and (not streams
-                                    or nxt[:2] < streams[0][0][:2]):
-                p, s, h = nxt
-                nxt = next(heads, None)
-                heap = self.hosts.get(h)
-                if h not in taken and heap and heap[0][1] == s:
-                    taken[h] = 0
-                    it = _ascending(heap)
-                    heapq.heappush(streams, (next(it), h, it))
-                continue
-            if not streams:
-                break
-            e, h, it = heapq.heappop(streams)
-            if self._is_live(e):
+        for e in ordered if k > 0 else ():
+            n = taken.get(e[3], 0)
+            if n < per_host:
+                taken[e[3]] = n + 1
                 out.append(e)
-                taken[h] += 1
-                if per_host and taken[h] >= per_host:
-                    continue  # this host is done
-            e = next(it, None)
-            if e is not None:
-                heapq.heappush(streams, (e, h, it))
+                if len(out) >= k:
+                    break
         return _table(out)
 
     def size(self) -> int:

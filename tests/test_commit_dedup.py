@@ -104,6 +104,33 @@ def test_polite_rounds_admit_every_host_with_work_and_a_token(
         c.shutdown()
 
 
+def test_polite_disallowed_queue_head_costs_its_host_one_round(
+        ray_session, tmp_path):
+    """Robots-disallowed entries count against a host's ceil(burst)
+    entries in the window: a host whose first ceil(burst) queued entries
+    are all disallowed is admitted nothing that round, though it holds
+    tokens. The admission discards them, so the next one takes the host's
+    allowed entries. Pins that round of latency (robots rules live on the
+    driver, so the shard cannot drop them before its capped peek)."""
+    web = WebConfig(num_hosts=4, base_pages=6, hot_factor=3, n_seed_hosts=1,
+                    max_images=0, robots_frac=1.0)
+    host = "host-2.test"
+    assert "Disallow: /page-2\n" in SyntheticWeb(web).robots_txt(host)
+    denied = [f"http://{host}/page-2{s}" for s in ("", "0", "1", "2")]
+    allowed = [f"http://{host}/page-{i}" for i in (1, 3, 4, 5)]
+    c = Crawler(_cfg(str(tmp_path), web=web, mode="polite",
+                     politeness=POLITE, fetch_robots=True))
+    try:
+        c._push_frontier(denied + allowed, [0] * 8, [0.0] * 8)
+        first = c._admit_polite().column("url").to_pylist()
+        assert first == c.web.seeds()  # nothing from host-2
+        assert sorted(_queued(c).column("url").to_pylist()) == allowed
+        second = c._admit_polite().column("url").to_pylist()
+        assert second == allowed
+    finally:
+        c.shutdown()
+
+
 def test_parity_queue_holds_no_seen_url(ray_session, tmp_path, monkeypatch):
     """Parity: before every admission, no queued url is in the seen set,
     and the crawl still equals the oracle."""
@@ -130,16 +157,21 @@ def test_parity_queue_holds_no_seen_url(ray_session, tmp_path, monkeypatch):
 
 
 def _inject_seen_copies(ckpt_dir: str, nf: int, seen: list[str]) -> int:
-    """Rewrite the latest checkpoint's frontier the way a crawl that
-    dedups at dequeue leaves it: queued copies of seen urls. Each copy
-    takes a free seq below ``next_seq``, the newest first, so it sorts
-    among the live entries of its host's shard."""
+    """Rewrite the latest checkpoint the way a crawl that dedups at
+    dequeue leaves it: queued copies of seen urls, and a manifest without
+    ``frontier_unseen``. Each copy takes a free seq below ``next_seq``,
+    the newest first, so it sorts among the live entries of its host's
+    shard."""
     import json
 
     mgr = CheckpointManager(ckpt_dir)
     d = mgr._dir(mgr.latest_round())
     with open(os.path.join(d, "manifest.json")) as f:
-        next_seq = json.load(f)["counters"]["next_seq"]
+        manifest = json.load(f)
+    assert manifest.pop("frontier_unseen") is True
+    with open(os.path.join(d, "manifest.json"), "w") as f:
+        json.dump(manifest, f)
+    next_seq = manifest["counters"]["next_seq"]
     paths = [os.path.join(d, f"frontier_shard_{i:04d}.parquet")
              for i in range(nf)]
     tables = [pq.read_table(p) for p in paths]
@@ -188,6 +220,26 @@ def test_resume_from_checkpoint_with_seen_copies_is_identical(
     assert s2["frontier_left"] == 0
     for got, want, name in zip(resumed, full, ("pages", "attempts", "images")):
         assert got == want, f"{name} mismatch"
+
+
+def test_resume_probes_the_queue_only_without_frontier_unseen(
+        ray_session, tmp_path, monkeypatch):
+    """A checkpoint written under the invariant says so in its manifest
+    (``frontier_unseen``), and its resume sends no seen probe over the
+    restored queue; one without the key (written while dedup ran at
+    dequeue) gets the probe."""
+    probed = []
+    orig = Crawler._drop_seen_queued
+    monkeypatch.setattr(Crawler, "_drop_seen_queued",
+                        lambda self, fr: probed.append(1) or orig(self, fr))
+    base = str(tmp_path)
+    c, _ = run_crawl(_cfg(base, max_rounds=2))
+    c.shutdown()
+    Crawler(_cfg(base, max_rounds=2), resume=True).shutdown()
+    assert probed == []
+    _inject_seen_copies(f"{base}/ckpt", 4, [])
+    Crawler(_cfg(base, max_rounds=2), resume=True).shutdown()
+    assert probed == [1]
 
 
 def test_add_sites_of_a_fetched_url_enqueues_nothing(ray_session, tmp_path):

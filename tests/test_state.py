@@ -422,8 +422,7 @@ def _capped_scan(entries, k, per_host):
 
 
 def test_frontier_capped_peek_matches_sorted_scan():
-    """FrontierShard's per-host heaps under a heap of host heads: after
-    any sequence of push_table, remove_seqs (foreign and repeated seqs
+    """FrontierShard: after any sequence of push_table, remove_seqs (foreign and repeated seqs
     too) and drop_urls, peek(k, per_host) equals a brute-force sorted
     scan of the live entries, for any k and cap, and snapshot/restore
     keeps every live entry."""
@@ -483,6 +482,43 @@ def test_frontier_capped_peek_matches_sorted_scan():
             == [e[1] for e in sorted(model.values())]
 
     run()
+
+
+def test_frontier_long_queue_peek_paths_match_sorted_scan():
+    """On a queue far longer than the peek: a small uncapped peek walks
+    the heap (8k < size), capped and large peeks scan a sort, and
+    removing most entries from below the root rebuilds the heap, which
+    keeps the dead items it holds bounded. Every peek equals the
+    brute-force scan."""
+    import random
+
+    rng = random.Random(7)
+    f = FrontierShard(0)
+    seqs = rng.sample(range(100_000), 3_000)
+    es = [(rng.choice([-1.0, 0.0, 0.0, 2.5]), s,
+           f"http://h{s % 23}.test/p{s % 997}", f"h{s % 23}.test", 1)
+          for s in seqs]
+    f.push_table(entries_table([e[2] for e in es], [e[3] for e in es],
+                               [e[4] for e in es], [e[0] for e in es],
+                               [e[1] for e in es]))
+    model = {e[1]: e for e in es}
+    for _ in range(5):
+        live = sorted(model)
+        gone = rng.sample(live[len(live) // 4:], len(live) // 3)
+        f.remove_seqs(gone)
+        urls = [model[q][2] for q in rng.sample(live, 20) if q in model]
+        f.drop_urls(urls)
+        for q in gone:
+            model.pop(q, None)
+        for q in [q for q, e in model.items() if e[2] in urls]:
+            del model[q]
+        assert f.size() == len(model)
+        assert len(f.heap) <= 2 * len(model) + 64
+        for k, cap in [(1, 0), (7, 0), (40, 0), (len(model) // 2, 0),
+                       (5, 1), (40, 2), (300, 4), (len(model), 3)]:
+            got = f.peek(k, cap).column("discovered_seq").to_pylist()
+            assert got == [e[1] for e in
+                           _capped_scan(model.values(), k, cap)], (k, cap)
 
 
 def test_next_window_capped_equals_capped_peek_after_push():
