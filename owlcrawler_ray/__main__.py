@@ -85,8 +85,7 @@ def main(argv: list[str] | None = None) -> int:
         fetch_robots=args.robots,
         keep_logs=False,
         politeness=PolitenessConfig(
-            mode=args.mode, rate_per_s=args.rate, burst=args.burst,
-            agent=args.agent,
+            rate_per_s=args.rate, burst=args.burst, agent=args.agent,
         ),
         seen_spill=args.seen_spill,
     )

@@ -74,12 +74,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -119,7 +118,8 @@ class CrawlConfig:
     max_ticks: int | None = None
     out_dir: str = "/tmp/owlcrawl/out"
     ckpt_dir: str = "/tmp/owlcrawl/ckpt"
-    # retired (True only): kept so fingerprint() and SeenShard callers hold
+    # retired: accept only True (the seen set is always exact) and are
+    # not part of fingerprint()
     exact_seen: bool = True
     use_cuckoo: bool = True
     # 10^10-scale path: spill each shard's exact set to sorted parquet runs
@@ -147,8 +147,8 @@ class CrawlConfig:
     # deterministic corpus fetcher. Built INSIDE each task/actor (a live
     # fetcher holds sockets/threads and must never be pickled). With a
     # real fetcher the factory DOES define page content (it is the
-    # source), so its identity enters fingerprint() below; None keeps
-    # the legacy fingerprint so existing checkpoints stay resumable.
+    # source), so its identity enters fingerprint() below; None adds no
+    # fetcher entry.
     fetcher_factory: object | None = None
 
     def __post_init__(self):
@@ -169,8 +169,6 @@ class CrawlConfig:
             "tick_seconds": self.tick_seconds,
             "num_seen_shards": self.num_seen_shards,
             "num_frontier_shards": self.num_frontier_shards,
-            "exact_seen": self.exact_seen,
-            "use_cuckoo": self.use_cuckoo,
             "politeness": asdict(self.politeness),
             "out_dir": self.out_dir,
             "write_images": self.write_images,
@@ -501,6 +499,11 @@ class Crawler:
         self.fetch_log: list[dict] = []
         self.metrics: dict = {"rounds": []}
         self._add_sites_lock = threading.Lock()
+        # add_sites' view of the sites table, read on its first call and
+        # kept up to date as it writes: the stored doc ids, and the next
+        # (submitted_seq, sites round id)
+        self._site_ids: set[str] | None = None
+        self._site_next = (0, 0)
         # state-actor work the loop defers to the next commit call: the
         # ack of the last committed checkpoint and, per frontier shard,
         # the seqs an admission consumed
@@ -516,7 +519,11 @@ class Crawler:
         self._admit_path = "peek"
         restored = False
         if resume:
-            restored = self._restore()
+            try:
+                restored = self._restore()
+            except BaseException:
+                self.shutdown()  # a refused checkpoint leaves no actors
+                raise
         if not restored:
             # an earlier crawl's spill runs were already cleared
             # driver-side above (before the shard actors could load
@@ -615,29 +622,25 @@ class Crawler:
             enqueue — the same at-most-once publish the reference has.
 
         Returns the number of sites actually injected."""
-        existing: set[str] = set()
-        t = self.sites_table()
-        if t.num_rows:
-            existing = set(t.column("doc_id").to_pylist())
-        fresh, seen_call = [], set()
+        if self._site_ids is None:
+            t = self.sites_table()
+            self._site_ids = (set(t.column("doc_id").to_pylist())
+                              if t.num_rows else set())
+            rounds = table_store.list_rounds(self.cfg.out_dir, "sites")
+            self._site_next = (t.num_rows, rounds[-1] + 1 if rounds else 0)
+        fresh = {}  # doc id -> url, first submission order
         for u in urls:
             d = ids.seed_doc_id(u)
-            if d in existing or d in seen_call:
-                continue
-            seen_call.add(d)
-            fresh.append(u)
+            if d not in self._site_ids:
+                fresh.setdefault(d, u)
         if not fresh:
             return 0
-        base = t.num_rows
-        rounds = table_store.list_rounds(self.cfg.out_dir, "sites")
-        rid = (max(rounds) + 1) if rounds else 0
+        base, rid = self._site_next
         table_store.write_round(
             pa.table(
                 {
-                    "doc_id": pa.array(
-                        [ids.seed_doc_id(u) for u in fresh], pa.string()
-                    ),
-                    "site": pa.array(fresh, pa.string()),
+                    "doc_id": pa.array(list(fresh), pa.string()),
+                    "site": pa.array(list(fresh.values()), pa.string()),
                     "submitted_seq": pa.array(
                         np.arange(base, base + len(fresh), dtype=np.int64)
                     ),
@@ -645,8 +648,11 @@ class Crawler:
             ),
             self.cfg.out_dir, "sites", rid,
         )
-        self._push_frontier(fresh, [0] * len(fresh), [0.0] * len(fresh))
-        return len(fresh)
+        self._site_ids.update(fresh)
+        self._site_next = (base + len(fresh), rid + 1)
+        urls = list(fresh.values())
+        self._push_frontier(urls, [0] * len(urls), [0.0] * len(urls))
+        return len(urls)
 
     def _host_shard(self, hosts: list[str]) -> np.ndarray:
         return ids.shard_of(hosts, self.cfg.num_frontier_shards)
@@ -1192,7 +1198,6 @@ class Crawler:
         what lets the shards drop their pending buffers (ckpt_ack, sent
         with the next call). Per-round cost is O(progress), not O(|seen|),
         and the seen bytes never transit the driver."""
-        prev_chain = self._seen_chain or {}
         self.ckpt.write_frontier(
             tmp, [fr for fr, _ in outs[:self.cfg.num_frontier_shards]])
         recs = [rec for _, rec in outs[:self.cfg.num_seen_shards]]
@@ -1214,7 +1219,7 @@ class Crawler:
         chain: dict[str, list[str]] = {}
         inherit: dict[str, list[str]] = {}
         for i, rec in enumerate(recs):
-            base = [] if rec["full"] else list(prev_chain.get(str(i), []))
+            base = [] if rec["full"] else list(self._seen_chain.get(str(i), []))
             if base:
                 inherit[str(i)] = base
             if rec["file"]:
@@ -1236,10 +1241,8 @@ class Crawler:
                 "images_rounds": dict(self._lineage["images"]),
             },
             "politeness": self.gate.state(),
-            # no queued entry is seen: a resume need not probe the queue
-            "frontier_unseen": True,
+            "seen_chain": chain,
         }
-        manifest["seen_chain"] = chain
         self.ckpt.commit(self.round_id, manifest)
         # the seen shards drop their pending buffers with the next call
         # they get (commit's first step); until then a crash only re-sends
@@ -1264,46 +1267,20 @@ class Crawler:
         if latest is None:
             return False
         fr, sn, manifest = self.ckpt.load(latest)
-        if manifest.get("config_fingerprint") != self.cfg.fingerprint():
-            # pre-round-4 polite-mode CLI left the politeness block at its
-            # defaults when fingerprinting (the gate itself ran polite), so
-            # those checkpoints mismatch any non-default --rate/--burst.
-            # Accept that one legacy identity — everything else in the
-            # config dict still had to match — with a loud note.
-            legacy = replace(self.cfg, politeness=PolitenessConfig())
-            if (self.cfg.politeness.mode == "polite"
-                    and manifest.get("config_fingerprint")
-                    == legacy.fingerprint()):
-                logging.getLogger("owlcrawler_ray.crawl").warning(
-                    "resuming a legacy polite-mode checkpoint (its "
-                    "fingerprint predates politeness rate/burst fields)"
-                )
-            else:
-                raise ValueError(
-                    "checkpoint was produced by a different crawl config; "
-                    "refusing to resume (delete the checkpoint dir to start "
-                    "fresh)"
-                )
+        if manifest["config_fingerprint"] != self.cfg.fingerprint():
+            raise ValueError(
+                "checkpoint was produced by a different crawl config; "
+                "refusing to resume (delete the checkpoint dir to start "
+                "fresh)"
+            )
+        # the checkpoint format holds no seen url in the queue, so the
+        # restored frontier keeps the loop's invariant as it stands
         ray.get([
             a.restore.remote(fr[i] if i < len(fr) else None,
                              sn[i] if i < len(sn) else None)
             for i, a in enumerate(self.state)
         ])
-        if not manifest.get("frontier_unseen"):
-            self._drop_seen_queued(fr)
-        chain = manifest.get("seen_chain")
-        if chain is None:
-            # legacy full-snapshot round: its seen_shard files become the
-            # chain base, so the NEXT checkpoint inherits them by hardlink
-            # and writes only deltas from here on
-            d = self.ckpt._dir(latest)
-            chain = {}
-            for i in range(self.cfg.num_seen_shards):
-                name = f"seen_shard_{i:04d}.parquet"
-                chain[str(i)] = (
-                    [name] if os.path.exists(os.path.join(d, name)) else []
-                )
-        self._seen_chain = chain
+        self._seen_chain = manifest["seen_chain"]
         self._last_ckpt_round = latest
         c = manifest["counters"]
         self.next_seq = c["next_seq"]
@@ -1311,7 +1288,7 @@ class Crawler:
         self.fetch_seq = c["fetch_seq"]
         self.round_id = c["round_id"] + 1
         self.gate.restore(
-            {h: tuple(v) for h, v in manifest.get("politeness", {}).items()}
+            {h: tuple(v) for h, v in manifest["politeness"].items()}
         )
         # discard output rounds NEWER than the restored checkpoint: a kill
         # inside the checkpoint_every window leaves committed round dirs the
@@ -1327,24 +1304,6 @@ class Crawler:
             if pruned:
                 self.metrics.setdefault("pruned_on_resume", {})[name] = pruned
         return True
-
-    def _drop_seen_queued(self, fr: list[pa.Table]) -> None:
-        """Drop the queued entries of a restored frontier whose url is
-        seen. Checkpoints written while dedup ran at dequeue hold such
-        entries (their manifests lack ``frontier_unseen``); after this,
-        no queued entry is seen."""
-        urls = [t.column("url").combine_chunks() for t in fr]
-        if not sum(len(u) for u in urls):
-            return
-        seen = self._seen_mask_np(pa.concat_arrays(urls))
-        futs, at = [], 0
-        for i, u in enumerate(urls):
-            mine = u.filter(pa.array(seen[at:at + len(u)]))
-            at += len(u)
-            if len(mine):
-                futs.append(
-                    self.state[i].frontier_drop.remote(mine.to_pylist()))
-        ray.get(futs)
 
     # ------------------------------------------------------------------
     def run(self) -> dict:

@@ -3,23 +3,28 @@
 The reference's "checkpoint" is implicit and lossy: CouchDB survives
 restarts so fetched pages aren't refetched, but in-flight NATS messages
 are dropped (at-most-once, SURVEY.md §2.10) — a crash loses queued URLs.
-Here every round commits a full, consistent snapshot:
+Here every round commits a consistent snapshot:
 
     ckpt/round=000042/
         frontier_shard_0000.parquet ...   (every queued entry, seq order)
-        seen_shard_0000.parquet ...       (url + url_hash per shard)
+        seen_full_0000_r000010_000.parquet   (seen shard 0's chain: an
+        seen_delta_0000_r000041_000.parquet   optional full snapshot, then
+        seen_delta_0000_r000042_000.parquet   one delta per checkpoint)
         manifest.json                     <- written LAST = the commit point
 
-manifest.json carries counters (next_seq, tick, fetch_seq), per-round
-metrics (attempts, successes, new links, per-host fetch counts), config
-fingerprint, lineage (first, last and count of the pages/images round
-dirs this state produced — O(1) bytes however long the crawl), and
-``frontier_unseen``: no queued entry is in the seen set (a manifest
-without it was written while the crawl deduped at dequeue, and its
-resume drops the seen entries from the queue). Resume =
-restore from the highest round whose manifest parses; pages/images rounds
-after that point are discarded (their ``_SUCCESS`` is removed) so the
-resumed run re-produces them byte-identically.
+manifest.json carries ``format`` (= ``FORMAT``), counters (next_seq, tick,
+fetch_seq), per-round metrics (attempts, successes, new links, per-host
+fetch counts), config fingerprint, the politeness buckets, ``seen_chain``
+(per seen shard, the files whose union is its seen set; chain files of
+earlier rounds are hardlinked forward, so every round dir is
+self-contained) and lineage (first, last and count of the pages/images
+round dirs this state produced — O(1) bytes however long the crawl). In
+this format no queued frontier entry is in the seen set. ``load`` refuses
+a manifest with any other ``format``, or none, and leaves it on disk: a
+layout change raises ``FORMAT`` instead of teaching ``load`` the old one.
+Resume = restore from the highest round whose manifest parses;
+pages/images rounds after that point are discarded (their ``_SUCCESS``
+is removed) so the resumed run re-produces them byte-identically.
 
 The seen shards keep the urls of their last delta write pending until
 the crawl acknowledges the manifest's commit. That ack reaches the state
@@ -52,6 +57,9 @@ import shutil
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+# the layout the module docstring describes; load() reads no other
+FORMAT = 1
+
 
 class CheckpointManager:
     def __init__(self, root: str):
@@ -75,24 +83,11 @@ class CheckpointManager:
     def _dir(self, round_id: int) -> str:
         return os.path.join(self.root, f"round={round_id:06d}")
 
-    def save(self, round_id: int, frontier_shards: list[pa.Table],
-             seen_shards: list[pa.Table], manifest: dict) -> str:
-        """Full-snapshot save (legacy/simple path): every shard's complete
-        state as driver-written parquet. The crawl loop uses the
-        incremental begin/inherit_chain/commit protocol instead — this
-        stays for tests and for callers without actor-side writers."""
-        tmp = self.begin(round_id)
-        self.write_frontier(tmp, frontier_shards)
-        for i, t in enumerate(seen_shards):
-            pq.write_table(t, os.path.join(tmp, f"seen_shard_{i:04d}.parquet"))
-        return self.commit(round_id, manifest)
-
     @staticmethod
     def write_frontier(tmp: str, frontier_shards: list[pa.Table]) -> None:
         """Stage the frontier shards into a begin()-opened tmp dir with the
         canonical names load() scans for — the ONE place the frontier file
-        naming lives (save() and the crawl loop's incremental
-        _commit_checkpoint both route through here)."""
+        naming lives."""
         for i, t in enumerate(frontier_shards):
             pq.write_table(
                 t, os.path.join(tmp, f"frontier_shard_{i:04d}.parquet")
@@ -107,7 +102,7 @@ class CheckpointManager:
         it may be the inherit_chain link source (a re-entered crawl —
         add_sites after the frontier drained — re-checkpoints the same
         round id), and keeping it shrinks the crash window to commit()'s
-        swap, the same window the old full-snapshot save had."""
+        swap."""
         d = self._dir(round_id)
         tmp = d + ".tmp"
         shutil.rmtree(tmp, ignore_errors=True)
@@ -162,7 +157,8 @@ class CheckpointManager:
         os.rename(tmp, d)
         mpath = os.path.join(d, "manifest.json")
         with open(mpath + ".tmp", "w") as f:
-            json.dump({"round": round_id, **manifest}, f, indent=1, sort_keys=True)
+            json.dump({"round": round_id, **manifest, "format": FORMAT}, f,
+                      indent=1, sort_keys=True)
         os.rename(mpath + ".tmp", mpath)
         i = bisect.bisect_left(self._committed, round_id)
         if i == len(self._committed) or self._committed[i] != round_id:
@@ -215,38 +211,32 @@ class CheckpointManager:
         self._committed = []
 
     def load(self, round_id: int) -> tuple[list[pa.Table], list[pa.Table], dict]:
+        """(frontier shards, seen shards, manifest) of a committed round;
+        each seen shard is the union of its chain files. Raises
+        ValueError for a manifest of another format (or none)."""
         d = self._dir(round_id)
         with open(os.path.join(d, "manifest.json")) as f:
             manifest = json.load(f)
-        frontier, seen = [], []
+        got = manifest.get("format", "none")
+        if got != FORMAT:
+            raise ValueError(
+                f"checkpoint {d!r} has format {got}, this build reads "
+                f"format {FORMAT}; delete the checkpoint dir to start fresh"
+            )
+        frontier = []
         i = 0
         while os.path.exists(os.path.join(d, f"frontier_shard_{i:04d}.parquet")):
             frontier.append(
                 pq.read_table(os.path.join(d, f"frontier_shard_{i:04d}.parquet"))
             )
             i += 1
-        chain = manifest.get("seen_chain")
-        if chain is not None:
-            # incremental layout: each shard's seen set is the UNION of
-            # its chain files (deltas after the last full snapshot); an
-            # empty chain is a shard that never saw a url
-            for key in sorted(chain, key=int):
-                parts = [
-                    pq.read_table(os.path.join(d, name))
-                    for name in chain[key]
-                ]
-                if parts:
-                    seen.append(pa.concat_tables(parts))
-                else:
-                    seen.append(pa.table(
-                        {"url": pa.array([], pa.string()),
-                         "url_hash": pa.array([], pa.uint64())}
-                    ))
-            return frontier, seen, manifest
-        i = 0
-        while os.path.exists(os.path.join(d, f"seen_shard_{i:04d}.parquet")):
-            seen.append(
-                pq.read_table(os.path.join(d, f"seen_shard_{i:04d}.parquet"))
-            )
-            i += 1
+        # an empty chain is a shard that never saw a url
+        seen = [
+            pa.concat_tables([pq.read_table(os.path.join(d, n)) for n in names])
+            if names else
+            pa.table({"url": pa.array([], pa.string()),
+                      "url_hash": pa.array([], pa.uint64())})
+            for _, names in sorted(manifest["seen_chain"].items(),
+                                   key=lambda kv: int(kv[0]))
+        ]
         return frontier, seen, manifest

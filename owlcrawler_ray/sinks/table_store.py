@@ -167,33 +167,32 @@ def _mark_success(final: str) -> None:
     """The _SUCCESS marker persists the FORMAT NAME of the writer that
     produced the round, so a store written as parquet and later opened in
     a lance-enabled environment (or vice versa) reads back with the
-    matching reader instead of silently matching zero part files."""
-    with open(os.path.join(final, "_SUCCESS"), "w") as f:
+    matching reader instead of silently matching zero part files. It is
+    renamed into place, so a reader never sees it empty."""
+    path = os.path.join(final, "_SUCCESS")
+    with open(path + ".tmp", "w") as f:
         f.write(WRITER.name)
+    os.rename(path + ".tmp", path)
 
 
 def round_writer(root: str, name: str, round_id: int):
     """Reader for a committed round, selected from the format name in its
-    _SUCCESS marker. Legacy markers (pre-format, content 'ok') fall back
-    to sniffing the part extensions; unknown content falls back to the
-    import-time WRITER."""
-    d = _round_dir(root, name, round_id)
+    _SUCCESS marker; a marker that names no writer raises. A round with
+    no marker yet (a reader between two tables' commits) gets the
+    import-time WRITER, and round_part_paths then finds no parts."""
     try:
-        with open(os.path.join(d, "_SUCCESS")) as f:
+        with open(os.path.join(_round_dir(root, name, round_id),
+                               "_SUCCESS")) as f:
             tag = f.read().strip()
     except OSError:
-        tag = ""
-    if tag in WRITERS:
-        return WRITERS[tag]
-    try:
-        names = os.listdir(d)
-    except OSError:
-        names = []
-    for fname in names:
-        for w in WRITERS.values():
-            if fname.startswith("part-") and fname.endswith(w.ext):
-                return w
-    return WRITER
+        return WRITER
+    if tag not in WRITERS:
+        raise ValueError(
+            f"round {round_id} of table {name!r} under {root!r} has a "
+            f"_SUCCESS marker naming no writer ({tag!r}; known: "
+            f"{sorted(WRITERS)})"
+        )
+    return WRITERS[tag]
 
 
 def write_round(ds, root: str, name: str, round_id: int) -> str:

@@ -5,12 +5,12 @@ every fetch, per fetcher process — explicitly not per-host and acknowledged
 as non-scaling ("TODO implement a distributed tick, so you can have 100
 fetchers", fetcher.go:97-99). Two modes here:
 
-* PARITY mode — reproduce the reference budget exactly: a global budget of
-  ``num_virtual_fetchers`` fetch *attempts* per 5-virtual-second tick; the
-  crawl loop charges one tick per attempt and stamps
-  ``virtual_time_s = 5 * tick_index`` (nothing sleeps — the clock is
-  bookkeeping, so throughput is compute-bound while ordering matches the
-  reference's serial timeline).
+* PARITY mode — reproduce the reference budget exactly: one fetch
+  *attempt* per tick of ``CrawlConfig.tick_seconds`` (5) virtual seconds,
+  a single global clock; the crawl loop charges one tick per attempt and
+  stamps ``virtual_time_s = tick_seconds * tick_index`` (nothing sleeps —
+  the clock is bookkeeping, so throughput is compute-bound while ordering
+  matches the reference's serial timeline). The gate takes no part.
 
 * POLITE (scale) mode — the north-rule upgrade: one token bucket per host
   (capacity ``burst``, refill ``rate_per_s`` on the virtual clock), plus a
@@ -39,13 +39,7 @@ from urllib.parse import urlsplit
 
 @dataclass
 class PolitenessConfig:
-    mode: str = "parity"  # "parity" | "polite"
-    num_virtual_fetchers: int = 1
-    # LEGACY — nothing reads this: the virtual clock is owned by
-    # CrawlConfig.tick_seconds (the gate only sees the now_s the caller
-    # passes). Kept because asdict() feeds checkpoint fingerprints, so
-    # deleting the field would refuse resume of every existing store.
-    tick_seconds: int = 5
+    mode: str = "parity"  # read by nothing: CrawlConfig.mode decides
     rate_per_s: float = 1.0  # polite mode: tokens/virtual-second/host
     burst: float = 4.0
     disallow: dict[str, list[str]] = field(default_factory=dict)

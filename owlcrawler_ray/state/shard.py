@@ -23,10 +23,12 @@ a polite re-peek) and for callers outside the loop.
 
 The actors keep one invariant between the two roles: no queued frontier
 entry is in the seen set. ``commit`` drops the queued occurrences of the
-urls it inserts into the seen set, before its peek; the loop, seeds,
-``add_sites`` and a restore push only urls the seen set does not hold
-(pipelines/crawl.py). A url's host fixes its frontier shard, so every
-queued occurrence of a url sits on one shard and the drop is local to it.
+urls it inserts into the seen set, before its peek; the loop, seeds and
+``add_sites`` push only urls the seen set does not hold
+(pipelines/crawl.py); and a checkpoint holds the invariant, so a restore
+keeps it (sinks/checkpoint.py). A url's host fixes its frontier shard, so
+every queued occurrence of a url sits on one shard and the drop is local
+to it.
 """
 
 from __future__ import annotations
@@ -66,9 +68,6 @@ class StateShard:
 
     def frontier_remove(self, seqs: list[int]) -> int:
         return self.frontier.remove_seqs(seqs)
-
-    def frontier_drop(self, urls: list[str]) -> int:
-        return self.frontier.drop_urls(urls)
 
     # -- both roles ------------------------------------------------------
     def sizes(self) -> tuple[int, int]:

@@ -2,6 +2,8 @@
 kill) and resumed from its checkpoint must produce row-identical pages,
 attempts and images to an uninterrupted run."""
 
+import json
+import os
 import shutil
 
 import pytest
@@ -90,7 +92,26 @@ def test_resume_with_unequal_shard_counts_is_identical(ray_session, tmp_path,
         assert got == want, f"{name} mismatch"
 
 
+def _files(base):
+    """(size, mtime) of every file under ``base``."""
+    out = {}
+    for d, _, names in os.walk(base):
+        for n in names:
+            st = os.stat(os.path.join(d, n))
+            out[os.path.join(d, n)] = (st.st_size, st.st_mtime_ns)
+    return out
+
+
 def test_resume_refuses_changed_web(ray_session, tmp_path):
+    """A resume refuses a checkpoint of another crawl config or of another
+    checkpoint format, and leaves its files in place: a different web; a
+    manifest with no ``format`` (as every manifest written before the
+    format was versioned) or a newer one; and a polite checkpoint whose
+    politeness block kept its defaults, resumed with rate/burst set (an
+    identity once accepted as a legacy fingerprint)."""
+    from owlcrawler_ray.sinks.checkpoint import FORMAT, CheckpointManager
+    from owlcrawler_ray.state.politeness import PolitenessConfig
+
     base = str(tmp_path / "cfgchange")
     shutil.rmtree(base, ignore_errors=True)
     c1, _ = run_crawl(_cfg(base, max_ticks=12))
@@ -102,6 +123,34 @@ def test_resume_refuses_changed_web(ray_session, tmp_path):
     )
     with pytest.raises(ValueError, match="different crawl config"):
         Crawler(other, resume=True)
+
+    mgr = CheckpointManager(f"{base}/ckpt")
+    mpath = os.path.join(mgr._dir(mgr.latest_round()), "manifest.json")
+    with open(mpath) as f:
+        manifest = json.load(f)
+    assert manifest["format"] == FORMAT
+    for fmt in (None, FORMAT + 1):
+        m = {k: v for k, v in manifest.items() if k != "format"}
+        if fmt is not None:
+            m["format"] = fmt
+        with open(mpath, "w") as f:
+            json.dump(m, f)
+        before = _files(base)
+        with pytest.raises(ValueError, match=(
+                f"has format {fmt or 'none'}, this build reads format "
+                f"{FORMAT}; delete the checkpoint dir")):
+            Crawler(_cfg(base), resume=True)
+        assert _files(base) == before
+
+    pbase = str(tmp_path / "polite")
+    c2, _ = run_crawl(_cfg(pbase, mode="polite", max_ticks=12))
+    c2.shutdown()
+    rate_burst = _cfg(
+        pbase, mode="polite",
+        politeness=PolitenessConfig(mode="polite", rate_per_s=1.0, burst=4.0),
+    )
+    with pytest.raises(ValueError, match="different crawl config"):
+        Crawler(rate_burst, resume=True)
 
 
 def test_restart_without_resume_flag_starts_fresh(ray_session, tmp_path):
@@ -218,42 +267,10 @@ def test_resume_prunes_stale_rounds_after_checkpoint(ray_session, tmp_path):
             assert g == w, f"{name} row mismatch: {g} != {w}"
 
 
-def test_resume_accepts_legacy_polite_fingerprint(ray_session, tmp_path):
-    """Checkpoints written by the pre-round-4 polite CLI carried a
-    fingerprint with the politeness block left at defaults (the gate ran
-    polite regardless). Resuming one with the fixed CLI (politeness =
-    polite + rate/burst) must be accepted with a warning, not refused —
-    while a genuinely different config still refuses."""
-    from owlcrawler_ray.state.politeness import PolitenessConfig
-
-    base = str(tmp_path / "legacy")
-    shutil.rmtree(base, ignore_errors=True)
-    # legacy shape: CrawlConfig.mode polite, politeness block left default
-    legacy_cfg = _cfg(base, mode="polite", max_ticks=12)
-    c1, _ = run_crawl(legacy_cfg)
-    c1.shutdown()
-
-    new_cfg = _cfg(
-        base, mode="polite",
-        politeness=PolitenessConfig(mode="polite", rate_per_s=1.0, burst=4.0),
-    )
-    assert new_cfg.fingerprint() != legacy_cfg.fingerprint()
-    c2 = Crawler(new_cfg, resume=True)  # must not raise
-    assert c2.round_id > 0  # actually restored, not fresh
-    c2.shutdown()
-
-    # parity-mode configs get NO legacy leniency
-    parity_resume = _cfg(
-        base, politeness=PolitenessConfig(rate_per_s=9.0)
-    )
-    with pytest.raises(ValueError, match="different crawl config"):
-        Crawler(parity_resume, resume=True)
-
-
 def test_fingerprint_tokenizes_fetcher_factory():
     """A non-default fetcher is the page SOURCE: resuming with a
-    different transport must trip the fingerprint guard (default None
-    keeps the legacy fingerprint so old checkpoints stay resumable)."""
+    different transport must trip the fingerprint guard (the default,
+    None, adds no fetcher entry)."""
     from dataclasses import replace
     from functools import partial
 

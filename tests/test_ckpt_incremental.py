@@ -4,8 +4,7 @@ Per-round checkpoint cost must be O(progress), not O(|seen|): each
 SeenShard writes only the urls gained since its last ACKED write, prior
 chain files are hardlinked forward (round dirs stay self-contained), a
 driver-forced compaction rewrites the chain as one full snapshot, and
-resume through the chain — including from a LEGACY full-snapshot layout —
-reproduces the uninterrupted run row-for-row."""
+resume through the chain reproduces the uninterrupted run row-for-row."""
 
 import json
 import os
@@ -165,83 +164,6 @@ def test_crawl_checkpoints_are_deltas_and_hardlinked(ray_session, tmp_path):
     }
     assert sum(rows_by_round.values()) == len(urls)
     assert max(rows_by_round.values()) < len(urls)
-
-
-def test_resume_from_legacy_full_snapshot_layout(ray_session, tmp_path):
-    """Upgrade path: a checkpoint written by the OLD layout (driver-side
-    seen_shard_NNNN.parquet full snapshots, no seen_chain) must restore,
-    and the resumed run must match the uninterrupted crawl exactly."""
-    full_base = str(tmp_path / "legfull")
-    base = str(tmp_path / "leg")
-    c_full, _ = run_crawl(_cfg(full_base))
-    want = _rows(c_full)
-    c_full.shutdown()
-
-    c1, _ = run_crawl(_cfg(base, max_ticks=12))
-    c1.shutdown()
-    ckpt_root = f"{base}/ckpt"
-    # convert EVERY committed round to the legacy layout in place
-    for d in os.listdir(ckpt_root):
-        rd_path = os.path.join(ckpt_root, d)
-        mpath = os.path.join(rd_path, "manifest.json")
-        if not d.startswith("round=") or not os.path.exists(mpath):
-            continue
-        with open(mpath) as f:
-            manifest = json.load(f)
-        chain = manifest.pop("seen_chain")
-        for key in sorted(chain, key=int):
-            parts = [
-                pq.read_table(os.path.join(rd_path, n)) for n in chain[key]
-            ]
-            merged = (
-                pa.concat_tables(parts) if parts
-                else pa.table({"url": pa.array([], pa.string()),
-                               "url_hash": pa.array([], pa.uint64())})
-            )
-            # legacy snapshots were exact sets; dedupe like snapshot() did
-            merged = merged.group_by(["url"]).aggregate(
-                [("url_hash", "min")]
-            ).rename_columns(["url", "url_hash"])
-            pq.write_table(
-                merged, os.path.join(rd_path, f"seen_shard_{int(key):04d}.parquet")
-            )
-        for files in chain.values():
-            for n in files:
-                os.remove(os.path.join(rd_path, n))
-        with open(mpath, "w") as f:
-            json.dump(manifest, f)
-
-    c2, s2 = run_crawl(_cfg(base), resume=True)
-    got = _rows(c2)
-    c2.shutdown()
-    assert s2["fetched"] == len(want[0])
-    for g, w, name in zip(got, want, ("pages", "attempts", "images")):
-        assert len(g) == len(w), name
-        for a, b in zip(g, w):
-            assert a == b, name
-
-
-def test_save_load_legacy_roundtrip(tmp_path):
-    """CheckpointManager.save() (the full-snapshot path kept for callers
-    without actor-side writers) round-trips through load(): frontier and
-    seen shards come back table-for-table under the legacy layout."""
-    from owlcrawler_ray.sinks.checkpoint import CheckpointManager
-
-    ck = CheckpointManager(str(tmp_path / "ck"))
-    fr = [pa.table({"url": ["http://a/1", "http://a/2"],
-                    "seq": pa.array([0, 1], pa.int64())}),
-          pa.table({"url": ["http://b/1"], "seq": pa.array([2], pa.int64())})]
-    sn = [pa.table({"url": ["http://a/1"],
-                    "url_hash": pa.array([7], pa.uint64())}),
-          pa.table({"url": pa.array([], pa.string()),
-                    "url_hash": pa.array([], pa.uint64())})]
-    ck.save(3, fr, sn, {"counters": {"tick": 9}})
-    assert ck.latest_round() == 3
-    fr2, sn2, manifest = ck.load(3)
-    assert [t.to_pydict() for t in fr2] == [t.to_pydict() for t in fr]
-    assert [t.to_pydict() for t in sn2] == [t.to_pydict() for t in sn]
-    assert manifest["counters"] == {"tick": 9}
-    assert "seen_chain" not in manifest  # legacy layout, no chain
 
 
 def test_inherit_chain_missing_source_fails_loudly(tmp_path):

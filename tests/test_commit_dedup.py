@@ -1,26 +1,21 @@
 """Dedup at commit: no queued frontier entry is ever in the seen set.
 
 The reference discards seen queue entries at dequeue; the crawl drops
-every queued copy of a url when its fetch commits, and pushes only unseen
-urls (links, seeds, add_sites, a restored frontier). These tests check
+every queued copy of a url when its fetch commits, pushes only unseen
+urls (links, seeds, add_sites), and restores a checkpointed queue, which
+holds no seen url, as it stands. These tests check
 the invariant itself, what polite admission gains from it (every host
 with queued work and a token is admitted each round), and the two entry
-points outside the loop: resume from a checkpoint whose frontier still
-holds seen urls, and add_sites of a url already fetched."""
-
-import os
+points outside the loop: resume from a checkpoint, whose format holds no
+seen url in the queue, and add_sites of a url already fetched."""
 
 import pyarrow as pa
-import pyarrow.parquet as pq
 import pytest
 import ray
 
-from owlcrawler_ray.functions import ids
 from owlcrawler_ray.pipelines.crawl import CrawlConfig, Crawler, run_crawl
 from owlcrawler_ray.pipelines.oracle import run_oracle
-from owlcrawler_ray.sinks.checkpoint import CheckpointManager
 from owlcrawler_ray.sources.corpus import SyntheticWeb, WebConfig
-from owlcrawler_ray.state.frontier import entries_table
 from owlcrawler_ray.state.politeness import PolitenessConfig
 
 SMALL_WEB = WebConfig(num_hosts=4, base_pages=6, hot_factor=3, n_seed_hosts=2)
@@ -156,47 +151,13 @@ def test_parity_queue_holds_no_seen_url(ray_session, tmp_path, monkeypatch):
         c.shutdown()
 
 
-def _inject_seen_copies(ckpt_dir: str, nf: int, seen: list[str]) -> int:
-    """Rewrite the latest checkpoint the way a crawl that dedups at
-    dequeue leaves it: queued copies of seen urls, and a manifest without
-    ``frontier_unseen``. Each copy takes a free seq below ``next_seq``,
-    the newest first, so it sorts among the live entries of its host's
-    shard."""
-    import json
-
-    mgr = CheckpointManager(ckpt_dir)
-    d = mgr._dir(mgr.latest_round())
-    with open(os.path.join(d, "manifest.json")) as f:
-        manifest = json.load(f)
-    assert manifest.pop("frontier_unseen") is True
-    with open(os.path.join(d, "manifest.json"), "w") as f:
-        json.dump(manifest, f)
-    next_seq = manifest["counters"]["next_seq"]
-    paths = [os.path.join(d, f"frontier_shard_{i:04d}.parquet")
-             for i in range(nf)]
-    tables = [pq.read_table(p) for p in paths]
-    live = {s for t in tables for s in t.column("discovered_seq").to_pylist()}
-    free = [s for s in range(next_seq - 1, -1, -1) if s not in live]
-    seen = seen[:len(free)]
-    hosts = ids.host_of_many(seen)
-    shard = ids.shard_of(hosts, nf)
-    for i, (p, t) in enumerate(zip(paths, tables)):
-        mine = [j for j in range(len(seen)) if shard[j] == i]
-        extra = entries_table([seen[j] for j in mine],
-                              [hosts[j] for j in mine], [1] * len(mine),
-                              [0.0] * len(mine), [free[j] for j in mine])
-        pq.write_table(pa.concat_tables([t, extra]), p)
-    return len(seen)
-
-
 @pytest.mark.parametrize("mode", ["parity", "polite"])
-def test_resume_from_checkpoint_with_seen_copies_is_identical(
-        ray_session, tmp_path, mode):
-    """A checkpoint written while dedup ran at dequeue holds queued
-    copies of seen urls. Resumed, the restore drops them once, and the
-    crawl is row-identical to an uninterrupted one: parity, and polite
-    with the spill seen set and fetched robots.txt, each stopped
-    mid-crawl. Left queued, the copies would be fetched a second time."""
+def test_restored_queue_holds_no_seen_url(ray_session, tmp_path, mode):
+    """A checkpoint holds no seen url in its queue, so a resume restores
+    the invariant without a probe of its own: resumed from mid-crawl
+    (parity, and polite with the spill seen set and fetched robots.txt),
+    no shard queues a url of the seen set, and the crawl then ends
+    row-identical to an uninterrupted one."""
     kw = dict(num_seen_shards=2, num_frontier_shards=2)
     if mode == "polite":
         kw.update(mode="polite", politeness=POLITE, budget_per_round=16,
@@ -209,37 +170,26 @@ def test_resume_from_checkpoint_with_seen_copies_is_identical(
     c_full.shutdown()
 
     c1, s1 = run_crawl(_cfg(part_base, max_rounds=3, **kw))
-    seen = [r["url"] for r in _rows(c1)[0]]
     c1.shutdown()
     assert 0 < s1["fetched"] < len(full[0])
-    assert _inject_seen_copies(f"{part_base}/ckpt", 2, seen) >= 5
-    c2, s2 = run_crawl(_cfg(part_base, **kw), resume=True)
-    resumed = _rows(c2)
-    c2.shutdown()
+    c2 = Crawler(_cfg(part_base, **kw), resume=True)
+    try:
+        c2._flush(ack=False)
+        queues = ray.get([a.frontier_peek.remote(1 << 30)
+                          for a in c2.state[:c2.cfg.num_frontier_shards]])
+        assert sum(q.num_rows for q in queues) >= 5
+        for q in queues:
+            if q.num_rows:
+                assert not c2._seen_mask_np(
+                    q.column("url").combine_chunks()).any()
+        s2 = c2.run()
+        resumed = _rows(c2)
+    finally:
+        c2.shutdown()
     assert s2["fetched"] == len(full[0])
     assert s2["frontier_left"] == 0
     for got, want, name in zip(resumed, full, ("pages", "attempts", "images")):
         assert got == want, f"{name} mismatch"
-
-
-def test_resume_probes_the_queue_only_without_frontier_unseen(
-        ray_session, tmp_path, monkeypatch):
-    """A checkpoint written under the invariant says so in its manifest
-    (``frontier_unseen``), and its resume sends no seen probe over the
-    restored queue; one without the key (written while dedup ran at
-    dequeue) gets the probe."""
-    probed = []
-    orig = Crawler._drop_seen_queued
-    monkeypatch.setattr(Crawler, "_drop_seen_queued",
-                        lambda self, fr: probed.append(1) or orig(self, fr))
-    base = str(tmp_path)
-    c, _ = run_crawl(_cfg(base, max_rounds=2))
-    c.shutdown()
-    Crawler(_cfg(base, max_rounds=2), resume=True).shutdown()
-    assert probed == []
-    _inject_seen_copies(f"{base}/ckpt", 4, [])
-    Crawler(_cfg(base, max_rounds=2), resume=True).shutdown()
-    assert probed == [1]
 
 
 def test_add_sites_of_a_fetched_url_enqueues_nothing(ray_session, tmp_path):

@@ -497,6 +497,45 @@ def test_add_sites_after_frontier_drained_parity(ray_session, tmp_path):
         c.shutdown()
 
 
+def test_add_sites_reads_the_sites_table_once(ray_session, tmp_path,
+                                             monkeypatch):
+    """add_sites reads the stored site docs on its first call only and
+    then keeps them up to date as it writes: ten single-url submissions
+    read the sites table at most once, a re-submission is still a no-op,
+    and submitted_seq stays contiguous across the submissions."""
+    from owlcrawler_ray.pipelines.crawl import Crawler
+    from owlcrawler_ray.sinks import table_store
+
+    base = str(tmp_path / "sites_once")
+    cfg = CrawlConfig(
+        web=WebConfig(num_hosts=6, base_pages=6, hot_factor=3,
+                      n_seed_hosts=2),
+        out_dir=f"{base}/out", ckpt_dir=f"{base}/ckpt",
+        fetch_concurrency=2, image_concurrency=1,
+    )
+    reads = []
+    orig = table_store.read_all_arrow
+
+    def counting(root, name, *a, **k):
+        reads.append(name)
+        return orig(root, name, *a, **k)
+
+    c = Crawler(cfg)
+    try:
+        monkeypatch.setattr(table_store, "read_all_arrow", counting)
+        urls = [c.web.page_url(h, p)
+                for h in (2, 3, 4, 5) for p in range(3)][:10]
+        assert [c.add_sites([u]) for u in urls] == [1] * 10
+        assert c.add_sites(urls[:1]) == 0
+        assert reads.count("sites") <= 1
+        sites = c.sites_table().sort_by("submitted_seq")
+        assert sites.column("site").to_pylist() == c.web.seeds() + urls
+        assert sites.column("submitted_seq").to_pylist() == list(
+            range(len(c.web.seeds()) + 10))
+    finally:
+        c.shutdown()
+
+
 def test_push_frontier_skips_seen_urls(ray_session, tmp_path):
     """No queued entry is in the seen set: already-seen urls pushed from
     outside the loop (``_push_frontier``: seeds, add_sites) never enter

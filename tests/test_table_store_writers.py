@@ -100,18 +100,21 @@ def test_format_marker_survives_environment_change(tmp_path, monkeypatch):
     assert ts.read_all_arrow_round(root, "pages", 0).num_rows == 3
 
 
-def test_format_marker_legacy_ok_sniffs_extension(tmp_path, monkeypatch):
-    """Rounds committed by pre-marker versions (_SUCCESS content 'ok')
-    fall back to extension sniffing of the part files."""
-    root = str(tmp_path / "legacy")
-    t = pa.table({"k": [1, 2]})
+def test_format_marker_unknown_tag_raises(tmp_path, monkeypatch):
+    """A _SUCCESS marker that names no writer (e.g. the pre-marker 'ok')
+    raises rather than guessing a reader; a round with no marker yet (a
+    reader between two tables' commits) gets the import-time WRITER."""
+    root = str(tmp_path / "unknown")
     monkeypatch.setattr(ts, "WRITER", ts.WRITERS["parquet"])
-    ts.write_round(t, root, "pages", 0)
+    ts.write_round(pa.table({"k": [1, 2]}), root, "pages", 0)
     with open(f"{root}/pages/round=000000/_SUCCESS", "w") as f:
         f.write("ok")
-    monkeypatch.setattr(ts, "WRITER", ts.WRITERS["lance"])
-    assert ts.round_writer(root, "pages", 0).name == "parquet"
-    assert ts.read_all_arrow(root, "pages").num_rows == 2
+    with pytest.raises(ValueError, match="naming no writer"):
+        ts.round_writer(root, "pages", 0)
+    with pytest.raises(ValueError, match="naming no writer"):
+        ts.read_all_arrow(root, "pages")
+    assert ts.round_writer(root, "stamps", 0) is ts.WRITER
+    assert ts.round_part_paths(root, "stamps", 0) == ("parquet", [])
 
 
 def test_parquet_read_one_block_per_part_no_schemaless_empties(
