@@ -66,8 +66,11 @@ never cross the object store or reach the driver; frontier/seen state
 lives in the sharded state actors and costs two actor calls per actor
 per steady-state round; driver-side bookkeeping per round is
 O(admitted + new links) url strings, independent of total crawl size.
-Measured: 0.901 throughput scaling efficiency from N=2 to 4N=8 cpus
-(BASELINE.md).
+Scaling: throughput efficiency from N=2 to 4N=8 cpus read 0.819-0.918
+in the round-5 runs on a 32-cpu host (SCALING_QUIET_r5_run*.json); it
+has not been re-measured since the state actors were fused, the task
+floor lowered and admission moved to the driver-side window (ROADMAP
+item 12).
 """
 
 from __future__ import annotations
@@ -1441,19 +1444,47 @@ class Crawler:
             ray.kill(a)
 
 
-def warmup_workers(n: int) -> None:
-    """Pre-start Ray worker processes and pay the package-import cost once,
-    before any timed work: Ray starts python workers lazily, and a first
-    wide pass otherwise eats ~0.5-1 s per NEW worker (import ray.data +
-    this package) in the middle of the crawl."""
-    def touch(batch):
-        from ..functions import codec as _c  # noqa: F401  (import cost)
-        from ..sources import corpus as _s  # noqa: F401
-        return batch
+def _warm(batch: pa.Table, hold_s: float) -> int:
+    time.sleep(hold_s)
+    return os.getpid()
 
-    rd.range(n * 4, override_num_blocks=n * 2).map_batches(
-        touch, batch_size=1
-    ).count()
+
+# the warm-up task has the heavy pass's shape: a module-level num_cpus=1
+# function of this module taking a pa.Table, so running it imports what
+# the first _fetch_extract_task would
+_warm_task = ray.remote(num_cpus=1)(_warm)
+_WARM_HOLD_S = 1.5
+_WARM_TRIES = 5
+
+
+def warmup_workers(n: int) -> None:
+    """Warm ``n`` task workers (at most the cluster's CPUs) before any
+    timed work, so the first crawl's heavy pass starts no worker process.
+
+    Each warm worker has imported this module (and with it the fused
+    task's stages) and deserialized a small ``pa.Table`` argument, which
+    pulls in pyarrow's pandas import and Ray's Arrow reducers. Plain
+    ``num_cpus=1`` tasks do the warming: each holds its worker for
+    ``_WARM_HOLD_S`` so the tasks of one try land on distinct workers,
+    and tries repeat until ``n`` distinct worker pids have run one,
+    raising after ``_WARM_TRIES``. Ray Data's actors are not warmed:
+    started here, its stats and autoscaling actors would take prestarted
+    workers and leave the first crawl a cold one, so they start at the
+    first Dataset use instead."""
+    n = min(n, int(ray.cluster_resources().get("CPU", 0)))
+    if n <= 0:
+        return
+    batch = entries_table(["http://warmup.invalid/"], ["warmup.invalid"],
+                          [0], [0.0], [0])
+    pids: set[int] = set()
+    for _ in range(_WARM_TRIES):
+        pids.update(ray.get([_warm_task.remote(batch, _WARM_HOLD_S)
+                             for _ in range(n)]))
+        if len(pids) >= n:
+            return
+    raise RuntimeError(
+        f"warmup_workers: {len(pids)} of {n} workers warm after "
+        f"{_WARM_TRIES} tries")
 
 
 def run_crawl(cfg: CrawlConfig, resume: bool = False) -> tuple[Crawler, dict]:

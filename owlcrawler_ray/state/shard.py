@@ -17,9 +17,11 @@ touch both roles (checkpoint, restore, sizes) into one call.
 
 The crawl loop talks to each actor twice per round, through ``commit``
 and ``advance``; each runs its steps in a fixed order so the driver can
-reason about the state every step sees. The per-operation methods stay
-for the loop's fallback peek (first round after construction or resume,
-a polite re-peek) and for callers outside the loop.
+reason about the state every step sees. Outside those two calls the
+crawl uses three per-operation methods: ``frontier_peek`` for the
+loop's fallback peek (first round after construction or resume, a
+polite re-peek), and ``seen_contains`` and ``frontier_push`` for pushes
+from outside the loop (seeds, ``add_sites``).
 
 The actors keep one invariant between the two roles: no queued frontier
 entry is in the seen set. ``commit`` drops the queued occurrences of the
@@ -56,18 +58,12 @@ class StateShard:
     def seen_contains(self, urls: list[str]) -> np.ndarray:
         return self.seen.contains_many(urls)
 
-    def seen_add(self, urls: list[str]) -> np.ndarray:
-        return self.seen.add_many(urls)
-
     # -- frontier role ---------------------------------------------------
     def frontier_push(self, table: pa.Table) -> int:
         return self.frontier.push_table(table)
 
     def frontier_peek(self, k: int, per_host: int = 0) -> pa.Table:
         return self.frontier.peek(k, per_host)
-
-    def frontier_remove(self, seqs: list[int]) -> int:
-        return self.frontier.remove_seqs(seqs)
 
     # -- both roles ------------------------------------------------------
     def sizes(self) -> tuple[int, int]:

@@ -566,7 +566,8 @@ def test_push_frontier_skips_seen_urls(ray_session, tmp_path):
         for s in range(cfg.num_seen_shards):
             us = [u for u, sh in zip(dup_urls, shards) if sh == s]
             if us:
-                futs.append(c.state[s].seen_add.remote(us))
+                futs.append(c.state[s].commit.remote(
+                    False, None, None, us, None, 0))
         ray.get(futs)
         before = c._sizes()[0]
         c._push_frontier(dup_urls, [1] * 12, [-1.0] * 12)

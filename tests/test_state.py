@@ -84,13 +84,15 @@ def test_state_shard_hosts_either_role(tmp_path):
 
     ent = entries_table(["a", "b"], ["h", "h"], [0, 0], [0.0, 0.0], [1, 2])
     assert both.frontier_push(ent) == 2
-    assert list(both.seen_add(["a", "x"])) == [True, True]
+    mask, peek = both.commit(False, None, ["a"], ["a", "x"], None, 0)
+    assert list(mask) == [False] and peek is None
     assert list(both.seen_contains(["a", "b"])) == [True, False]
     assert both.frontier_peek(1).column("url").to_pylist() == ["a"]
-    assert both.frontier_remove([1]) == 1
+    mask, peek = both.commit(False, [1], None, None, None, 5)
+    assert mask is None and peek.column("url").to_pylist() == ["b"]
     assert both.sizes() == (1, 2)
     frontier_only.frontier_push(ent)
-    seen_only.seen_add(["y"])
+    seen_only.commit(False, None, None, ["y"], None, 0)
     assert frontier_only.sizes() == (2, 0)
     assert seen_only.sizes() == (0, 1)
 
