@@ -19,7 +19,12 @@ frontier shard i (host hash) — max(ns, nf) processes, not ns + nf
   2. ONE heavy distributed pass (Ray tasks over arrow slices): fused
      fetch + single-pass extract + image fetch/decode/phash, full page
      rows AND decoded image rows written to the round dirs from inside
-     the tasks (content-keyed parts -> retry-idempotent), slim table back.
+     the tasks (content-keyed parts -> retry-idempotent), and back only
+     the four columns the driver reads (url, depth, status, link
+     candidates). Slices and slim tables cross packed, as does every
+     table the crawl passes to or from its tasks and state actors: one
+     Arrow IPC stream buffer each (state/wire.py), not Ray's per-buffer
+     Python reducer for ``pa.Table``.
   3. the driver assigns politeness ticks per ATTEMPT (reference: one 5s
      tick per actual GET, fetcher.go:96-99; dequeue-time seen check is
      free) and writes the attempts table.
@@ -37,7 +42,9 @@ frontier shard i (host hash) — max(ns, nf) processes, not ns + nf
      order.
   6. ADVANCE, one call per actor, in this order: push the new links
      (none that is seen or was fetched this round), checkpoint when due
-     (frontier+seen+counters; the manifest commits driver-side after).
+     (each actor writes its frontier snapshot and seen delta into the
+     round's tmp dir and returns the file names; the driver checks they
+     are visible and commits the manifest with the counters after).
      The driver builds the next window exactly: per frontier shard, the
      first W by (priority, seq) of the step-4 peek plus that shard's new
      links, which equals a peek(W) taken after the push. In polite mode
@@ -101,6 +108,7 @@ from ..stages.images import ImageDecoder, ImageFetcher
 from ..state.frontier import entries_table
 from ..state.politeness import PolitenessConfig, PolitenessGate
 from ..state.shard import StateShard
+from ..state.wire import pack, unpack
 
 EPOCH_US = 1420070400000000  # 2015-01-01T00:00:00 (virtual-clock origin)
 
@@ -198,6 +206,10 @@ class CrawlConfig:
         ).hexdigest()
 
 
+# the heavy pass's return columns: the ones _process_round reads
+_SLIM = ["url", "depth", "status", "fetch_candidates"]
+
+
 def _fetch_extract(batch: pa.Table, web_cfg, raw_tmp, imgs_tmp,
                    fetcher_factory=None,
                    fetch_inline: bool = True) -> pa.Table:
@@ -206,7 +218,7 @@ def _fetch_extract(batch: pa.Table, web_cfg, raw_tmp, imgs_tmp,
     fetch/decode/phash, with side-effect writes of the full page rows
     (html included) AND the decoded image rows into the round's tmp dirs
     (content-keyed part names -> task retries overwrite idempotently), and
-    a SLIM return table (url/host/depth/seq/status/candidates/img refs) —
+    a SLIM return table of the four columns the driver reads (``_SLIM``) —
     heavy columns cross the object store exactly once and never reach the
     driver. Images carry (page_url, discovered_seq, img_idx); the tick is
     joined back from the stamps sidecar at read time (tick order within a
@@ -214,11 +226,12 @@ def _fetch_extract(batch: pa.Table, web_cfg, raw_tmp, imgs_tmp,
     is preserved).
 
     Everything round-specific is an argument, so one module-level remote
-    function (``_fetch_extract_task``) serves every round. The image
-    stages are built per call: the decoder is a stateless kernel, and the
-    image fetcher reads the process's ``shared_web`` — the web the corpus
-    page fetcher renders from, so a page's image metadata is derived once
-    per process, not once per stage. The page fetcher comes from the
+    function (``_fetch_extract_task``, the packed form) serves every
+    round. The image stages are built per call: the decoder is a
+    stateless kernel, and the image fetcher reads the process's
+    ``shared_web`` — the web the corpus page fetcher renders from, so a
+    page's image metadata is derived once per process, not once per
+    stage. The page fetcher comes from the
     per-process ``cached_fetcher``: a real HttpFetcher holds sockets + a
     thread pool, cannot be pickled, and is worth building once per
     configuration per worker process, not per task."""
@@ -277,17 +290,22 @@ def _fetch_extract(batch: pa.Table, web_cfg, raw_tmp, imgs_tmp,
                         imgs_tmp, out,
                         key=f"i{min(sq)}-{max(sq)}-{out.num_rows}",
                     )
-    return ext.select(
-        ["url", "host", "depth", "discovered_seq", "status",
-         "fetch_candidates", "img_urls", "img_captions"]
-    )
+    return ext.select(_SLIM)
+
+
+def _fetch_extract_packed(buf: pa.Buffer, web_cfg, raw_tmp, imgs_tmp,
+                          fetcher_factory=None) -> pa.Buffer:
+    """``_fetch_extract`` on the wire (state/wire.py): the packed slice
+    in, the packed slim table out."""
+    return pack(_fetch_extract(unpack(buf), web_cfg, raw_tmp, imgs_tmp,
+                               fetcher_factory))
 
 
 # ONE remote function for every round of every crawl: Ray exports a remote
 # function to the GCS function table once per job, and each worker keeps
 # every function it has loaded for its lifetime — wrapping a fresh
 # per-round closure instead grew both by one entry per round
-_fetch_extract_task = ray.remote(num_cpus=1)(_fetch_extract)
+_fetch_extract_task = ray.remote(num_cpus=1)(_fetch_extract_packed)
 
 
 # per-worker-process cache of round stamps sidecars: tasks of one round
@@ -365,10 +383,11 @@ def _round_blocks(n: int, conc: int) -> int:
     CPU, at most 256 tasks and never more tasks than pages. Coarse blocks
     leave straggler tails at the round barrier and too-fine blocks choke
     the driver-side scheduler (both measured). The floor is ``conc``, not
-    more: a trivial ``num_cpus=1`` task costs ~9 ms of CPU across driver,
-    raylet and worker (an actor call with the same Arrow argument ~2.7
-    ms, 4-vCPU VM), while a ~30-page task of a small polite round holds
-    only ~15 ms of page work."""
+    more: a trivial ``num_cpus=1`` task with a packed 30-row argument,
+    submitted two at a time as a small round does, costs 4.2-7.9 ms of
+    CPU across driver, raylet and worker (an actor call with the same
+    argument 2.3-3.1 ms; 1-vCPU VM, 2 Ray CPUs), while a ~30-page task
+    of a small polite round holds only ~15 ms of page work."""
     return max(1, min(n, 256, max(conc, math.ceil(n / 128))))
 
 
@@ -697,7 +716,7 @@ class Crawler:
             tables = self._route_entries(
                 *([v[i] for i in keep] for v in (urls, depths, prios, seqs)))
             self._frontier_gen += 1
-            futs = [self.state[s].frontier_push.remote(t)
+            futs = [self.state[s].frontier_push.remote(pack(t))
                     for s, t in enumerate(tables) if t is not None]
         ray.get(futs)
 
@@ -789,9 +808,9 @@ class Crawler:
         self._admit_path = "window" if win is not None else "peek"
         if win is None:
             self._flush(ack=False)
-            peeks = ray.get([
+            peeks = [unpack(b) for b in ray.get([
                 self.state[s].frontier_peek.remote(w, self._per_host())
-                for s in range(self.cfg.num_frontier_shards)])
+                for s in range(self.cfg.num_frontier_shards)])]
             win = _Window(self._frontier_gen, w, peeks,
                           _queue_sorted(pa.concat_tables(peeks)))
         return win
@@ -931,11 +950,11 @@ class Crawler:
             # driver-side overhead (measured A/B: 4.4 s vs 3.1 s per 4800
             # pages at 16 cpus) — the Dataset API remains the idiom for the
             # streaming/query pipelines, not for this exchange.
-            slim = pa.concat_tables(ray.get([
+            slim = pa.concat_tables([unpack(b) for b in ray.get([
                 _fetch_extract_task.remote(
-                    s, cfg.web, raw_tmp, imgs_tmp, cfg.fetcher_factory)
+                    pack(s), cfg.web, raw_tmp, imgs_tmp, cfg.fetcher_factory)
                 for s in _slice_tables(tbl, n_blocks)
-            ]))
+            ])])
         table_store.commit_round(cfg.out_dir, "pages", self.round_id)
         self._note_round("pages")
         if imgs_tmp is not None:
@@ -1045,7 +1064,7 @@ class Crawler:
         )
         tmr["attempts_write"] = time.perf_counter() - _t0
         _t0 = time.perf_counter()
-        got = ray.get(commits)
+        got = [(m, unpack(p)) for m, p in ray.get(commits)]
         tmr["seen_commit"] += time.perf_counter() - _t0
         _t0 = time.perf_counter()
         # ---- advisory link filter + stamps (driver, VECTORIZED) ---------
@@ -1136,7 +1155,7 @@ class Crawler:
                if self.round_id % cfg.checkpoint_every == 0 else None)
         outs = ray.get([
             a.advance.remote(
-                pushes[i] if i < nf else None,
+                pack(pushes[i]) if i < nf else None,
                 self._ckpt_args(tmp, i) if tmp else None,
             )
             for i, a in enumerate(self.state)
@@ -1192,32 +1211,31 @@ class Crawler:
         self._commit_checkpoint(tmp, outs)
 
     def _commit_checkpoint(self, tmp: str, outs: list) -> None:
-        """Incremental checkpoint, driver side: frontier shards snapshot
-        driver-side (O(queued) — the live working set), but the seen set
-        goes through the delta-chain protocol — each seen shard wrote ONLY
-        the urls it gained since the last acked checkpoint
-        (SeenShard.ckpt_write), prior chain files are hardlinked forward
-        so every round dir is self-contained, and the manifest's commit is
-        what lets the shards drop their pending buffers (ckpt_ack, sent
-        with the next call). Per-round cost is O(progress), not O(|seen|),
-        and the seen bytes never transit the driver."""
-        self.ckpt.write_frontier(
-            tmp, [fr for fr, _ in outs[:self.cfg.num_frontier_shards]])
+        """Incremental checkpoint, driver side. Every state actor wrote
+        its frontier snapshot (O(queued) — the live working set) into the
+        tmp dir, and each seen shard ONLY the urls it gained since the
+        last acked checkpoint (SeenShard.ckpt_write); prior chain files
+        are hardlinked forward so every round dir is self-contained, and
+        the manifest's commit is what lets the shards drop their pending
+        buffers (ckpt_ack, sent with the next call). Per-round cost is
+        O(progress), not O(|seen|), and no checkpoint bytes transit the
+        driver."""
         recs = [rec for _, rec in outs[:self.cfg.num_seen_shards]]
+        files = ([fr for fr, _ in outs[:self.cfg.num_frontier_shards]]
+                 + [rec["file"] for rec in recs if rec["file"]])
         # actor-written files must be visible driver-side BEFORE the
-        # manifest commits — the incremental protocol requires the
-        # checkpoint root on storage shared by driver and seen shards
-        # (single node / NFS / object-store mount); a mis-deployed
-        # non-shared root fails loudly here instead of committing a
-        # manifest that names unreachable files
-        for i, rec in enumerate(recs):
-            if rec["file"] and not os.path.exists(
-                    os.path.join(tmp, rec["file"])):
+        # manifest commits — the checkpoint root must be on storage
+        # shared by the driver and every state actor (single node / NFS /
+        # object-store mount); a mis-deployed non-shared root fails
+        # loudly here instead of committing a manifest that names
+        # unreachable files
+        for name in files:
+            if not os.path.exists(os.path.join(tmp, name)):
                 raise RuntimeError(
-                    f"seen shard {i} wrote checkpoint file {rec['file']!r} "
-                    f"that is not visible at {tmp!r} — the checkpoint dir "
-                    "must be on storage shared between the driver and the "
-                    "state actors"
+                    f"a state actor wrote checkpoint file {name!r} that is "
+                    f"not visible at {tmp!r} — the checkpoint dir must be "
+                    "on storage shared between the driver and the state "
+                    "actors"
                 )
         chain: dict[str, list[str]] = {}
         inherit: dict[str, list[str]] = {}
@@ -1279,8 +1297,8 @@ class Crawler:
         # the checkpoint format holds no seen url in the queue, so the
         # restored frontier keeps the loop's invariant as it stands
         ray.get([
-            a.restore.remote(fr[i] if i < len(fr) else None,
-                             sn[i] if i < len(sn) else None)
+            a.restore.remote(pack(fr[i]) if i < len(fr) else None,
+                             pack(sn[i]) if i < len(sn) else None)
             for i, a in enumerate(self.state)
         ])
         self._seen_chain = manifest["seen_chain"]
@@ -1444,14 +1462,19 @@ class Crawler:
             ray.kill(a)
 
 
-def _warm(batch: pa.Table, hold_s: float) -> int:
+def _warm(buf: pa.Buffer, hold_s: float) -> int:
+    batch = unpack(buf)
+    # an IPC read builds no array: build one, so the worker pays
+    # pyarrow's pandas import (its first pa.array) here and not in the
+    # first heavy pass
+    pa.array(batch.column("url").to_pylist())
     time.sleep(hold_s)
     return os.getpid()
 
 
 # the warm-up task has the heavy pass's shape: a module-level num_cpus=1
-# function of this module taking a pa.Table, so running it imports what
-# the first _fetch_extract_task would
+# function of this module taking a packed table, so running it imports
+# what the first _fetch_extract_task would
 _warm_task = ray.remote(num_cpus=1)(_warm)
 _WARM_HOLD_S = 1.5
 _WARM_TRIES = 5
@@ -1462,20 +1485,20 @@ def warmup_workers(n: int) -> None:
     timed work, so the first crawl's heavy pass starts no worker process.
 
     Each warm worker has imported this module (and with it the fused
-    task's stages) and deserialized a small ``pa.Table`` argument, which
-    pulls in pyarrow's pandas import and Ray's Arrow reducers. Plain
-    ``num_cpus=1`` tasks do the warming: each holds its worker for
-    ``_WARM_HOLD_S`` so the tasks of one try land on distinct workers,
-    and tries repeat until ``n`` distinct worker pids have run one,
-    raising after ``_WARM_TRIES``. Ray Data's actors are not warmed:
+    task's stages), unpacked a small packed table (state/wire.py) as the
+    heavy pass does, and built a ``pa.array``, which pays pyarrow's
+    pandas import. Plain ``num_cpus=1`` tasks do the warming: each holds
+    its worker for ``_WARM_HOLD_S`` so the tasks of one try land on
+    distinct workers, and tries repeat until ``n`` distinct worker pids
+    have run one, raising after ``_WARM_TRIES``. Ray Data's actors are not warmed:
     started here, its stats and autoscaling actors would take prestarted
     workers and leave the first crawl a cold one, so they start at the
     first Dataset use instead."""
     n = min(n, int(ray.cluster_resources().get("CPU", 0)))
     if n <= 0:
         return
-    batch = entries_table(["http://warmup.invalid/"], ["warmup.invalid"],
-                          [0], [0.0], [0])
+    batch = pack(entries_table(["http://warmup.invalid/"],
+                               ["warmup.invalid"], [0], [0.0], [0]))
     pids: set[int] = set()
     for _ in range(_WARM_TRIES):
         pids.update(ray.get([_warm_task.remote(batch, _WARM_HOLD_S)

@@ -37,14 +37,17 @@ Committed round ids are read from disk once per manager (and again by
 ``latest_round()``, the restore path) and then tracked in memory, so a
 checkpoint's commit and retention parse no manifests.
 
+Every data file of a round is written by a state actor, straight into
+the round's tmp dir: its frontier snapshot (named by ``frontier_file``,
+which ``load`` also uses) and its seen delta, so neither the queue nor
+the seen bytes transit the driver. The driver writes only the manifest.
+
 Deployment requirement: the checkpoint root must live on storage shared
-by the driver AND every state actor that hosts a seen shard (single
-node, NFS/cluster FS, or an object-store mount) — the incremental
-protocol has the actors write their seen deltas directly into the round
-dir so the seen bytes never transit the driver. The crawl loop verifies
-each actor-written file is visible driver-side BEFORE committing the
-manifest, so a mis-deployed non-shared root fails loudly at the first
-checkpoint instead of producing a manifest that names unreachable files.
+by the driver AND every state actor (single node, NFS/cluster FS, or an
+object-store mount). The crawl loop verifies each actor-written file is
+visible driver-side BEFORE committing the manifest, so a mis-deployed
+non-shared root fails loudly at the first checkpoint instead of
+producing a manifest that names unreachable files.
 """
 
 from __future__ import annotations
@@ -59,6 +62,11 @@ import pyarrow.parquet as pq
 
 # the layout the module docstring describes; load() reads no other
 FORMAT = 1
+
+
+def frontier_file(shard_id: int) -> str:
+    """Name of frontier shard ``shard_id``'s file in a round dir."""
+    return f"frontier_shard_{shard_id:04d}.parquet"
 
 
 class CheckpointManager:
@@ -83,21 +91,11 @@ class CheckpointManager:
     def _dir(self, round_id: int) -> str:
         return os.path.join(self.root, f"round={round_id:06d}")
 
-    @staticmethod
-    def write_frontier(tmp: str, frontier_shards: list[pa.Table]) -> None:
-        """Stage the frontier shards into a begin()-opened tmp dir with the
-        canonical names load() scans for — the ONE place the frontier file
-        naming lives."""
-        for i, t in enumerate(frontier_shards):
-            pq.write_table(
-                t, os.path.join(tmp, f"frontier_shard_{i:04d}.parquet")
-            )
-
     # -- incremental protocol (delta-chain seen checkpoints) -------------
     def begin(self, round_id: int) -> str:
         """Open the round's tmp dir (clearing any stale attempt). Stage
-        files into it — driver-written frontier shards, actor-written seen
-        deltas (SeenShard.ckpt_write) — then commit(). A previously
+        files into it — the state actors' frontier snapshots and seen
+        deltas (StateShard.checkpoint) — then commit(). A previously
         COMMITTED dir for the same round is left in place until commit():
         it may be the inherit_chain link source (a re-entered crawl —
         add_sites after the frontier drained — re-checkpoints the same
@@ -224,12 +222,9 @@ class CheckpointManager:
                 f"format {FORMAT}; delete the checkpoint dir to start fresh"
             )
         frontier = []
-        i = 0
-        while os.path.exists(os.path.join(d, f"frontier_shard_{i:04d}.parquet")):
-            frontier.append(
-                pq.read_table(os.path.join(d, f"frontier_shard_{i:04d}.parquet"))
-            )
-            i += 1
+        while os.path.exists(
+                p := os.path.join(d, frontier_file(len(frontier)))):
+            frontier.append(pq.read_table(p))
         # an empty chain is a shard that never saw a url
         seen = [
             pa.concat_tables([pq.read_table(os.path.join(d, n)) for n in names])

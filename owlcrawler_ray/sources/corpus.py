@@ -142,11 +142,16 @@ class SyntheticWeb:
         rng = _rng_for(cfg.seed, "imgs", host_idx, page_idx)
         n = int(rng.integers(0, cfg.max_images + 1))
         out = []
+        if not n:
+            return out
+        # the title has its own rng stream: one draw serves every caption
+        title = self._title(host_idx, page_idx)
+        host = self.host(host_idx)
         for k in range(n):
             fmt = _FMTS[(page_idx + k) % 3]
             w, h = _DIMS[int(rng.integers(0, len(_DIMS)))]
             w, h = w * cfg.img_scale, h * cfg.img_scale
-            img_url = f"http://{self.host(host_idx)}/img-{page_idx}-{k}.{fmt}"
+            img_url = f"http://{host}/img-{page_idx}-{k}.{fmt}"
             out.append(
                 {
                     "image_url": img_url,
@@ -154,7 +159,7 @@ class SyntheticWeb:
                     "fmt": fmt,
                     "w": int(w),
                     "h": int(h),
-                    "caption": f"{self._title(host_idx, page_idx)} — image {k}",
+                    "caption": f"{title} — image {k}",
                 }
             )
         return out

@@ -23,6 +23,17 @@ loop's fallback peek (first round after construction or resume, a
 polite re-peek), and ``seen_contains`` and ``frontier_push`` for pushes
 from outside the loop (seeds, ``add_sites``).
 
+Every table crosses the actor boundary packed (state/wire.py):
+``frontier_push``, ``advance`` and ``restore`` take Arrow IPC stream
+buffers, and ``commit`` and ``frontier_peek`` return one. A checkpoint
+ships no table at all: the actor writes its frontier snapshot into the
+round's tmp dir itself, as its seen shard writes its delta, and returns
+only the file names. So no ``pa.Table`` passes through Ray's Arrow
+reducer, and an actor never imports ``ray.data``. An IPC read builds no
+array, though, and pyarrow imports pandas on a process's first
+``pa.array``; the constructor builds one, so that import (~0.3 CPU-s)
+is paid when the actor starts, not in the crawl's first peek.
+
 The actors keep one invariant between the two roles: no queued frontier
 entry is in the seen set. ``commit`` drops the queued occurrences of the
 urls it inserts into the seen set, before its peek; the loop, seeds and
@@ -35,11 +46,16 @@ to it.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
+from ..sinks.checkpoint import frontier_file
 from .frontier import FrontierShard
 from .seen import SeenShard
+from .wire import pack, unpack
 
 
 class StateShard:
@@ -53,17 +69,20 @@ class StateShard:
             if has_seen else None
         )
         self.frontier = FrontierShard(shard_id) if has_frontier else None
+        # pyarrow's pandas import, paid here and not in the first peek
+        # (module docstring)
+        pa.array([], pa.string())
 
     # -- seen role -------------------------------------------------------
     def seen_contains(self, urls: list[str]) -> np.ndarray:
         return self.seen.contains_many(urls)
 
     # -- frontier role ---------------------------------------------------
-    def frontier_push(self, table: pa.Table) -> int:
-        return self.frontier.push_table(table)
+    def frontier_push(self, buf: pa.Buffer) -> int:
+        return self.frontier.push_table(unpack(buf))
 
-    def frontier_peek(self, k: int, per_host: int = 0) -> pa.Table:
-        return self.frontier.peek(k, per_host)
+    def frontier_peek(self, k: int, per_host: int = 0) -> pa.Buffer:
+        return pack(self.frontier.peek(k, per_host))
 
     # -- both roles ------------------------------------------------------
     def sizes(self) -> tuple[int, int]:
@@ -73,12 +92,15 @@ class StateShard:
 
     def checkpoint(self, out_dir: str, round_id: int,
                    force_full: bool = False,
-                   seq: int = 0) -> tuple[pa.Table | None, dict | None]:
-        """This actor's checkpoint contribution: the frontier snapshot
-        (the driver writes it) and the seen shard's ``ckpt_write`` record
-        (the file is written here, into ``out_dir``). None for an absent
-        role."""
-        fr = self.frontier.snapshot() if self.frontier else None
+                   seq: int = 0) -> tuple[str | None, dict | None]:
+        """Write this actor's checkpoint files into ``out_dir``: the
+        frontier snapshot and the seen shard's delta (or full snapshot).
+        Returns (frontier file name, the seen shard's ``ckpt_write``
+        record); None for an absent role."""
+        fr = None
+        if self.frontier:
+            fr = frontier_file(self.frontier.shard_id)
+            pq.write_table(self.frontier.snapshot(), os.path.join(out_dir, fr))
         rec = (self.seen.ckpt_write(out_dir, round_id, force_full, seq)
                if self.seen else None)
         return fr, rec
@@ -87,7 +109,7 @@ class StateShard:
     def commit(self, ack: bool, removes: list[int] | None,
                probe: list[str] | None, add: list[str] | None,
                drop: list[str] | None, peek_k: int,
-               per_host: int = 0) -> tuple[np.ndarray | None, pa.Table | None]:
+               per_host: int = 0) -> tuple[np.ndarray | None, pa.Buffer | None]:
         """Close a round, in this order: acknowledge the previous
         checkpoint (its manifest has committed since), remove this round's
         admitted and robots-discarded frontier entries, probe the round's link candidates
@@ -96,7 +118,8 @@ class StateShard:
         occurrence of the successes (``drop``, this frontier shard's
         share), and peek the first ``peek_k`` frontier entries, at most
         ``per_host`` per host, before any new link is pushed. Returns
-        (probe mask, peek); None for a step with no input or no role."""
+        (probe mask, packed peek); None for a step with no input or no
+        role."""
         if ack:
             self.ckpt_ack()
         if removes and self.frontier:
@@ -108,13 +131,14 @@ class StateShard:
             self.frontier.drop_urls(drop)
         peek = (self.frontier.peek(peek_k, per_host)
                 if peek_k and self.frontier else None)
-        return mask, peek
+        return mask, pack(peek)
 
-    def advance(self, push: pa.Table | None,
+    def advance(self, push: pa.Buffer | None,
                 ckpt: tuple | None) -> tuple | None:
-        """Open the next round, in this order: push the round's new links,
-        and write the checkpoint when one is due (``ckpt`` = the arguments
-        of ``checkpoint``). Returns the checkpoint output."""
+        """Open the next round, in this order: push the round's new links
+        (packed), and write the checkpoint when one is due (``ckpt`` = the
+        arguments of ``checkpoint``). Returns the checkpoint output."""
+        push = unpack(push)
         if push is not None and push.num_rows:
             self.frontier.push_table(push)
         return self.checkpoint(*ckpt) if ckpt is not None else None
@@ -123,9 +147,11 @@ class StateShard:
         if self.seen:
             self.seen.ckpt_ack()
 
-    def restore(self, frontier: pa.Table | None,
-                seen: pa.Table | None) -> None:
+    def restore(self, frontier: pa.Buffer | None,
+                seen: pa.Buffer | None) -> None:
+        """Load a checkpoint's frontier and seen shard (packed; None for
+        an absent role)."""
         if frontier is not None:
-            self.frontier.restore(frontier)
+            self.frontier.restore(unpack(frontier))
         if seen is not None:
-            self.seen.restore(seen)
+            self.seen.restore(unpack(seen))

@@ -17,6 +17,7 @@ from owlcrawler_ray.pipelines.crawl import CrawlConfig, Crawler, run_crawl
 from owlcrawler_ray.pipelines.oracle import run_oracle
 from owlcrawler_ray.sources.corpus import SyntheticWeb, WebConfig
 from owlcrawler_ray.state.politeness import PolitenessConfig
+from owlcrawler_ray.state.wire import unpack
 
 SMALL_WEB = WebConfig(num_hosts=4, base_pages=6, hot_factor=3, n_seed_hosts=2)
 # 12 hosts, one of them hot, few cross-host links and fanout 4: long
@@ -38,9 +39,9 @@ def _cfg(base, **kw):
 def _queued(c) -> pa.Table:
     """Every queued entry of every frontier shard."""
     c._flush(ack=False)
-    return pa.concat_tables(ray.get([
+    return pa.concat_tables([unpack(b) for b in ray.get([
         c.state[s].frontier_peek.remote(1 << 30)
-        for s in range(c.cfg.num_frontier_shards)]))
+        for s in range(c.cfg.num_frontier_shards)])])
 
 
 def _rows(c):
@@ -175,8 +176,9 @@ def test_restored_queue_holds_no_seen_url(ray_session, tmp_path, mode):
     c2 = Crawler(_cfg(part_base, **kw), resume=True)
     try:
         c2._flush(ack=False)
-        queues = ray.get([a.frontier_peek.remote(1 << 30)
-                          for a in c2.state[:c2.cfg.num_frontier_shards]])
+        queues = [unpack(b) for b in ray.get([
+            a.frontier_peek.remote(1 << 30)
+            for a in c2.state[:c2.cfg.num_frontier_shards]])]
         assert sum(q.num_rows for q in queues) >= 5
         for q in queues:
             if q.num_rows:

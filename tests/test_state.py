@@ -1,5 +1,6 @@
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from owlcrawler_ray.functions.ids import url_hash64_many
 from owlcrawler_ray.functions.sketch import BloomFilter, bloom_bit_indices
@@ -8,6 +9,7 @@ from owlcrawler_ray.state.frontier import FrontierShard, entries_table
 from owlcrawler_ray.state.politeness import PolitenessConfig, PolitenessGate
 from owlcrawler_ray.state.seen import SeenShard
 from owlcrawler_ray.state.shard import StateShard
+from owlcrawler_ray.state.wire import pack, unpack
 
 URLS = [f"http://h{i % 7}.test/p{i}" for i in range(500)]
 
@@ -75,7 +77,8 @@ def test_frontier_snapshot_roundtrip():
 def test_state_shard_hosts_either_role(tmp_path):
     """One state actor per shard index: both roles delegate to the plain
     shards, and a single-role actor (unequal shard counts) reports 0 and
-    checkpoints None for the role it does not host."""
+    checkpoints None for the role it does not host. Tables cross packed
+    (state/wire.py); the actor writes its own checkpoint files."""
     both = StateShard(1, True, True)
     seen_only = StateShard(2, True, False)
     frontier_only = StateShard(3, False, True)
@@ -83,34 +86,39 @@ def test_state_shard_hosts_either_role(tmp_path):
     assert seen_only.frontier is None and frontier_only.seen is None
 
     ent = entries_table(["a", "b"], ["h", "h"], [0, 0], [0.0, 0.0], [1, 2])
-    assert both.frontier_push(ent) == 2
+    assert both.frontier_push(pack(ent)) == 2
     mask, peek = both.commit(False, None, ["a"], ["a", "x"], None, 0)
     assert list(mask) == [False] and peek is None
     assert list(both.seen_contains(["a", "b"])) == [True, False]
-    assert both.frontier_peek(1).column("url").to_pylist() == ["a"]
+    assert unpack(both.frontier_peek(1)).column("url").to_pylist() == ["a"]
     mask, peek = both.commit(False, [1], None, None, None, 5)
-    assert mask is None and peek.column("url").to_pylist() == ["b"]
+    assert isinstance(peek, pa.Buffer)
+    assert mask is None and unpack(peek).column("url").to_pylist() == ["b"]
     assert both.sizes() == (1, 2)
-    frontier_only.frontier_push(ent)
+    frontier_only.frontier_push(pack(ent))
     seen_only.commit(False, None, None, ["y"], None, 0)
     assert frontier_only.sizes() == (2, 0)
     assert seen_only.sizes() == (0, 1)
 
     fr, rec = both.checkpoint(str(tmp_path), 0)
-    assert fr.column("url").to_pylist() == ["b"]
+    assert fr == "frontier_shard_0001.parquet"
+    assert pq.read_table(tmp_path / fr).column("url").to_pylist() == ["b"]
     assert rec["file"] and (tmp_path / rec["file"]).exists()
     both.ckpt_ack()
-    assert frontier_only.checkpoint(str(tmp_path), 0)[1] is None
+    fr, rec = frontier_only.checkpoint(str(tmp_path), 0)
+    assert fr == "frontier_shard_0003.parquet" and rec is None
     fr, rec = seen_only.checkpoint(str(tmp_path), 0)
     assert fr is None and rec["file"]
     frontier_only.ckpt_ack()  # no seen role: nothing to ack
 
     back = StateShard(1, True, True)
-    back.restore(both.frontier.snapshot(), both.seen.snapshot())
+    back.restore(pack(both.frontier.snapshot()), pack(both.seen.snapshot()))
     assert back.sizes() == (1, 2)
     assert list(back.seen_contains(["x", "y"])) == [True, False]
+    back.advance(pack(entries_table(["c"], ["h"], [1], [0.0], [3])), None)
+    assert back.sizes() == (2, 2)
     lone = StateShard(3, False, True)
-    lone.restore(frontier_only.frontier.snapshot(), None)
+    lone.restore(pack(frontier_only.frontier.snapshot()), None)
     assert lone.sizes() == (2, 0)
 
 
