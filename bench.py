@@ -208,7 +208,6 @@ def run_once() -> dict:
         image_batch_size=64,
         out_dir=f"{base}/out",
         ckpt_dir=f"{base}/ckpt",
-        keep_logs=False,
         checkpoint_every=4,
         # GRAFT_SEEN_SPILL=1: run the 10^10-scale seen-set path (sorted
         # parquet runs + vectorized run membership) — the SCALING.md round-3
@@ -468,7 +467,7 @@ def run_megaround() -> dict:
         fetch_concurrency=max(2, NCPU - 4),
         image_concurrency=max(2, NCPU // 2),
         out_dir=f"{base}/out", ckpt_dir=f"{base}/ckpt",
-        keep_logs=False, max_rounds=1,
+        max_rounds=1,
         # honor the spill knob like every other bench mode — a mega-round
         # silently measured in-memory under GRAFT_SEEN_SPILL=1 would be
         # indistinguishable from a real spill-mode record

@@ -83,7 +83,6 @@ def main(argv: list[str] | None = None) -> int:
         out_dir=args.out,
         ckpt_dir=args.ckpt,
         fetch_robots=args.robots,
-        keep_logs=False,
         politeness=PolitenessConfig(
             rate_per_s=args.rate, burst=args.burst, agent=args.agent,
         ),

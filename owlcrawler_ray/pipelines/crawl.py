@@ -59,8 +59,11 @@ pass is a driver-coordinated scatter-gather with a HARD BARRIER (tick
 assignment needs every fetch status before stamping), so the streaming
 executor's pipelining buys nothing while costing ~35 ms/task of driver
 overhead (measured A/B; see _process_round). Dataset map_batches remains
-the shape for actor-pool fetchers (use_actor_stages=True) and for every
-query/analysis pipeline in pipelines/queries.py.
+the shape for every query/analysis pipeline in pipelines/queries.py. A
+real fetcher (``fetcher_factory``, e.g. HttpFetcher) runs inside the same
+``num_cpus=1`` tasks, built once per configuration per worker process
+(stages/fetch.cached_fetcher); its own thread pool (``max_parallel``)
+overlaps a task's I/O-bound GETs.
 
 Parity contract (tested against pipelines/oracle.run_oracle): identical
 attempt log (url, tick, status), fetch order, final seen set, per-page
@@ -103,7 +106,7 @@ from ..sinks import table_store
 from ..sinks.checkpoint import CheckpointManager
 from ..sources.corpus import SyntheticWeb, WebConfig
 from ..stages.extract import extract_batch
-from ..stages.fetch import CorpusFetcher, FactoryFetcher, cached_fetcher
+from ..stages.fetch import CorpusFetcher, cached_fetcher
 from ..stages.images import ImageDecoder, ImageFetcher
 from ..state.frontier import entries_table
 from ..state.politeness import PolitenessConfig, PolitenessGate
@@ -144,18 +147,17 @@ class CrawlConfig:
     # bound). Execution knob (not in fingerprint); 0 = keep all.
     ckpt_keep: int = 8
     write_images: bool = True
-    keep_logs: bool = True  # in-memory attempt/fetch logs (tests/parity)
-    # actor-pool stages (class + concurrency) are the shape a real
-    # session-holding fetcher needs; the sandbox corpus fetcher is a pure
-    # function of config, so task pools (False) skip per-round actor startup
-    use_actor_stages: bool = False
+    # retired: accepts only False (the crawl keeps no in-memory attempt
+    # or fetch log; read attempts_table()/pages_table()) and is not part
+    # of fingerprint()
+    keep_logs: bool = False
     # polite-mode robots: fetch /robots.txt from the (corpus) web on first
     # contact with a host, parse + cache in the gate (St6). The reference
     # has no robots handling, so parity mode leaves this off.
     fetch_robots: bool = False
     # optional zero-arg factory returning a Fetcher (e.g.
     # functools.partial(HttpFetcher, rewrite_base=...)) — None = the
-    # deterministic corpus fetcher. Built INSIDE each task/actor (a live
+    # deterministic corpus fetcher. Built INSIDE each task's worker (a live
     # fetcher holds sockets/threads and must never be pickled). With a
     # real fetcher the factory DOES define page content (it is the
     # source), so its identity enters fingerprint() below; None adds no
@@ -167,6 +169,11 @@ class CrawlConfig:
             raise ValueError(
                 "exact_seen and use_cuckoo are retired and accept only "
                 "True: the seen set is always exact"
+            )
+        if self.keep_logs:
+            raise ValueError(
+                "keep_logs is retired and accepts only False: read "
+                "attempts_table() and pages_table() instead"
             )
 
     def fingerprint(self) -> str:
@@ -210,36 +217,33 @@ class CrawlConfig:
 _SLIM = ["url", "depth", "status", "fetch_candidates"]
 
 
-def _fetch_extract(batch: pa.Table, web_cfg, raw_tmp, imgs_tmp,
-                   fetcher_factory=None,
-                   fetch_inline: bool = True) -> pa.Table:
-    """The round's ONE heavy distributed pass: fetch (unless an actor-pool
-    fetcher already ran upstream) + single-pass extract + image
-    fetch/decode/phash, with side-effect writes of the full page rows
-    (html included) AND the decoded image rows into the round's tmp dirs
-    (content-keyed part names -> task retries overwrite idempotently), and
-    a SLIM return table of the four columns the driver reads (``_SLIM``) —
-    heavy columns cross the object store exactly once and never reach the
-    driver. Images carry (page_url, discovered_seq, img_idx); the tick is
-    joined back from the stamps sidecar at read time (tick order within a
-    round == admission seq order of the distinct urls, so ordering parity
-    is preserved).
+def _fetch_extract(buf: pa.Buffer, web_cfg, raw_tmp, imgs_tmp,
+                   fetcher_factory=None) -> pa.Buffer:
+    """The round's ONE heavy distributed pass: fetch + single-pass extract
+    + image fetch/decode/phash, with side-effect writes of the full page
+    rows (html included) AND the decoded image rows into the round's tmp
+    dirs (content-keyed part names -> task retries overwrite
+    idempotently), and a SLIM return table of the four columns the driver
+    reads (``_SLIM``) — heavy columns cross the object store exactly once
+    and never reach the driver. The slice comes in and the slim table
+    goes out packed (state/wire.py). Images carry (page_url,
+    discovered_seq, img_idx); the tick is joined back from the stamps
+    sidecar at read time (tick order within a round == admission seq
+    order of the distinct urls, so ordering parity is preserved).
 
     Everything round-specific is an argument, so one module-level remote
-    function (``_fetch_extract_task``, the packed form) serves every
-    round. The image stages are built per call: the decoder is a
-    stateless kernel, and the image fetcher reads the process's
-    ``shared_web`` — the web the corpus page fetcher renders from, so a
-    page's image metadata is derived once per process, not once per
-    stage. The page fetcher comes from the
+    function (``_fetch_extract_task``) serves every round. The image
+    stages are built per call: the decoder is a stateless kernel, and the
+    image fetcher reads the process's ``shared_web`` — the web the corpus
+    page fetcher renders from, so a page's image metadata is derived once
+    per process, not once per stage. The page fetcher comes from the
     per-process ``cached_fetcher``: a real HttpFetcher holds sockets + a
     thread pool, cannot be pickled, and is worth building once per
     configuration per worker process, not per task."""
-    if fetch_inline:
-        f = cached_fetcher(
-            fetcher_factory if fetcher_factory is not None
-            else partial(CorpusFetcher, web_cfg))
-        batch = f(batch)
+    f = cached_fetcher(
+        fetcher_factory if fetcher_factory is not None
+        else partial(CorpusFetcher, web_cfg))
+    batch = f(unpack(buf))
     ext = extract_batch(batch)
     ok = ext.filter(pc.equal(ext.column("status"), 200))
     raw = ok.drop_columns(["fetch_candidates", "img_urls", "img_captions"])
@@ -290,22 +294,14 @@ def _fetch_extract(batch: pa.Table, web_cfg, raw_tmp, imgs_tmp,
                         imgs_tmp, out,
                         key=f"i{min(sq)}-{max(sq)}-{out.num_rows}",
                     )
-    return ext.select(_SLIM)
-
-
-def _fetch_extract_packed(buf: pa.Buffer, web_cfg, raw_tmp, imgs_tmp,
-                          fetcher_factory=None) -> pa.Buffer:
-    """``_fetch_extract`` on the wire (state/wire.py): the packed slice
-    in, the packed slim table out."""
-    return pack(_fetch_extract(unpack(buf), web_cfg, raw_tmp, imgs_tmp,
-                               fetcher_factory))
+    return pack(ext.select(_SLIM))
 
 
 # ONE remote function for every round of every crawl: Ray exports a remote
 # function to the GCS function table once per job, and each worker keeps
 # every function it has loaded for its lifetime — wrapping a fresh
 # per-round closure instead grew both by one entry per round
-_fetch_extract_task = ray.remote(num_cpus=1)(_fetch_extract_packed)
+_fetch_extract_task = ray.remote(num_cpus=1)(_fetch_extract)
 
 
 # per-worker-process cache of round stamps sidecars: tasks of one round
@@ -392,8 +388,7 @@ def _round_blocks(n: int, conc: int) -> int:
 
 
 def _slice_tables(tbl: pa.Table, n_blocks: int) -> list[pa.Table]:
-    """Even driver-side split -> one block per slice (avoids a repartition
-    pass; rd.from_arrow(list) makes each table its own block)."""
+    """Even driver-side split -> one heavy-pass task per slice."""
     n = tbl.num_rows
     n_blocks = max(1, min(n_blocks, n)) if n else 1
     step = math.ceil(n / n_blocks) if n else 1
@@ -517,8 +512,6 @@ class Crawler:
         self.tick = 0
         self.fetch_seq = 0
         self.round_id = 0
-        self.attempts_log: list[dict] = []
-        self.fetch_log: list[dict] = []
         self.metrics: dict = {"rounds": []}
         self._add_sites_lock = threading.Lock()
         # add_sites' view of the sites table, read on its first call and
@@ -920,41 +913,18 @@ class Crawler:
             table_store.begin_round(cfg.out_dir, "images", self.round_id)
             if cfg.write_images else None
         )
-        if cfg.use_actor_stages:
-            # actor-pool fetcher via Dataset: the shape a REAL network
-            # fetcher needs (session/thread pool built once per actor)
-            fe = partial(_fetch_extract, web_cfg=cfg.web, raw_tmp=raw_tmp,
-                         imgs_tmp=imgs_tmp, fetch_inline=False)
-            fetch_cls, ctor_args = (
-                (FactoryFetcher, (cfg.fetcher_factory,))
-                if cfg.fetcher_factory is not None
-                else (CorpusFetcher, (cfg.web,))
-            )
-            ds = rd.from_arrow(_slice_tables(tbl, n_blocks)).map_batches(
-                fetch_cls,
-                fn_constructor_args=ctor_args,
-                batch_format="pyarrow",
-                batch_size=cfg.fetch_batch_size,
-                concurrency=(1, conc),
-                zero_copy_batch=True,
-            ).map_batches(
-                fe, batch_format="pyarrow",
-                batch_size=cfg.fetch_batch_size, zero_copy_batch=True,
-            )
-            slim = pa.concat_tables(ray.get(ds.to_arrow_refs()))
-        else:
-            # The round pass is a driver-coordinated scatter-gather with a
-            # hard barrier (politeness-tick assignment needs every status):
-            # plain Ray tasks over the arrow slices. The Dataset streaming
-            # executor buys nothing at a barrier and costs ~35 ms/task of
-            # driver-side overhead (measured A/B: 4.4 s vs 3.1 s per 4800
-            # pages at 16 cpus) — the Dataset API remains the idiom for the
-            # streaming/query pipelines, not for this exchange.
-            slim = pa.concat_tables([unpack(b) for b in ray.get([
-                _fetch_extract_task.remote(
-                    pack(s), cfg.web, raw_tmp, imgs_tmp, cfg.fetcher_factory)
-                for s in _slice_tables(tbl, n_blocks)
-            ])])
+        # The round pass is a driver-coordinated scatter-gather with a
+        # hard barrier (politeness-tick assignment needs every status):
+        # plain Ray tasks over the arrow slices. The Dataset streaming
+        # executor buys nothing at a barrier and costs ~35 ms/task of
+        # driver-side overhead (measured A/B: 4.4 s vs 3.1 s per 4800
+        # pages at 16 cpus) — the Dataset API remains the idiom for the
+        # streaming/query pipelines, not for this exchange.
+        slim = pa.concat_tables([unpack(b) for b in ray.get([
+            _fetch_extract_task.remote(
+                pack(s), cfg.web, raw_tmp, imgs_tmp, cfg.fetcher_factory)
+            for s in _slice_tables(tbl, n_blocks)
+        ])])
         table_store.commit_round(cfg.out_dir, "pages", self.round_id)
         self._note_round("pages")
         if imgs_tmp is not None:
@@ -1039,18 +1009,6 @@ class Crawler:
         self._ack_pending, self._removes = False, {}
         tmr["seen_commit"] = time.perf_counter() - _t0
         _t0 = time.perf_counter()
-        if cfg.keep_logs:
-            round_attempts_py = att_urls.to_pylist()
-            self.attempts_log.extend(
-                {"tick": int(t), "virtual_time_s": int(t) * cfg.tick_seconds,
-                 "url": u, "status": int(st)}
-                for t, u, st in zip(att_ticks, round_attempts_py, att_status)
-            )
-            self.fetch_log.extend(
-                {"fetch_seq": int(fs), "url": u, "doc_id": ids.doc_id(u),
-                 "tick": int(t), "virtual_time_s": int(t) * cfg.tick_seconds}
-                for fs, u, t in zip(fs_np, s_urls_arr.to_pylist(), t_np)
-            )
         table_store.write_round(
             pa.table(
                 {

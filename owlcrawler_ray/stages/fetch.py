@@ -1,10 +1,11 @@
-"""Fetch stage: url batch -> (+status, +html) via an actor pool.
+"""Fetch stage: url batch -> (+status, +html).
 
 Replaces the reference's fetcher worker loop (fetcher.go:35-84: HTTP GET
 with a fixed UA, whole body in memory, one URL at a time off NATS). Here
-the fetcher is a callable CLASS for ``map_batches`` — session/connection
-state (in the sandbox, just the corpus config) is built ONCE per actor in
-``__init__``; ``__call__`` handles one Arrow batch of URLs zero-copy.
+the fetcher is a callable CLASS that runs inside the crawl's heavy-pass
+tasks — session/connection state (in the sandbox, just the corpus
+config) is built ONCE per configuration per worker process
+(``cached_fetcher``); ``__call__`` handles one Arrow batch of URLs.
 
 Fetch errors do NOT raise: the reference logs and drops (fetcher.go:51-54);
 we record ``status`` per row (0 = transport error, else HTTP status) so
@@ -24,8 +25,8 @@ USER_AGENT = "OwlCrawlerRay - https://github.com/fmpwizard/owlcrawler (rebuild)"
 class CorpusFetcher:
     """Deterministic sandbox fetcher (the Fetcher protocol's corpus impl).
 
-    A real network fetcher implements the same __call__ contract with an
-    aiohttp session created in __init__ (one per actor, reused across
+    A real network fetcher implements the same __call__ contract with a
+    session created in __init__ (one per worker process, reused across
     batches — never per batch/row)."""
 
     def __init__(self, web_cfg: WebConfig):
@@ -46,9 +47,10 @@ class CorpusFetcher:
 class HttpFetcher:
     """Real network fetcher (S5, fetcher.go:44-61) behind the same
     ``__call__`` contract as CorpusFetcher. Session machinery is built
-    ONCE per actor (the map_batches callable-class shape): a urllib
-    opener plus a small thread pool so one batch's I/O-bound GETs overlap
-    — the stdlib stand-in for an aiohttp session (not in this sandbox).
+    ONCE per worker process (``cached_fetcher``): a urllib opener plus a
+    thread pool of ``max_parallel`` so one batch's I/O-bound GETs overlap
+    inside a ``num_cpus=1`` task — the stdlib stand-in for an aiohttp
+    session.
 
     Status routing per F6: a transport error records status 0 with an
     empty body (the reference logs-and-drops the message, fetcher.go:
@@ -113,12 +115,11 @@ class HttpFetcher:
         self._pool.shutdown(wait=False)
 
 
-# Per-worker-process fetcher cache for the inline (raw-task) crawl path.
-# The round function is a fresh closure every round, and Ray caches each
-# exported function in the worker's function table — so per-closure
-# fetcher state would build (and never close) one thread-pool fetcher per
-# ROUND per worker. Keying on the pickled factory bytes instead bounds it
-# to one live fetcher per distinct configuration per worker process.
+# Per-worker-process fetcher cache for the heavy-pass tasks. The factory
+# arrives unpickled afresh with every task, so caching on its identity
+# would build (and never close) one thread-pool fetcher per TASK per
+# worker. Keying on the pickled factory bytes instead bounds it to one
+# live fetcher per distinct configuration per worker process.
 _FETCHER_CACHE: dict[bytes, object] = {}
 
 
@@ -132,14 +133,3 @@ def cached_fetcher(factory):
         _FETCHER_CACHE[key] = f
     return f
 
-
-class FactoryFetcher:
-    """Adapter so an arbitrary zero-arg fetcher factory can run as a
-    map_batches ACTOR class (fn_constructor_args=(factory,)): the factory
-    runs once per actor in __init__, batches go to its product."""
-
-    def __init__(self, factory):
-        self._fetcher = factory()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return self._fetcher(batch)

@@ -212,9 +212,6 @@ class PolitenessGate:
             path += "?" + parts.query
         return self.rules_for(parts.netloc).allowed(path)
 
-    def allowed_many(self, urls: list[str]) -> list[bool]:
-        return [self.allowed(u) for u in urls]
-
     # -- polite-mode budgets ---------------------------------------------
     def admit_budget(self, host: str, want: int, now_s: float) -> int:
         b = self.buckets.get(host)

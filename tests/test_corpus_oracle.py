@@ -96,9 +96,9 @@ def test_oracle_basic_invariants():
     ticks = [a["tick"] for a in res.attempts]
     assert ticks == list(range(1, len(ticks) + 1))
     n_fail = sum(1 for a in res.attempts if a["status"] != 200)
-    assert len(res.attempts) == len(res.fetch_log) + n_fail
+    assert len(res.attempts) == len(res.fetch_order) + n_fail
     # reachability: the crawl reaches a decent chunk of the web
-    assert len(res.fetch_log) > TEST_WEB.num_hosts
+    assert len(res.fetch_order) > TEST_WEB.num_hosts
     # every page's links_to_queue excludes urls fetched earlier
     for url, page in res.pages.items():
         seq = page["fetch_seq"]
@@ -106,8 +106,8 @@ def test_oracle_basic_invariants():
         for link in page["links_to_queue"]:
             assert link not in fetched_before
     # doc ids consistent
-    for f in res.fetch_log:
-        assert f["doc_id"] == ids.doc_id(f["url"])
+    for url, page in res.pages.items():
+        assert page["doc_id"] == ids.doc_id(url)
 
 
 def test_oracle_budget_cap_is_prefix():

@@ -27,16 +27,15 @@ def _crawl(tmp_base, budget, **kw):
     )
     c, summary = run_crawl(cfg)
     try:
+        pages = c.pages_table().sort_by("fetch_seq")
         yield_data = {
             "summary": summary,
             "attempts": [
                 (a["tick"], a["url"], a["status"])
                 for a in c.attempts_table().sort_by("tick").to_pylist()
             ],
-            "order": [
-                f["url"] for f in sorted(c.fetch_log, key=lambda f: f["fetch_seq"])
-            ],
-            "pages": {p["url"]: p for p in c.pages_table().to_pylist()},
+            "order": pages.column("url").to_pylist(),
+            "pages": {p["url"]: p for p in pages.to_pylist()},
             "images": [
                 (i["image_id"], i["caption"], i["fmt"], i["w"], i["h"])
                 for i in sorted(
@@ -147,7 +146,8 @@ def test_virtual_clock_and_timestamps(ray_session, tmp_path, oracle):
     got = _crawl(str(tmp_path / "clock"), 16)
     # virtual_time = 5 s per attempt tick, monotone over the whole crawl
     by_url = {p["url"]: p for p in got["pages"].values()}
-    want_vt = {f["url"]: f["virtual_time_s"] for f in oracle.fetch_log}
+    want_vt = {a["url"]: a["virtual_time_s"] for a in oracle.attempts
+               if a["status"] == 200}
     for url, vt in want_vt.items():
         assert by_url[url]["virtual_time_s"] == vt
         assert by_url[url]["fetched_on"] == by_url[url]["parsed_on"]
@@ -379,39 +379,6 @@ def test_crawl_sites_and_stats_match_oracle(ray_session):
     assert stats["parsed"] == [len(r.pages)]
 
 
-def test_actor_stage_fetcher_parity(ray_session, tmp_path):
-    """use_actor_stages=True (the Dataset actor-pool fetcher — the shape a
-    real session-holding fetcher needs) must produce the EXACT same crawl
-    as the task-pool path and the serial oracle."""
-    base = str(tmp_path / "actorstages")
-    cfg = CrawlConfig(
-        web=SMALL_WEB,
-        budget_per_round=23,
-        out_dir=f"{base}/out",
-        ckpt_dir=f"{base}/ckpt",
-        fetch_concurrency=2,
-        image_concurrency=1,
-        use_actor_stages=True,
-    )
-    c, _ = run_crawl(cfg)
-    try:
-        oracle = run_oracle(SyntheticWeb(SMALL_WEB))
-        pages = c.pages_table().sort_by("fetch_seq")
-        assert pages.column("url").to_pylist() == oracle.fetch_order
-        atts = c.attempts_table().sort_by("tick").to_pylist()
-        assert [(a["url"], a["tick"], a["status"]) for a in atts] == [
-            (a["url"], a["tick"], a["status"]) for a in oracle.attempts
-        ]
-        imgs = c.images_table().sort_by(
-            [("tick", "ascending"), ("img_idx", "ascending")]
-        )
-        assert imgs.column("image_id").to_pylist() == [
-            i["image_id"] for i in oracle.images
-        ]
-    finally:
-        c.shutdown()
-
-
 def test_add_sites_mid_crawl_parity(ray_session, tmp_path):
     """Runtime seed injection (webapp submit-a-site): sites added after
     the crawl has consumed N ticks are crawled with exact ordering parity
@@ -442,11 +409,9 @@ def test_add_sites_mid_crawl_parity(ray_session, tmp_path):
         assert got_attempts == [
             (a["tick"], a["url"], a["status"]) for a in want.attempts
         ]
-        order = [
-            f["url"] for f in sorted(c.fetch_log, key=lambda f: f["fetch_seq"])
-        ]
+        order = c.pages_table().sort_by("fetch_seq").column("url").to_pylist()
         assert order == want.fetch_order
-        assert {p for p in c.pages_table().column("url").to_pylist()} == want.seen
+        assert set(order) == want.seen
         # injected sites really got crawled (they are unreachable organically)
         assert all(u in want.seen for u in new_sites)
         # sites table: original seeds + the two injected docs, in order

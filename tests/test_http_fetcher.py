@@ -2,8 +2,9 @@
 server that serves the deterministic corpus over vhosts (logical host in
 the Host header — the standard vhost test pattern): byte parity with
 CorpusFetcher, 404/transport-error routing (F6), fetch->extract->sink
-round-trip, and full crawl parity vs the serial oracle with the network
-fetcher running as an actor-pool stage over localhost."""
+round-trip, and full crawl parity vs the serial oracle — fresh and
+across a checkpoint/resume — with the network fetcher running inside the
+crawl's heavy-pass tasks over localhost."""
 
 import shutil
 import threading
@@ -127,38 +128,46 @@ def test_http_fetch_extract_sink_roundtrip(http_server, tmp_path):
     assert rows["http"] == rows["corpus"]
 
 
-def test_http_crawl_full_parity(http_server, ray_session, tmp_path):
-    """The flagship check: run the full crawl with the NETWORK fetcher as
-    an actor-pool map_batches stage (session built once per actor) over
-    the localhost vhost server — attempt log, fetch order and seen set
-    must equal the serial oracle exactly, like every other parity run."""
-    from owlcrawler_ray.pipelines.crawl import CrawlConfig, run_crawl
-    from owlcrawler_ray.pipelines.oracle import run_oracle
+def _http_cfg(base, server, **kw):
+    from owlcrawler_ray.pipelines.crawl import CrawlConfig
 
-    base = str(tmp_path / "httpcrawl")
-    shutil.rmtree(base, ignore_errors=True)
-    cfg = CrawlConfig(
+    kw.setdefault("budget_per_round", 32)
+    return CrawlConfig(
         web=SMALL_WEB,
-        budget_per_round=32,
         out_dir=f"{base}/out",
         ckpt_dir=f"{base}/ckpt",
         fetch_concurrency=2,
         image_concurrency=1,
-        use_actor_stages=True,
         fetcher_factory=partial(
-            HttpFetcher, rewrite_base=http_server, max_parallel=4
+            HttpFetcher, rewrite_base=server, max_parallel=4
         ),
+        **kw,
     )
-    c, _ = run_crawl(cfg)
+
+
+def _attempts_and_order(c):
+    attempts = [
+        (a["tick"], a["url"], a["status"])
+        for a in c.attempts_table().sort_by("tick").to_pylist()
+    ]
+    order = c.pages_table().sort_by("fetch_seq").column("url").to_pylist()
+    return attempts, order
+
+
+def test_http_crawl_full_parity(http_server, ray_session, tmp_path):
+    """The flagship check: run the full crawl with the NETWORK fetcher
+    inside the heavy-pass tasks (one fetcher per worker process, its
+    thread pool overlapping each task's GETs) over the localhost vhost
+    server — attempt log, fetch order and seen set must equal the serial
+    oracle exactly, like every other parity run."""
+    from owlcrawler_ray.pipelines.crawl import run_crawl
+    from owlcrawler_ray.pipelines.oracle import run_oracle
+
+    base = str(tmp_path / "httpcrawl")
+    shutil.rmtree(base, ignore_errors=True)
+    c, _ = run_crawl(_http_cfg(base, http_server))
     try:
-        got_attempts = [
-            (a["tick"], a["url"], a["status"])
-            for a in c.attempts_table().sort_by("tick").to_pylist()
-        ]
-        got_order = [
-            f["url"] for f in sorted(c.fetch_log, key=lambda f: f["fetch_seq"])
-        ]
-        got_seen = {p["url"] for p in c.pages_table().to_pylist()}
+        got_attempts, got_order = _attempts_and_order(c)
     finally:
         c.shutdown()
     oracle = run_oracle(SyntheticWeb(SMALL_WEB))
@@ -166,14 +175,44 @@ def test_http_crawl_full_parity(http_server, ray_session, tmp_path):
         (a["tick"], a["url"], a["status"]) for a in oracle.attempts
     ]
     assert got_order == oracle.fetch_order
-    assert got_seen == oracle.seen
+    assert set(got_order) == oracle.seen
+
+
+def test_http_crawl_resume_parity(http_server, ray_session, tmp_path):
+    """A network-fetcher crawl stopped at a tick cap and resumed from its
+    checkpoint (the factory, part of the fingerprint, equal on both
+    sides) makes the serial oracle's attempts in its fetch order."""
+    from owlcrawler_ray.pipelines.crawl import Crawler, run_crawl
+    from owlcrawler_ray.pipelines.oracle import run_oracle
+
+    base = str(tmp_path / "httpresume")
+    shutil.rmtree(base, ignore_errors=True)
+    c1, s1 = run_crawl(_http_cfg(base, http_server, budget_per_round=5,
+                                 max_ticks=12))
+    c1.shutdown()
+    assert 0 < s1["ticks"] <= 12
+    c2 = Crawler(_http_cfg(base, http_server, budget_per_round=17),
+                 resume=True)
+    try:
+        # it resumed from the checkpoint, not from the seeds
+        assert (c2.tick, c2.fetch_seq) == (s1["ticks"], s1["fetched"])
+        c2.run()
+        got_attempts, got_order = _attempts_and_order(c2)
+    finally:
+        c2.shutdown()
+    oracle = run_oracle(SyntheticWeb(SMALL_WEB))
+    assert got_attempts == [
+        (a["tick"], a["url"], a["status"]) for a in oracle.attempts
+    ]
+    assert got_order == oracle.fetch_order
 
 
 def test_cached_fetcher_dedupes_equal_factories():
     """The per-process fetcher cache must return ONE live fetcher for
-    structurally equal factories (each crawl round pickles a fresh
-    closure, so per-closure state would leak one thread-pool fetcher per
-    round per worker), and distinct configs must get distinct fetchers."""
+    structurally equal factories (every heavy-pass task unpickles its
+    factory afresh, so per-object state would leak one thread-pool
+    fetcher per task per worker), and distinct configs must get distinct
+    fetchers."""
     from functools import partial
 
     from owlcrawler_ray.stages.fetch import HttpFetcher, cached_fetcher

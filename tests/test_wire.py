@@ -7,7 +7,7 @@ import pyarrow as pa
 import pytest
 
 from owlcrawler_ray.functions import ids
-from owlcrawler_ray.pipelines.crawl import _fetch_extract_packed
+from owlcrawler_ray.pipelines.crawl import _fetch_extract
 from owlcrawler_ray.sinks import table_store
 from owlcrawler_ray.sinks.checkpoint import CheckpointManager, frontier_file
 from owlcrawler_ray.sources.corpus import SyntheticWeb, WebConfig
@@ -86,7 +86,7 @@ def test_slim_table_has_the_columns_the_driver_reads(tmp_path):
     out = str(tmp_path / "out")
     raw_tmp = table_store.begin_round(out, "pages", 0)
     imgs_tmp = table_store.begin_round(out, "images", 0)
-    slim = unpack(_fetch_extract_packed(pack(batch), cfg, raw_tmp, imgs_tmp))
+    slim = unpack(_fetch_extract(pack(batch), cfg, raw_tmp, imgs_tmp))
     assert slim.column_names == ["url", "depth", "status", "fetch_candidates"]
     assert slim.column("url").to_pylist() == seeds
     assert set(slim.column("status").to_pylist()) == {200}
