@@ -48,7 +48,6 @@ def entry() -> Any:
         out_dir="/tmp/owlcrawl_entry/out",
         ckpt_dir="/tmp/owlcrawl_entry/ckpt",
         fetch_concurrency=4,
-        image_concurrency=2,
     )
     shutil.rmtree("/tmp/owlcrawl_entry", ignore_errors=True)
     crawler, _summary = run_crawl(cfg)

@@ -204,8 +204,6 @@ def run_once() -> dict:
         num_frontier_shards=8,
         fetch_concurrency=max(2, NCPU - 4),
         fetch_batch_size=32,
-        image_concurrency=max(2, NCPU // 2),
-        image_batch_size=64,
         out_dir=f"{base}/out",
         ckpt_dir=f"{base}/ckpt",
         checkpoint_every=4,
@@ -465,7 +463,6 @@ def run_megaround() -> dict:
         web=web, budget_per_round=budget,
         num_seen_shards=8, num_frontier_shards=8,
         fetch_concurrency=max(2, NCPU - 4),
-        image_concurrency=max(2, NCPU // 2),
         out_dir=f"{base}/out", ckpt_dir=f"{base}/ckpt",
         max_rounds=1,
         # honor the spill knob like every other bench mode — a mega-round

@@ -76,10 +76,22 @@ def _synth_shape_arrays(w: int, h: int) -> tuple[np.ndarray, np.ndarray,
     return hit
 
 
-def synth_pixels(image_id: str, w: int, h: int) -> np.ndarray:
+def pixel_seed(image_id: str) -> bytes:
+    """The 8-byte little-endian seed of an image's pixels (its blake2b)."""
+    return hashlib.blake2b(image_id.encode(), digest_size=8).digest()
+
+
+def synth_pixels(image_id: str, w: int, h: int,
+                 rng: np.random.Generator | None = None) -> np.ndarray:
     """Deterministic (h, w, 3) uint8 image for an id: smooth per-channel
     gradient + a diagonal wave + seeded noise. Same id -> same pixels,
     forever.
+
+    ``rng`` is a generator already at the state ``np.random.default_rng``
+    starts from for ``pixel_seed(image_id)``: the corpus's batch path
+    (``SyntheticWeb.image_bytes_many``) seeds a whole batch in one
+    ``functions.seeding`` call and passes each image a reused generator.
+    None seeds one here, the reference path.
 
     The wave 40*sin(freq*(x+y) + phase) depends on x+y only, so it is
     evaluated once per distinct diagonal (w+h-1 values per channel) and
@@ -88,10 +100,9 @@ def synth_pixels(image_id: str, w: int, h: int) -> np.ndarray:
     the same stream as normal(0, 12) and rounds the same (0 + 12*z).
     Every value, dtype and op order matches the original full-size form
     (pinned by test_synth_pixels_bit_identical_to_uncached)."""
-    seed = int.from_bytes(
-        hashlib.blake2b(image_id.encode(), digest_size=8).digest(), "little"
-    )
-    rng = np.random.default_rng(seed)
+    if rng is None:
+        rng = np.random.default_rng(
+            int.from_bytes(pixel_seed(image_id), "little"))
     base, xy, diag = _synth_shape_arrays(w, h)
     phase = rng.uniform(0, 2 * np.pi, size=3)
     freq = rng.uniform(0.05, 0.3, size=3)

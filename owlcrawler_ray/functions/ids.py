@@ -117,6 +117,19 @@ def shard_of(urls, num_shards: int) -> np.ndarray:
     return (url_hash64_many(urls) % np.uint64(num_shards)).astype(np.int64)
 
 
+def shard_of_repeated(keys, num_shards: int) -> np.ndarray:
+    """``shard_of`` for keys that repeat, e.g. the hosts of a round's
+    urls (a list or an Arrow string array): the keys are dictionary-
+    encoded, each distinct key is hashed once, and the shards are taken
+    back by index."""
+    import pyarrow as pa
+
+    arr = keys if isinstance(keys, pa.Array) else pa.array(keys, pa.string())
+    enc = arr.dictionary_encode()
+    shards = shard_of(enc.dictionary.to_pylist(), num_shards)
+    return shards[enc.indices.to_numpy(zero_copy_only=False)]
+
+
 def int_hash64_many(keys: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer over integer keys -> uint64.
 

@@ -125,6 +125,9 @@ class CrawlConfig:
     num_frontier_shards: int = 4
     fetch_concurrency: int = 4
     fetch_batch_size: int = 32
+    # never read by the crawl (the fused task decodes a slice's images
+    # in one batch); kept only because perfbench passes image_concurrency
+    # and its replay reads image_batch_size (ROADMAP item 15)
     image_concurrency: int = 2
     image_batch_size: int = 64
     tick_seconds: int = 5
@@ -669,14 +672,11 @@ class Crawler:
         self._push_frontier(urls, [0] * len(urls), [0.0] * len(urls))
         return len(urls)
 
-    def _host_shard(self, hosts: list[str]) -> np.ndarray:
-        return ids.shard_of(hosts, self.cfg.num_frontier_shards)
-
     def _route_entries(self, urls, depths, prios,
                        seqs) -> list[pa.Table | None]:
         """Frontier entries split by frontier shard (None = none there)."""
         hosts = ids.host_of_many(urls)
-        shard = self._host_shard(hosts)
+        shard = ids.shard_of_repeated(hosts, self.cfg.num_frontier_shards)
         # build ONE Arrow table, route shards with take — the old
         # per-shard python list comprehensions were 4 x O(links) of
         # driver work per round (SCALING.md mega-round links_push)
@@ -987,7 +987,7 @@ class Crawler:
         )
         drop: list[list[str] | None] = [None] * nf
         if n_s:
-            fshard = self._host_shard(succ_hosts.to_pylist())
+            fshard = ids.shard_of_repeated(succ_hosts, nf)
             s_urls_np = np.array(s_urls_arr.to_pylist(), dtype=object)
             drop = [s_urls_np[fshard == i].tolist() or None
                     for i in range(nf)]

@@ -2099,7 +2099,6 @@ def _crawl_cfg(tag: str):
         out_dir=f"/tmp/owlcrawl_q/{tag}/out",
         ckpt_dir=f"/tmp/owlcrawl_q/{tag}/ckpt",
         fetch_concurrency=2,
-        image_concurrency=1,
     )
 
 

@@ -5,7 +5,8 @@ with a fixed UA, whole body in memory, one URL at a time off NATS). Here
 the fetcher is a callable CLASS that runs inside the crawl's heavy-pass
 tasks — session/connection state (in the sandbox, just the corpus
 config) is built ONCE per configuration per worker process
-(``cached_fetcher``); ``__call__`` handles one Arrow batch of URLs.
+(``cached_fetcher``); ``__call__`` handles one Arrow batch of URLs, and
+the corpus fetcher renders that batch as one (``SyntheticWeb.fetch_many``).
 
 Fetch errors do NOT raise: the reference logs and drops (fetcher.go:51-54);
 we record ``status`` per row (0 = transport error, else HTTP status) so
@@ -25,23 +26,23 @@ USER_AGENT = "OwlCrawlerRay - https://github.com/fmpwizard/owlcrawler (rebuild)"
 class CorpusFetcher:
     """Deterministic sandbox fetcher (the Fetcher protocol's corpus impl).
 
-    A real network fetcher implements the same __call__ contract with a
-    session created in __init__ (one per worker process, reused across
-    batches — never per batch/row)."""
+    Renders the whole batch with one ``SyntheticWeb.fetch_many`` call,
+    which seeds every page's rng streams in one vectorized pass; the
+    bodies equal ``SyntheticWeb.fetch``'s byte for byte. A real network
+    fetcher implements the same __call__ contract with a session created
+    in __init__ (one per worker process, reused across batches — never
+    per batch/row)."""
 
     def __init__(self, web_cfg: WebConfig):
         self.web = shared_web(web_cfg)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        statuses, bodies = [], []
-        for u in urls:
-            status, body = self.web.fetch(u)
-            statuses.append(status)
-            bodies.append(body)
+        got = self.web.fetch_many(batch.column("url").to_pylist())
         return batch.append_column(
-            "status", pa.array(statuses, type=pa.int32())
-        ).append_column("html", pa.array(bodies, type=pa.large_binary()))
+            "status", pa.array([s for s, _ in got], type=pa.int32())
+        ).append_column(
+            "html", pa.array([b for _, b in got], type=pa.large_binary())
+        )
 
 
 class HttpFetcher:

@@ -9,8 +9,10 @@ validated and inflated once (``codec.decode_quantized``), only its 32x32
 phash grid is dequantized, and the whole batch is hashed by one
 ``codec.phash_batch`` call; the kept rows' payload and pass-through
 columns are taken from the input batch, never rebuilt from Python
-lists. Kernels are state-free, so the stage runs inside the fused round
-task or as a small-batch actor-pool stage alike.
+lists. Kernels are state-free; both stages run inside the crawl's fused
+round task, built per call. The fetch stage asks the corpus for a whole
+batch of images at once, so every pixel seed of the batch comes from
+one ``functions.seeding`` call.
 """
 
 from __future__ import annotations
@@ -27,24 +29,19 @@ _LOG = logging.getLogger("owlcrawler_ray.images")
 
 class ImageFetcher:
     """image_url batch -> +bytes (corpus-backed; a real impl holds an HTTP
-    session per actor). Missing/foreign urls yield empty bytes + ok=False."""
+    session per actor). One ``SyntheticWeb.image_bytes_many`` call seeds
+    and synthesizes the batch; missing/foreign urls yield empty bytes +
+    ok=False."""
 
     def __init__(self, web_cfg: WebConfig):
         self.web = shared_web(web_cfg)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("image_url").to_pylist()
-        bufs, oks = [], []
-        for u in urls:
-            try:
-                bufs.append(self.web.image_bytes(u))
-                oks.append(True)
-            except KeyError:
-                bufs.append(b"")
-                oks.append(False)
+        got = self.web.image_bytes_many(batch.column("image_url").to_pylist())
         return batch.append_column(
-            "bytes", pa.array(bufs, type=pa.large_binary())
-        ).append_column("ok", pa.array(oks, type=pa.bool_()))
+            "bytes", pa.array([b or b"" for b in got], type=pa.large_binary())
+        ).append_column(
+            "ok", pa.array([b is not None for b in got], type=pa.bool_()))
 
 
 class ImageDecoder:

@@ -17,6 +17,24 @@ def test_doc_id_matches_go_urlencoding():
     assert ids.seed_doc_id("x") == "site-eA=="
 
 
+def test_shard_of_repeated_equals_shard_of_per_occurrence():
+    """The crawl routes each url by its host's shard, hashing each
+    distinct host once; every occurrence must get shard_of's shard."""
+    import pyarrow as pa
+
+    rng = np.random.default_rng(0)
+    hosts = [f"host-{i}.test" for i in rng.integers(0, 64, 5000)]
+    cases = [[], ["host-3.test"], ["host-3.test"] * 7, hosts,
+             ["", "a.test", "", "b.test:8080", "a.test"]]
+    for keys in cases:
+        for n in (1, 2, 3, 8):
+            want = ids.shard_of(keys, n)
+            for arg in (keys, pa.array(keys, pa.string())):
+                got = ids.shard_of_repeated(arg, n)
+                assert got.dtype == np.int64 and got.shape == (len(keys),)
+                assert got.tolist() == want.tolist(), (keys[:3], n)
+
+
 @given(st.text(min_size=0, max_size=200))
 @settings(max_examples=200, deadline=None)
 def test_doc_id_roundtrip(url):
