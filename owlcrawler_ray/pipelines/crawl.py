@@ -25,9 +25,10 @@ frontier shard i (host hash) — max(ns, nf) processes, not ns + nf
      table the crawl passes to or from its tasks and state actors: one
      Arrow IPC stream buffer each (state/wire.py), not Ray's per-buffer
      Python reducer for ``pa.Table``.
-  3. the driver assigns politeness ticks per ATTEMPT (reference: one 5s
-     tick per actual GET, fetcher.go:96-99; dequeue-time seen check is
-     free) and writes the attempts table.
+  3. ``settle_fetch`` (pipelines/settle.py, pure) assigns politeness
+     ticks per ATTEMPT (reference: one 5s tick per actual GET,
+     fetcher.go:96-99; dequeue-time seen check is free) and selects the
+     successes in tick order; the driver writes the attempts table.
   4. COMMIT, one call per actor, in this order: ack the previous
      checkpoint, remove the round's admitted entries (and, polite, its
      robots-disallowed ones), probe the round's link candidates against
@@ -35,11 +36,13 @@ frontier shard i (host hash) — max(ns, nf) processes, not ns + nf
      vs the reference's per-link HTTP HEAD), insert the round's
      successes, drop every queued occurrence of them (the dedup: a url's
      queued copies all sit on its host's frontier shard), peek the next
-     window.
-  5. stamps sidecar parquet (tick/fetch_seq/links_to_queue/fetched_on,
-     url-keyed, merged back into pages_table()/images_table() at read
-     time); new links seq-numbered in (tick, doc-order) = NATS publish
-     order.
+     window. Probe, add, drop and push each take their share of a
+     round's rows through one routing helper, ``shard_groups``.
+  5. ``settle_links`` (pure) filters the candidates as of each page's
+     extraction and numbers the new links in (tick, doc-order) = NATS
+     publish order; the driver writes the stamps sidecar parquet
+     (tick/fetch_seq/links_to_queue/fetched_on, url-keyed, merged back
+     into pages_table()/images_table() at read time).
   6. ADVANCE, one call per actor, in this order: push the new links
      (none that is seen or was fetched this round), checkpoint when due
      (each actor writes its frontier snapshot and seen delta into the
@@ -54,11 +57,20 @@ frontier shard i (host hash) — max(ns, nf) processes, not ns + nf
      work, not just the few hosts with the longest runs at the queue
      head.
 
+``_process_round`` is the executor of steps 2-6. It runs their effects
+in this order, one named step each: (1) the heavy pass, then the pages
+and images ``commit_round``; (2) the COMMIT calls sent, the frontier
+generation captured under the lock; (3) the attempts write; (4) the
+COMMIT replies gathered; (5) the stamps round begun, written and
+committed; (6) the images round's row count; (7) the ADVANCE calls
+(push, then checkpoint). ``run()`` then appends the round's metrics and,
+after them, commits the checkpoint manifest and prunes old rounds.
+
 Why raw Ray tasks for the heavy pass instead of Dataset.map_batches: the
 pass is a driver-coordinated scatter-gather with a HARD BARRIER (tick
 assignment needs every fetch status before stamping), so the streaming
 executor's pipelining buys nothing while costing ~35 ms/task of driver
-overhead (measured A/B; see _process_round). Dataset map_batches remains
+overhead (measured A/B; see _heavy_pass). Dataset map_batches remains
 the shape for every query/analysis pipeline in pipelines/queries.py. A
 real fetcher (``fetcher_factory``, e.g. HttpFetcher) runs inside the same
 ``num_cpus=1`` tasks, built once per configuration per worker process
@@ -91,6 +103,7 @@ import math
 import os
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -112,8 +125,7 @@ from ..state.frontier import entries_table
 from ..state.politeness import PolitenessConfig, PolitenessGate
 from ..state.shard import StateShard
 from ..state.wire import pack, unpack
-
-EPOCH_US = 1420070400000000  # 2015-01-01T00:00:00 (virtual-clock origin)
+from .settle import first_occurrences, settle_fetch, settle_links
 
 
 @dataclass
@@ -216,7 +228,7 @@ class CrawlConfig:
         ).hexdigest()
 
 
-# the heavy pass's return columns: the ones _process_round reads
+# the heavy pass's return columns: the ones settle_fetch reads
 _SLIM = ["url", "depth", "status", "fetch_candidates"]
 
 
@@ -447,6 +459,28 @@ class _Window:
     ent: pa.Table
 
 
+def shard_groups(shards: np.ndarray, n: int) -> list[np.ndarray]:
+    """The positions routed to each of ``n`` actors, ascending, from one
+    shard id per position: the one routing of the crawl's per-shard
+    traffic (probe, add, drop, push), each a take of its group."""
+    return [np.flatnonzero(shards == i) for i in range(n)]
+
+
+class _Laps:
+    """A round's phase timer: ``lap(key)`` books the time since the last
+    lap under ``key`` (a key may recur: its laps add up)."""
+
+    def __init__(self) -> None:
+        # every round reports a checkpoint time, 0 when none was due
+        self.t = {"checkpoint": 0.0}
+        self._t0 = time.perf_counter()
+
+    def __call__(self, key: str) -> None:
+        now = time.perf_counter()
+        self.t[key] = self.t.get(key, 0.0) + now - self._t0
+        self._t0 = now
+
+
 # the crawl's state actors (module level, like _fetch_extract_task: one
 # actor class exported per job, not one per Crawler)
 _STATE_ACTOR = ray.remote(num_cpus=0)(StateShard)
@@ -672,22 +706,6 @@ class Crawler:
         self._push_frontier(urls, [0] * len(urls), [0.0] * len(urls))
         return len(urls)
 
-    def _route_entries(self, urls, depths, prios,
-                       seqs) -> list[pa.Table | None]:
-        """Frontier entries split by frontier shard (None = none there)."""
-        hosts = ids.host_of_many(urls)
-        shard = ids.shard_of_repeated(hosts, self.cfg.num_frontier_shards)
-        # build ONE Arrow table, route shards with take — the old
-        # per-shard python list comprehensions were 4 x O(links) of
-        # driver work per round (SCALING.md mega-round links_push)
-        t_all = entries_table(urls, hosts, depths, prios, seqs)
-        out: list[pa.Table | None] = []
-        for s in range(self.cfg.num_frontier_shards):
-            idx = np.where(shard == s)[0]
-            out.append(t_all.take(pa.array(idx, type=pa.int64()))
-                       if len(idx) else None)
-        return out
-
     def _push_frontier(self, urls, depths, prios) -> None:
         """A push from outside the crawl loop (seeds, add_sites), which
         may run on another thread than the loop: takes the next seqs,
@@ -700,57 +718,62 @@ class Crawler:
         if not len(urls):
             return
         with self._frontier_lock:
-            seqs = list(range(self.next_seq, self.next_seq + len(urls)))
+            urls = pa.array(urls, pa.string())
+            ent = entries_table(urls, ids.host_of_many(urls), depths, prios,
+                                np.arange(self.next_seq,
+                                          self.next_seq + len(urls)))
             self.next_seq += len(urls)
-            keep = np.flatnonzero(
-                ~self._seen_mask_np(pa.array(urls, pa.string())))
-            if not len(keep):
+            ent = ent.filter(pa.array(~self._seen_mask_np(urls)))
+            if not ent.num_rows:
                 return
-            tables = self._route_entries(
-                *([v[i] for i in keep] for v in (urls, depths, prios, seqs)))
             self._frontier_gen += 1
             futs = [self.state[s].frontier_push.remote(pack(t))
-                    for s, t in enumerate(tables) if t is not None]
+                    for s, t in enumerate(self._route_entries(ent))
+                    if t is not None]
         ray.get(futs)
 
-    def _route_seen(self, url_arr: pa.Array) -> tuple[list, tuple]:
-        """Dedup an Arrow string array and split the uniques by seen
-        shard: (per-shard probe lists, None where empty; the routing that
-        _gather_seen maps the per-shard masks back through). The blake2b
-        shard hash is the one per-string python cost kept — it must stay
-        stable across processes and checkpoints (ids.py)."""
-        uniq_arr = pc.unique(url_arr)
-        uniq = uniq_arr.to_pylist()
-        shards = ids.shard_of(uniq, self.cfg.num_seen_shards)
-        idxs = [np.where(shards == sh)[0]
-                for sh in range(self.cfg.num_seen_shards)]
-        lists = [[uniq[i] for i in idx] if len(idx) else None
-                 for idx in idxs]
-        return lists, (url_arr, uniq_arr, idxs)
+    def _frontier_groups(self, hosts: pa.Array) -> list[np.ndarray]:
+        """``shard_groups`` of ``hosts`` by frontier shard: a url's
+        entries all sit on the frontier shard of its host."""
+        return shard_groups(
+            ids.shard_of_repeated(hosts, self.cfg.num_frontier_shards),
+            len(self.state))
 
-    @staticmethod
-    def _gather_seen(route: tuple, masks: list) -> np.ndarray:
-        """Per-occurrence seen mask from per-shard probe masks."""
-        url_arr, uniq_arr, idxs = route
-        seen_u = np.zeros(len(uniq_arr), dtype=bool)
-        for idx, mask in zip(idxs, masks):
-            if len(idx):
-                seen_u[idx] = np.asarray(mask, dtype=bool)
-        pos = pc.index_in(url_arr, value_set=uniq_arr)
-        return seen_u[pos.to_numpy(zero_copy_only=False)]
+    def _route_entries(self, ent: pa.Table) -> list[pa.Table | None]:
+        """Frontier entries split by actor (None = none there)."""
+        return [ent.take(g) if len(g) else None for g in
+                self._frontier_groups(ent.column("host").combine_chunks())]
 
-    def _seen_mask_np(self, url_arr: pa.Array) -> np.ndarray:
-        """Vectorized seen-set membership for an Arrow string array:
-        dedup -> batched per-shard RPC -> index_in map-back, one output
-        per occurrence."""
-        if not len(url_arr):
-            return np.zeros(0, dtype=bool)
-        lists, route = self._route_seen(url_arr)
-        futs = [self.state[sh].seen_contains.remote(l)
-                for sh, l in enumerate(lists) if l]
-        got = iter(ray.get(futs))
-        return self._gather_seen(
-            route, [next(got) if l else None for l in lists])
+    def _seen_split(self, urls: pa.Array
+                    ) -> tuple[list, Callable[[list], np.ndarray]]:
+        """The distinct ``urls`` split by seen shard: (per actor, its
+        probe or add list, None where empty; a function that maps the
+        per-actor seen masks back to one flag per occurrence of
+        ``urls``). The blake2b shard hash is the one per-string python
+        cost kept: it must stay stable across processes and checkpoints
+        (ids.py)."""
+        uniq = pc.unique(urls)
+        groups = shard_groups(
+            ids.shard_of(uniq.to_pylist(), self.cfg.num_seen_shards),
+            len(self.state))
+
+        def gather(masks: list) -> np.ndarray:
+            seen = np.zeros(len(uniq), dtype=bool)
+            for g, m in zip(groups, masks):
+                if len(g):
+                    seen[g] = m
+            return seen[pc.index_in(urls, value_set=uniq)
+                        .to_numpy(zero_copy_only=False)]
+
+        return [uniq.take(g).to_pylist() or None for g in groups], gather
+
+    def _seen_mask_np(self, urls: pa.Array) -> np.ndarray:
+        """Seen-set membership, one flag per occurrence of ``urls``: one
+        batched ``seen_contains`` call per seen shard that holds any."""
+        probe, gather = self._seen_split(urls)
+        got = iter(ray.get([self.state[i].seen_contains.remote(p)
+                            for i, p in enumerate(probe) if p]))
+        return gather([next(got) if p else None for p in probe])
 
     # ------------------------------------------------------------------
     def _flush(self, ack: bool = True) -> None:
@@ -886,257 +909,123 @@ class Crawler:
         )
 
     # ------------------------------------------------------------------
-    def _process_round(self, admitted: pa.Table) -> tuple[dict, tuple | None]:
-        """Run one admitted round: the heavy pass, tick walk, COMMIT,
-        stamps, ADVANCE (module docstring, steps 2-6). Returns the round's
+    def _process_round(self, admitted: pa.Table,
+                       lap: _Laps) -> tuple[dict, tuple | None]:
+        """Run one admitted round (module docstring, steps 2-6): its
+        effects, one named step each, around ``settle_fetch`` and
+        ``settle_links``, each step timed by ``lap``. Returns the round's
         metrics and, when a checkpoint was due, (tmp dir, per-actor
         checkpoint outputs) for _commit_checkpoint — the caller records
         the metrics first, since the manifest carries them."""
-        cfg = self.cfg
-        ns, nf = cfg.num_seen_shards, cfg.num_frontier_shards
-        tmr: dict[str, float] = {}
-        _t0 = time.perf_counter()
-        # distinct urls, first-occurrence order (dup occurrences resolve at
-        # tick assignment: first success discards later dups tick-free,
-        # failures retry per occurrence — exactly the dequeue semantics).
-        # pc.unique preserves order of first appearance, so index_in of
-        # the uniques against the full column IS the firsts selection.
-        adm_urls = admitted.column("url").combine_chunks()
-        uniq_urls = pc.unique(adm_urls)
-        first_idx = pc.index_in(uniq_urls, value_set=adm_urls)
-        tbl = admitted.take(first_idx)
-        n = tbl.num_rows
-        conc = max(1, min(cfg.fetch_concurrency, math.ceil(n / cfg.fetch_batch_size)))
-        n_blocks = _round_blocks(n, conc)
-        raw_tmp = table_store.begin_round(cfg.out_dir, "pages", self.round_id)
-        imgs_tmp = (
-            table_store.begin_round(cfg.out_dir, "images", self.round_id)
-            if cfg.write_images else None
-        )
-        # The round pass is a driver-coordinated scatter-gather with a
-        # hard barrier (politeness-tick assignment needs every status):
-        # plain Ray tasks over the arrow slices. The Dataset streaming
-        # executor buys nothing at a barrier and costs ~35 ms/task of
-        # driver-side overhead (measured A/B: 4.4 s vs 3.1 s per 4800
-        # pages at 16 cpus) — the Dataset API remains the idiom for the
-        # streaming/query pipelines, not for this exchange.
-        slim = pa.concat_tables([unpack(b) for b in ray.get([
-            _fetch_extract_task.remote(
-                pack(s), cfg.web, raw_tmp, imgs_tmp, cfg.fetcher_factory)
-            for s in _slice_tables(tbl, n_blocks)
-        ])])
-        table_store.commit_round(cfg.out_dir, "pages", self.round_id)
-        self._note_round("pages")
-        if imgs_tmp is not None:
-            table_store.commit_round(cfg.out_dir, "images", self.round_id)
-            self._note_round("images")
-        tmr["fetch_extract"] = time.perf_counter() - _t0
-        _t0 = time.perf_counter()
-        # ---- politeness-tick assignment (driver, VECTORIZED) -----------
-        # One tick per occurrence EXCEPT later occurrences of a url whose
-        # fetch succeeded (the first success discards its dups tick-free;
-        # failures retry per occurrence). A url's status is per-round
-        # constant, so "an earlier occurrence already succeeded" is
-        # exactly (status==200 AND not first occurrence).
-        slim_urls = slim.column("url").combine_chunks()
-        st_np = slim.column("status").to_numpy(zero_copy_only=False)
-        occ_slim_pos = pc.index_in(adm_urls, value_set=slim_urls)
-        if occ_slim_pos.null_count:  # fetch stage lost a url: fail loud
-            raise RuntimeError("admitted url missing from fetch output")
-        st_occ = st_np[occ_slim_pos.to_numpy(zero_copy_only=False)]
-        is_first = np.zeros(admitted.num_rows, dtype=bool)
-        is_first[first_idx.to_numpy(zero_copy_only=False)] = True
-        keep = is_first | (st_occ != 200)
-        ticks_all = self.tick + np.cumsum(keep)
-        n_att = int(keep.sum())
-        self.tick += n_att
-        keep_arr = pa.array(keep)
-        att_urls = adm_urls.filter(keep_arr)
-        att_ticks = ticks_all[keep]
-        att_status = st_occ[keep].astype(np.int32)
-        succ_mask = att_status == 200
-        n_s = int(succ_mask.sum())
-        s_urls_arr = att_urls.filter(pa.array(succ_mask))
-        t_np = att_ticks[succ_mask]
-        fs_np = np.arange(self.fetch_seq, self.fetch_seq + n_s, dtype=np.int64)
-        self.fetch_seq += n_s
-        tmr["tick_walk"] = time.perf_counter() - _t0
-        _t0 = time.perf_counter()
-        # ---- COMMIT: one call per state actor, sent before the attempts
-        # write so the actors work while the driver writes ---------------
-        # slim rows for successes, in TICK order (successes filtered from
-        # the admit-order walk above are already tick-ascending), so ONE
-        # index_in + take replaces the old python membership mask + sort
-        # — these driver loops were 2.7 s + 2.4 s of a 110k-tick
-        # mega-round (SCALING.md)
-        succ = slim.take(pc.index_in(s_urls_arr, value_set=slim_urls))
-        cands = succ.column("fetch_candidates").combine_chunks()
-        flat = pc.list_flatten(cands)
-        parent = pc.list_parent_indices(cands).to_numpy(zero_copy_only=False)
-        # the round's link candidates, probed against the seen set before
-        # its successes are inserted (the replacement for the reference's
-        # per-link HEAD check)
-        probe, route = (self._route_seen(flat) if len(parent)
-                        else ([None] * ns, None))
-        add = self._route_seen(s_urls_arr)[0] if n_s else [None] * ns
-        # the successes again, split by frontier shard: their queued
-        # copies all sit on the shard of their host, which drops them
-        succ_hosts = (
-            admitted.column("host").combine_chunks()
-            .filter(keep_arr).filter(pa.array(succ_mask))
-        )
-        drop: list[list[str] | None] = [None] * nf
-        if n_s:
-            fshard = ids.shard_of_repeated(succ_hosts, nf)
-            s_urls_np = np.array(s_urls_arr.to_pylist(), dtype=object)
-            drop = [s_urls_np[fshard == i].tolist() or None
-                    for i in range(nf)]
+        cfg, rid = self.cfg, self.round_id
+        # 1. the heavy pass, then the pages/images rounds its tasks wrote
+        slim = self._heavy_pass(admitted)
+        lap("fetch_extract")
+        attempts, succ, self.tick, self.fetch_seq = settle_fetch(
+            admitted, slim, self.tick, self.fetch_seq, cfg.tick_seconds)
+        lap("tick_walk")
+        # 2. COMMIT sent, one call per actor, before the attempts write so
+        # the actors work while the driver writes: probe the link
+        # candidates, add the successes, drop their queued copies
+        urls = succ.column("url").combine_chunks()
+        probe, cand_seen = self._seen_split(
+            pc.list_flatten(succ.column("fetch_candidates").combine_chunks()))
+        add, _ = self._seen_split(urls)
+        drop = [urls.take(g).to_pylist() or None for g in
+                self._frontier_groups(succ.column("host").combine_chunks())]
         w_next = max(0, self._parity_k() if cfg.mode == "parity"
                      else self._polite_w())
         cap = self._per_host()
         with self._frontier_lock:
             gen = self._frontier_gen
             commits = [
-                a.commit.remote(
-                    self._ack_pending, self._removes.get(i),
-                    probe[i] if i < ns else None,
-                    add[i] if i < ns else None,
-                    drop[i] if i < nf else None,
-                    w_next if i < nf else 0, cap,
-                )
+                a.commit.remote(self._ack_pending, self._removes.get(i),
+                                probe[i], add[i], drop[i], w_next, cap)
                 for i, a in enumerate(self.state)
             ]
         self._ack_pending, self._removes = False, {}
-        tmr["seen_commit"] = time.perf_counter() - _t0
-        _t0 = time.perf_counter()
-        table_store.write_round(
-            pa.table(
-                {
-                    "tick": pa.array(att_ticks),
-                    "virtual_time_s": pa.array(att_ticks * cfg.tick_seconds),
-                    "url": att_urls,
-                    "status": pa.array(att_status),
-                }
-            ),
-            cfg.out_dir, "attempts", self.round_id,
-        )
-        tmr["attempts_write"] = time.perf_counter() - _t0
-        _t0 = time.perf_counter()
+        lap("seen_commit")
+        # 3. the attempts write
+        table_store.write_round(attempts, cfg.out_dir, "attempts", rid)
+        lap("attempts_write")
+        # 4. COMMIT replies: the candidates' seen masks, the pre-push peeks
         got = [(m, unpack(p)) for m, p in ray.get(commits)]
-        tmr["seen_commit"] += time.perf_counter() - _t0
-        _t0 = time.perf_counter()
-        # ---- advisory link filter + stamps (driver, VECTORIZED) ---------
-        if len(parent):
-            flat_seen = self._gather_seen(route, [m for m, _ in got[:ns]])
-            # drop a candidate fetched EARLIER this round (tick <= the
-            # linking page's tick); later-tick fetches stay queued —
-            # exactly the old per-candidate dict condition
-            sidx = pc.fill_null(
-                pc.index_in(flat, value_set=s_urls_arr), -1
-            ).to_numpy(zero_copy_only=False).astype(np.int64)
-            in_round = sidx >= 0
-            cand_tick = np.where(in_round, t_np[np.maximum(sidx, 0)],
-                                 np.int64(2**62))
-            keep = ~(flat_seen | (in_round & (cand_tick <= t_np[parent])))
-        else:
-            keep = in_round = np.zeros(0, dtype=bool)
-        kept_vals = flat.filter(pa.array(keep))
-        kept_parent = parent[keep]
-        offsets = np.zeros(n_s + 1, dtype=np.int32)
-        if len(kept_parent):
-            np.cumsum(np.bincount(kept_parent, minlength=n_s),
-                      out=offsets[1:])
-        links_list = pa.ListArray.from_arrays(
-            pa.array(offsets, pa.int32()), kept_vals
-        )
-        # stamps sidecar (joined back into pages_dataset() on read)
-        vt_us = pa.array(
-            EPOCH_US + t_np * (cfg.tick_seconds * 1_000_000)
-        ).cast(pa.timestamp("us"))
-        stamps = pa.table(
-            {
-                "url": s_urls_arr,
-                "tick": pa.array(t_np),
-                "fetch_seq": pa.array(fs_np),
-                "virtual_time_s": pa.array(t_np * cfg.tick_seconds),
-                "links_to_queue": links_list,
-                "fetched_on": vt_us,
-                "parsed_on": vt_us,
-            }
-        )
-        stamps_tmp = table_store.begin_round(cfg.out_dir, "stamps", self.round_id)
-        table_store.write_part(stamps_tmp, stamps, key=f"r{self.round_id}")
-        table_store.commit_round(cfg.out_dir, "stamps", self.round_id)
-        tmr["stamps"] = time.perf_counter() - _t0
-        _t0 = time.perf_counter()
-        # rows the committed images round ACTUALLY holds (part-metadata
-        # counts — no row data read): fetch misses and undecodable
-        # payloads are excluded, so the metric agrees with the store it
-        # describes instead of counting candidate img_urls
-        n_images = table_store.round_num_rows(
-            cfg.out_dir, "images", self.round_id
-        ) if cfg.write_images else 0
-        tmr["images"] = time.perf_counter() - _t0
-        _t0 = time.perf_counter()
-        # ---- frontier growth: seqs in (tick, doc-order) = publish order -
-        # (kept-candidate flatten order == tick-major, per-page doc order;
-        # the url column ships as the Arrow array it already is)
-        n_new = len(kept_vals)
-        new_depths = (
-            succ.column("depth").to_numpy(zero_copy_only=False)
-            .astype(np.int32)[kept_parent] + 1
-        )
+        lap("seen_commit")
         with self._frontier_lock:  # add_sites takes seqs too
-            new_seqs = np.arange(self.next_seq, self.next_seq + n_new,
-                                 dtype=np.int64)
-            self.next_seq += n_new
-        # a kept link fetched later this round is in links_to_queue and
-        # has its seq, but is seen now: it is not queued
-        push = np.flatnonzero(~in_round[keep])
-        pushes = (
-            self._route_entries(
-                kept_vals.take(pa.array(push)), new_depths[push],
-                np.zeros(len(push), np.float32), new_seqs[push])
-            if len(push) else [None] * nf
-        )
-        # ---- the next admission's window: per shard, the first w_next
-        # of the pre-push peek plus the shard's new links (next_window)
+            seq0 = self.next_seq
+            stamps, new, self.next_seq = settle_links(
+                succ, cand_seen([m for m, _ in got]), seq0, cfg.tick_seconds)
+        # 5. the stamps sidecar (joined back into the views on read)
+        tmp = table_store.begin_round(cfg.out_dir, "stamps", rid)
+        table_store.write_part(tmp, stamps, key=f"r{rid}")
+        table_store.commit_round(cfg.out_dir, "stamps", rid)
+        lap("stamps")
+        # 6. rows the committed images round holds (part metadata, no row
+        # data read): fetch misses and undecodable payloads are not rows
+        n_images = (table_store.round_num_rows(cfg.out_dir, "images", rid)
+                    if cfg.write_images else 0)
+        lap("images")
+        # the next admission's window: per frontier shard, the first
+        # w_next of the pre-push peek plus the shard's new links
+        pushes = self._route_entries(new)
         if w_next:
-            wpeeks = [next_window(p, t, w_next, cap)
-                      for (_, p), t in zip(got[:nf], pushes)]
+            wpeeks = [next_window(p, t, w_next, cap) for (_, p), t in
+                      zip(got[:cfg.num_frontier_shards], pushes)]
             self._window = _Window(gen, w_next, wpeeks,
                                    _queue_sorted(pa.concat_tables(wpeeks)))
-        tmr["links_push"] = time.perf_counter() - _t0
-        _t0 = time.perf_counter()
-        # ---- ADVANCE: one call per state actor --------------------------
-        tmp = (self.ckpt.begin(self.round_id)
-               if self.round_id % cfg.checkpoint_every == 0 else None)
+        lap("links_push")
+        # 7. ADVANCE, one call per actor: push, then checkpoint when due
+        ckpt = (self.ckpt.begin(rid)
+                if rid % cfg.checkpoint_every == 0 else None)
         outs = ray.get([
-            a.advance.remote(
-                pack(pushes[i]) if i < nf else None,
-                self._ckpt_args(tmp, i) if tmp else None,
-            )
+            a.advance.remote(pack(pushes[i]),
+                             self._ckpt_args(ckpt, i) if ckpt else None)
             for i, a in enumerate(self.state)
         ])
-        tmr["checkpoint"] = 0.0
-        tmr["checkpoint" if tmp else "links_push"] += (
-            time.perf_counter() - _t0)
-        vc = pc.value_counts(succ_hosts)
-        per_host = dict(
-            zip(vc.field("values").to_pylist(),
-                (int(c) for c in vc.field("counts").to_pylist()))
-        )
+        lap("checkpoint" if ckpt else "links_push")
+        vc = pc.value_counts(succ.column("host"))
         m = {
-            "round": self.round_id,
+            "round": rid,
             "admitted": admitted.num_rows,
-            "attempts": n_att,
-            "successes": n_s,
+            "attempts": attempts.num_rows,
+            "successes": succ.num_rows,
             "images": int(n_images),
-            "new_links": int(n_new),
-            "per_host_fetches": per_host,
-            "timings": {k: round(v, 3) for k, v in tmr.items()},
+            "new_links": self.next_seq - seq0,
+            "per_host_fetches": dict(zip(
+                vc.field("values").to_pylist(),
+                (int(c) for c in vc.field("counts").to_pylist()))),
+            "timings": {k: round(v, 3) for k, v in lap.t.items()},
         }
-        return m, ((tmp, outs) if tmp else None)
+        return m, ((ckpt, outs) if ckpt else None)
+
+    def _heavy_pass(self, admitted: pa.Table) -> pa.Table:
+        """Step 1: the fused fetch/extract/image tasks over the round's
+        distinct urls (first-occurrence order), then the commit of the
+        pages and images rounds they wrote. Returns the slim table.
+
+        Plain Ray tasks over Arrow slices, not a Dataset: the pass is a
+        scatter-gather with a hard barrier (the tick walk needs every
+        status), where the streaming executor buys nothing and costs ~35
+        ms/task of driver overhead (measured A/B: 4.4 s vs 3.1 s per 4800
+        pages at 16 cpus)."""
+        cfg, rid = self.cfg, self.round_id
+        tbl = admitted.take(
+            first_occurrences(admitted.column("url").combine_chunks()))
+        n = tbl.num_rows
+        conc = max(1, min(cfg.fetch_concurrency,
+                          math.ceil(n / cfg.fetch_batch_size)))
+        raw_tmp = table_store.begin_round(cfg.out_dir, "pages", rid)
+        imgs_tmp = (table_store.begin_round(cfg.out_dir, "images", rid)
+                    if cfg.write_images else None)
+        slim = pa.concat_tables([unpack(b) for b in ray.get([
+            _fetch_extract_task.remote(pack(s), cfg.web, raw_tmp, imgs_tmp,
+                                       cfg.fetcher_factory)
+            for s in _slice_tables(tbl, _round_blocks(n, conc))
+        ])])
+        for name in ("pages", "images") if cfg.write_images else ("pages",):
+            table_store.commit_round(cfg.out_dir, name, rid)
+            self._note_round(name)
+        return slim
 
     # ------------------------------------------------------------------
     def _note_round(self, name: str) -> None:
@@ -1290,11 +1179,11 @@ class Crawler:
         while self.round_id < cfg.max_rounds:
             if cfg.max_ticks is not None and self.tick >= cfg.max_ticks:
                 break
-            _ta = time.perf_counter()
+            lap = _Laps()
             admitted = (
                 self._admit_parity() if cfg.mode == "parity" else self._admit_polite()
             )
-            admit_sec = time.perf_counter() - _ta
+            lap("admit")
             if not admitted.num_rows:
                 # _sizes() first sends this admission's discards
                 if cfg.mode == "polite" and self._sizes()[0]:
@@ -1302,8 +1191,7 @@ class Crawler:
                     self.tick += 1
                     continue
                 break
-            m, ckpt = self._process_round(admitted)
-            m["timings"]["admit"] = round(admit_sec, 3)
+            m, ckpt = self._process_round(admitted, lap)
             # "window" (no RPC) or "peek" (the fallback)
             m["admit_path"] = self._admit_path
             # append BEFORE the manifest commits: it snapshots
@@ -1312,10 +1200,9 @@ class Crawler:
             # stamped after — a checkpoint can't time itself)
             self.metrics["rounds"].append(m)
             if ckpt is not None:
-                _tc = time.perf_counter()
                 self._commit_checkpoint(*ckpt)
-                m["timings"]["checkpoint"] = round(
-                    m["timings"]["checkpoint"] + time.perf_counter() - _tc, 3)
+                lap("checkpoint")
+                m["timings"]["checkpoint"] = round(lap.t["checkpoint"], 3)
             self.round_id += 1
         self._checkpoint()
         return self.summary()
@@ -1353,7 +1240,7 @@ class Crawler:
         parts = []
         for r in table_store.list_rounds(self.cfg.out_dir, name):
             if not table_store.round_complete(self.cfg.out_dir, "stamps", r):
-                # pages/images commit ~100 driver lines before the stamps
+                # pages/images commit several steps before the stamps
                 # sidecar: a concurrent reader (webapp thread) landing in
                 # that window sees a data round whose stamps aren't
                 # committed yet — skip it (consistent snapshot) rather

@@ -95,7 +95,10 @@ def test_crawler_starts_one_state_actor_per_shard_index(ray_session,
                                                          tmp_path, ns, nf):
     """Seen shard i and frontier shard i share actor i: a Crawler starts
     max(ns, nf) actor processes, not ns + nf, and shutdown() kills every
-    one of them."""
+    one of them. ``ray.kill`` is asynchronous, so the check polls (up to
+    30 s) until none of them is alive before calling them."""
+    import time
+
     import ray
     from ray._private import state as ray_state
 
@@ -123,6 +126,11 @@ def test_crawler_starts_one_state_actor_per_shard_index(ray_session,
         assert all(f == 0 for f, _ in sizes[nf:])
     finally:
         c.shutdown()
+    mine = {a._actor_id.hex() for a in c.state}
+    deadline = time.monotonic() + 30
+    while alive() & mine and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert not alive() & mine
     for a in c.state:
         with pytest.raises(ray.exceptions.RayActorError):
             ray.get(a.sizes.remote())
