@@ -7,14 +7,17 @@ frontier shard i (host hash) — max(ns, nf) processes, not ns + nf
 (state/shard.py). One round, with each step's state-actor traffic:
 
   1. ADMIT from the next-round window the previous round left on the
-     driver: no RPC in steady state. No queued entry is ever in the seen
-     set (dedup happens at commit, step 4, not at dequeue as in the
-     reference, fetcher.go:94-103), so parity admission is the first K
-     entries of the window in (priority, seq) order, and polite
-     admission spends each host's tokens on its first queued entries.
-     Fallback to a peek alone: the first round after construction or
-     resume, a polite re-peek after an empty admission, and any frontier
-     push outside the loop (a generation counter drops the window). The
+     driver: no RPC in steady state. ``settle_admit`` (pipelines/
+     settle.py, pure) is the one admission rule of both modes. No queued
+     entry is ever in the seen set (dedup happens at commit, step 4, not
+     at dequeue as in the reference, fetcher.go:94-103), so parity
+     admission is the first K entries of the window in (priority, seq)
+     order. Polite admission discards robots-disallowed entries and
+     spends each host's tokens on its first queued entries, up to the
+     max_ticks headroom; the gate keeps the buckets as data. Fallback
+     to a peek alone: the first round after construction or resume, a
+     polite re-peek after an empty admission, and any frontier push
+     outside the loop (a generation counter drops the window). The
      admission's removes ride on step 4.
   2. ONE heavy distributed pass (Ray tasks over arrow slices): fused
      fetch + single-pass extract + image fetch/decode/phash, full page
@@ -125,7 +128,9 @@ from ..state.frontier import entries_table
 from ..state.politeness import PolitenessConfig, PolitenessGate
 from ..state.shard import StateShard
 from ..state.wire import pack, unpack
-from .settle import first_occurrences, settle_fetch, settle_links
+from .settle import (
+    first_occurrences, host_rank, settle_admit, settle_fetch, settle_links,
+)
 
 
 @dataclass
@@ -424,13 +429,7 @@ def _cap_per_host(t: pa.Table, per_host: int) -> pa.Table:
     ``per_host`` entries before them (0: all)."""
     if not per_host or t.num_rows <= per_host:
         return t
-    taken: dict[str, int] = {}
-    keep = []
-    for h in t.column("host").to_pylist():
-        n = taken.get(h, 0)
-        taken[h] = n + 1
-        keep.append(n < per_host)
-    return t.filter(pa.array(keep))
+    return t.filter(pa.array(host_rank(t.column("host"))[0] < per_host))
 
 
 def next_window(peek: pa.Table, new: pa.Table | None, w: int,
@@ -502,8 +501,8 @@ class Crawler:
         if cfg.mode == "polite" and (
             cfg.politeness.rate_per_s <= 0 or cfg.politeness.burst < 1
         ):
-            # such buckets can NEVER yield a whole token (take() floors
-            # with int(tokens)), so run()'s empty-admission branch would
+            # such buckets can NEVER yield a whole token (settle_admit
+            # floors the tokens), so run()'s empty-admission branch would
             # advance the virtual clock forever — refuse up front rather
             # than livelock
             raise ValueError(
@@ -831,82 +830,50 @@ class Crawler:
                           _queue_sorted(pa.concat_tables(peeks)))
         return win
 
-    def _parity_k(self) -> int:
-        """Parity admission budget of the next round (<= 0: none)."""
-        K = self.cfg.budget_per_round
-        if self.cfg.max_ticks is not None:
-            K = min(K, self.cfg.max_ticks - self.tick)
-        return K
+    def _window_size(self) -> int:
+        """Entries the next admission reads (<= 0: none). Parity admits
+        the first K = min(budget, max_ticks headroom); a polite window
+        holds max(budget, 64), and its buckets cap what it admits."""
+        cfg = self.cfg
+        if cfg.mode == "polite":
+            return max(cfg.budget_per_round, 64)
+        if cfg.max_ticks is None:
+            return cfg.budget_per_round
+        return min(cfg.budget_per_round, cfg.max_ticks - self.tick)
 
-    def _polite_w(self) -> int:
-        return max(self.cfg.budget_per_round, 64)
-
-    def _admit_parity(self) -> pa.Table:
-        """The first K queued entries in global (priority, seq) order —
-        the reference's dequeue loop (fetcher.go:94-103) in batch form.
-        Its seen check discards nothing here: no queued entry is seen.
-        Each shard's first K hold the global first K. Returns an
-        ENTRY_SCHEMA table in admit order."""
-        K = self._parity_k()
-        if K <= 0:
+    def _admit(self) -> pa.Table:
+        """Step 1, both modes: ``settle_admit`` over the window. Parity
+        admits its first K entries, the reference's dequeue loop
+        (fetcher.go:94-103) in batch form; its seen check discards nothing
+        here, since no queued entry is seen, and each shard's first K
+        hold the global first K. Polite mode adds each entry's robots
+        verdict (per row: the URL parse is semantic) and the window
+        hosts' buckets at the virtual now, caps at the max_ticks headroom
+        and keeps the new buckets in the gate. The window holds each
+        host's first ceil(burst) queued entries, so with at most
+        W / ceil(burst) hosts per shard every host with queued work and a
+        token is admitted. The consumed seqs ride on the round's commit.
+        Returns an ENTRY_SCHEMA table in admit order."""
+        cfg = self.cfg
+        w = self._window_size()
+        if w <= 0:
             return entries_table([], [], [], [], [])
-        win = self._admission_window(K)
-        ent = win.ent.slice(0, K)
-        self._defer_removes(win.peeks,
-                            ent.column("discovered_seq").combine_chunks())
-        return ent
-
-    def _admit_polite(self) -> pa.Table:
-        """Scale-mode admission: per-host token buckets cap each host's
-        share of a round; hosts starve independently, not each other.
-        The window holds each host's first ceil(burst) queued entries, so
-        with at most W / ceil(burst) hosts per shard every host with
-        queued work and a token is admitted. The robots
-        gate + token-bucket walk stays per-entry python (the gate's URL
-        parse is semantic, and the scan is bounded by the window); only
-        the return shape is Arrow."""
-        now = float(self.tick * self.cfg.tick_seconds)
-        win = self._admission_window(self._polite_w())
+        win = self._admission_window(w)
         ent = win.ent
-        entries = zip(
-            ent.column("priority").to_pylist(),
-            ent.column("discovered_seq").to_pylist(),
-            ent.column("url").to_pylist(),
-            ent.column("host").to_pylist(),
-            ent.column("depth").to_pylist(),
-        )
-        by_host: dict[str, list] = {}
-        discard = []
-        for e in entries:
-            if not self.gate.allowed(e[2]):
-                discard.append(e[1])  # robots-disallowed: drop permanently
-                continue
-            by_host.setdefault(e[3], []).append(e)
-        admitted = []
-        for host, es in sorted(by_host.items()):
-            budget = self.gate.admit_budget(host, len(es), now)
-            for prio, seq, url, h, depth in es[:budget]:
-                admitted.append((prio, seq, url, h, depth))
-        admitted.sort(key=lambda a: (a[0], a[1]))
-        if self.cfg.max_ticks is not None:
-            cap = max(0, self.cfg.max_ticks - self.tick)
-            # the truncated entries stay queued in the frontier (the
-            # removes below cover the kept slice only), so REFUND their
-            # already-debited host tokens — same virtual instant, exact
-            # inverse of the take — or those hosts would be permanently
-            # undercounted on a resume with a raised max_ticks
-            for _, _, _, h, _ in admitted[cap:]:
-                self.gate.refund(h, 1)
-            admitted = admitted[:cap]
-        self._defer_removes(win.peeks, pa.array(
-            discard + [a[1] for a in admitted], pa.int64()))
-        return entries_table(
-            [a[2] for a in admitted],
-            [a[3] for a in admitted],
-            [a[4] for a in admitted],
-            [a[0] for a in admitted],
-            [a[1] for a in admitted],
-        )
+        if cfg.mode == "parity":
+            admitted, consumed, _ = settle_admit(ent, w)
+        else:
+            cap = None if cfg.max_ticks is None else cfg.max_ticks - self.tick
+            allowed = [self.gate.allowed(u)
+                       for u in ent.column("url").to_pylist()]
+            admitted, consumed, buckets = settle_admit(
+                ent, cap, np.array(allowed, dtype=bool),
+                self.gate.bucket_table(pc.unique(ent.column("host"))),
+                float(self.tick * cfg.tick_seconds),
+                cfg.politeness.rate_per_s, cfg.politeness.burst)
+            self.gate.set_buckets(buckets)
+        self._defer_removes(win.peeks, consumed)
+        return admitted
 
     # ------------------------------------------------------------------
     def _process_round(self, admitted: pa.Table,
@@ -933,8 +900,7 @@ class Crawler:
         add, _ = self._seen_split(urls)
         drop = [urls.take(g).to_pylist() or None for g in
                 self._frontier_groups(succ.column("host").combine_chunks())]
-        w_next = max(0, self._parity_k() if cfg.mode == "parity"
-                     else self._polite_w())
+        w_next = max(0, self._window_size())
         cap = self._per_host()
         with self._frontier_lock:
             gen = self._frontier_gen
@@ -983,7 +949,6 @@ class Crawler:
             for i, a in enumerate(self.state)
         ])
         lap("checkpoint" if ckpt else "links_push")
-        vc = pc.value_counts(succ.column("host"))
         m = {
             "round": rid,
             "admitted": admitted.num_rows,
@@ -991,9 +956,6 @@ class Crawler:
             "successes": succ.num_rows,
             "images": int(n_images),
             "new_links": self.next_seq - seq0,
-            "per_host_fetches": dict(zip(
-                vc.field("values").to_pylist(),
-                (int(c) for c in vc.field("counts").to_pylist()))),
             "timings": {k: round(v, 3) for k, v in lap.t.items()},
         }
         return m, ((ckpt, outs) if ckpt else None)
@@ -1155,9 +1117,7 @@ class Crawler:
         self.tick = c["tick"]
         self.fetch_seq = c["fetch_seq"]
         self.round_id = c["round_id"] + 1
-        self.gate.restore(
-            {h: tuple(v) for h, v in manifest["politeness"].items()}
-        )
+        self.gate.restore(manifest["politeness"])
         # discard output rounds NEWER than the restored checkpoint: a kill
         # inside the checkpoint_every window leaves committed round dirs the
         # resumed run will re-produce — possibly with DIFFERENT round
@@ -1180,9 +1140,7 @@ class Crawler:
             if cfg.max_ticks is not None and self.tick >= cfg.max_ticks:
                 break
             lap = _Laps()
-            admitted = (
-                self._admit_parity() if cfg.mode == "parity" else self._admit_polite()
-            )
+            admitted = self._admit()
             lap("admit")
             if not admitted.num_rows:
                 # _sizes() first sends this admission's discards

@@ -1,4 +1,4 @@
-"""The crawl round's rules as two pure steps over Arrow tables.
+"""The crawl round's rules as three pure steps over Arrow tables.
 
 ``pipelines/oracle.py`` states the reference's serial semantics per row:
 dedup at dequeue, one tick per actual GET, failures retry per occurrence,
@@ -7,6 +7,9 @@ publish order. These functions apply the same rules to a whole round at
 once. They read and write no state: no Ray, no store, no actor. The
 crawl loop (``pipelines/crawl.py``) runs the effects around them.
 
+* ``settle_admit`` picks the round's entries from the window the
+  frontier shards peeked, in both modes: parity's first K, or polite
+  mode's robots verdicts and per-host token buckets.
 * ``settle_fetch`` turns the round's admitted entries and the heavy
   pass's slim table into the attempts table and the successes.
 * ``settle_links`` turns the successes and the seen flags of their link
@@ -30,6 +33,71 @@ def first_occurrences(urls: pa.Array) -> pa.Array:
     occurrence order (``pc.unique`` keeps that order, and ``index_in``
     finds the first match)."""
     return pc.index_in(pc.unique(urls), value_set=urls)
+
+
+def host_rank(hosts: pa.Array | pa.ChunkedArray
+              ) -> tuple[np.ndarray, np.ndarray, pa.Array]:
+    """Each entry's rank among the entries of its host (0 for a host's
+    first), its host's code and the distinct hosts the codes index, in
+    first-occurrence order: a dictionary encode, then one stable sort of
+    the codes."""
+    if isinstance(hosts, pa.ChunkedArray):
+        hosts = hosts.combine_chunks()
+    enc = pc.dictionary_encode(hosts)
+    code = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    counts = np.bincount(code, minlength=len(enc.dictionary))
+    rank = np.empty(len(code), dtype=np.int64)
+    rank[np.argsort(code, kind="stable")] = (
+        np.arange(len(code)) - np.repeat(np.cumsum(counts) - counts, counts))
+    return rank, code, enc.dictionary
+
+
+def settle_admit(window: pa.Table, cap: int | None,
+                 allowed: np.ndarray | None = None,
+                 buckets: pa.Table | None = None, now: float = 0.0,
+                 rate_per_s: float = 0.0, burst: float = 0.0
+                 ) -> tuple[pa.Table, pa.Array, pa.Table | None]:
+    """A round's admission from its window: frontier entries in
+    (priority, seq) order.
+
+    An entry whose robots verdict in ``allowed`` is False is discarded:
+    consumed, never admitted. With ``buckets`` (polite mode: host,
+    tokens, last), each host with an allowed entry refills its bucket to
+    ``now`` at ``rate_per_s``, up to ``burst`` (a host the table lacks
+    starts full), and keeps its first floor(tokens) allowed entries. The
+    first ``cap`` kept entries are admitted (None: all). Each host is
+    then debited once, by the entries it has admitted, so an entry the
+    cap cuts costs no token and stays queued. Parity passes no verdicts
+    and no buckets: its admission is the first ``cap`` entries.
+
+    Returns (the admitted entries in window order; the consumed seqs,
+    robots discards and admitted, in window order; the new bucket of
+    every host with an allowed entry, None without ``buckets``)."""
+    n = window.num_rows
+    ok = np.ones(n, bool) if allowed is None else np.asarray(allowed, bool)
+    keep = ok.copy()
+    if buckets is not None:
+        rank, code, hosts = host_rank(
+            window.column("host").filter(pa.array(ok)))
+        # a host the table lacks reads the appended full bucket
+        pos = pc.fill_null(pc.index_in(
+            hosts, value_set=buckets.column("host").combine_chunks()),
+            buckets.num_rows).to_numpy(zero_copy_only=False)
+        tokens = np.append(buckets.column("tokens").to_numpy(), burst)[pos]
+        last = np.append(buckets.column("last").to_numpy(), now)[pos]
+        tokens = np.minimum(burst, tokens + (now - last) * rate_per_s)
+        keep[ok] = rank < np.floor(tokens)[code]
+    take = np.flatnonzero(keep)[:None if cap is None else max(cap, 0)]
+    admitted = np.zeros(n, bool)
+    admitted[take] = True
+    consumed = window.column("discovered_seq").filter(
+        pa.array(admitted | ~ok)).combine_chunks()
+    if buckets is None:
+        return window.take(take), consumed, None
+    tokens -= np.bincount(code[admitted[ok]], minlength=len(hosts))
+    return window.take(take), consumed, pa.table({
+        "host": hosts, "tokens": tokens,
+        "last": np.full(len(hosts), now, dtype=np.float64)})
 
 
 def settle_fetch(admitted: pa.Table, slim: pa.Table, tick: int,

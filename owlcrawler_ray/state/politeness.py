@@ -14,8 +14,10 @@ fetchers", fetcher.go:97-99). Two modes here:
 
 * POLITE (scale) mode — the north-rule upgrade: one token bucket per host
   (capacity ``burst``, refill ``rate_per_s`` on the virtual clock), plus a
-  robots.txt rules cache per host. Admission asks the bucket for up to its
-  current tokens per round; the rest of that host's queue stays in the
+  robots.txt rules cache per host. A bucket is plain data, host ->
+  (tokens, last), held by the gate; ``pipelines/settle.py::settle_admit``
+  spends it: each host's first floor(tokens) entries of the round's
+  window are admitted, the rest of that host's queue stays in the
   frontier, so a hot host cannot monopolize a round (skew control at
   admission, complementing hot-host block splitting at fetch).
 
@@ -36,6 +38,8 @@ import re
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
+import pyarrow as pa
+
 
 @dataclass
 class PolitenessConfig:
@@ -47,24 +51,6 @@ class PolitenessConfig:
     # token matches this product name (longest case-insensitive token
     # match) take precedence over the `*` groups; unset honors only `*`
     agent: str = ""
-
-
-class HostBucket:
-    def __init__(self, rate: float, burst: float, now_s: float):
-        self.rate = rate
-        self.burst = burst
-        self.tokens = burst
-        self.last = now_s
-
-    def refill(self, now_s: float) -> None:
-        self.tokens = min(self.burst, self.tokens + (now_s - self.last) * self.rate)
-        self.last = now_s
-
-    def take(self, n: int, now_s: float) -> int:
-        self.refill(now_s)
-        got = min(n, int(self.tokens))
-        self.tokens -= got
-        return got
 
 
 def parse_robots(text: str, agent: str = "") -> list[tuple[str, bool]]:
@@ -165,10 +151,13 @@ class _CompiledRules:
 
 
 class PolitenessGate:
-    """Held on the crawl driver in both modes; polite admission consults
-    it for every entry of the round's window. Buckets are per host and
-    hosts are host-sharded, so a gate per frontier shard would need no
-    cross-actor coordination (ROADMAP item 4).
+    """Polite mode's per-host state on the crawl driver: the robots
+    verdict of a url (``allowed``), and each host's token bucket as data,
+    host -> (tokens, last), which ``settle_admit`` reads and rewrites
+    (``bucket_table``/``set_buckets``) and the checkpoint manifest
+    carries (``state``/``restore``). Buckets are per host and hosts are
+    host-sharded, so a gate per frontier shard would need no cross-actor
+    coordination (ROADMAP item 5).
 
     Robots rules come from (a) static config (``disallow``) and/or (b) a
     ``robots_fetcher(host) -> text`` callback — the REAL path: the crawl
@@ -177,7 +166,7 @@ class PolitenessGate:
 
     def __init__(self, cfg: PolitenessConfig, robots_fetcher=None):
         self.cfg = cfg
-        self.buckets: dict[str, HostBucket] = {}
+        self.buckets: dict[str, tuple[float, float]] = {}
         self.robots: dict[str, _CompiledRules] = {}
         self.robots_fetcher = robots_fetcher
 
@@ -212,34 +201,23 @@ class PolitenessGate:
             path += "?" + parts.query
         return self.rules_for(parts.netloc).allowed(path)
 
-    # -- polite-mode budgets ---------------------------------------------
-    def admit_budget(self, host: str, want: int, now_s: float) -> int:
-        b = self.buckets.get(host)
-        if b is None:
-            b = self.buckets[host] = HostBucket(
-                self.cfg.rate_per_s, self.cfg.burst, now_s
-            )
-        return b.take(want, now_s)
+    # -- token buckets ---------------------------------------------------
+    def bucket_table(self, hosts: pa.Array) -> pa.Table:
+        """The buckets the gate holds of ``hosts``: settle_admit's input."""
+        have = [h for h in hosts.to_pylist() if h in self.buckets]
+        tokens, last = zip(*map(self.buckets.get, have)) if have else ((), ())
+        return pa.table({"host": pa.array(have, pa.string()),
+                         "tokens": pa.array(tokens, pa.float64()),
+                         "last": pa.array(last, pa.float64())})
 
-    def refund(self, host: str, n: int) -> None:
-        """Return ``n`` tokens debited at the CURRENT virtual instant —
-        the exact inverse of the take that granted them (no refill drift:
-        the bucket's ``last`` is untouched). Used when a global cap (e.g.
-        max_ticks) truncates entries AFTER their host budget was taken,
-        so the truncated entries' tokens aren't silently burned."""
-        if n <= 0:
-            return
-        b = self.buckets.get(host)
-        if b is not None:
-            b.tokens = min(b.burst, b.tokens + n)
+    def set_buckets(self, t: pa.Table) -> None:
+        """Store the buckets settle_admit returned."""
+        self.buckets.update(zip(t.column("host").to_pylist(), zip(
+            t.column("tokens").to_pylist(), t.column("last").to_pylist())))
 
     def state(self) -> dict:
-        return {
-            h: (b.tokens, b.last) for h, b in self.buckets.items()
-        }
+        return dict(self.buckets)
 
     def restore(self, st: dict) -> None:
-        for h, (tokens, last) in st.items():
-            b = HostBucket(self.cfg.rate_per_s, self.cfg.burst, last)
-            b.tokens = tokens
-            self.buckets[h] = b
+        self.buckets.update((h, (tokens, last))
+                            for h, (tokens, last) in st.items())

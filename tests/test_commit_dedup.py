@@ -5,7 +5,8 @@ every queued copy of a url when its fetch commits, pushes only unseen
 urls (links, seeds, add_sites), and restores a checkpointed queue, which
 holds no seen url, as it stands. These tests check
 the invariant itself, what polite admission gains from it (every host
-with queued work and a token is admitted each round), and the two entry
+with queued work and a token is admitted each round; a max_ticks cut
+costs no token), and the two entry
 points outside the loop: resume from a checkpoint, whose format holds no
 seen url in the queue, and add_sites of a url already fetched."""
 
@@ -54,11 +55,10 @@ def _rows(c):
 
 def _has_token(gate, host: str, now: float) -> bool:
     """Whether ``host``'s bucket would grant a token at ``now`` (read
-    only: the bucket is not refilled)."""
-    b = gate.buckets.get(host)
-    if b is None:
-        return gate.cfg.burst >= 1
-    return int(min(b.burst, b.tokens + (now - b.last) * b.rate)) >= 1
+    only: the gate's state is not refilled)."""
+    cfg = gate.cfg
+    tokens, last = gate.state().get(host, (cfg.burst, now))
+    return int(min(cfg.burst, tokens + (now - last) * cfg.rate_per_s)) >= 1
 
 
 def test_polite_rounds_admit_every_host_with_work_and_a_token(
@@ -68,7 +68,7 @@ def test_polite_rounds_admit_every_host_with_work_and_a_token(
     ceil(burst) entries, so each round admits from every host that holds
     both a queued entry and a token — however long one host's run at the
     queue head is. Before each admission no queued url is seen."""
-    orig = Crawler._admit_polite
+    orig = Crawler._admit
     rounds: list[tuple[set, set]] = []
 
     def admit(self):
@@ -86,7 +86,7 @@ def test_polite_rounds_admit_every_host_with_work_and_a_token(
         rounds.append((want, set(hosts)))
         return got
 
-    monkeypatch.setattr(Crawler, "_admit_polite", admit)
+    monkeypatch.setattr(Crawler, "_admit", admit)
     c, _ = run_crawl(_cfg(str(tmp_path), web=HOL_WEB, mode="polite",
                           budget_per_round=16, politeness=POLITE,
                           num_seen_shards=2, num_frontier_shards=2))
@@ -118,11 +118,31 @@ def test_polite_disallowed_queue_head_costs_its_host_one_round(
                      politeness=POLITE, fetch_robots=True))
     try:
         c._push_frontier(denied + allowed, [0] * 8, [0.0] * 8)
-        first = c._admit_polite().column("url").to_pylist()
+        first = c._admit().column("url").to_pylist()
         assert first == c.web.seeds()  # nothing from host-2
         assert sorted(_queued(c).column("url").to_pylist()) == allowed
-        second = c._admit_polite().column("url").to_pylist()
+        second = c._admit().column("url").to_pylist()
         assert second == allowed
+    finally:
+        c.shutdown()
+
+
+def test_polite_max_ticks_cut_costs_no_tokens(ray_session, tmp_path):
+    """The max_ticks cap cuts a polite admission after the buckets have
+    granted: the cut entries stay queued and cost their hosts no token.
+    At virtual now 0 nothing has refilled, so the debit summed over the
+    gate's buckets equals the admitted row count exactly."""
+    burst = 8.0
+    c = Crawler(_cfg(
+        str(tmp_path), mode="polite", max_ticks=1, budget_per_round=32,
+        politeness=PolitenessConfig(mode="polite", rate_per_s=2.0,
+                                    burst=burst)))
+    try:
+        admitted = c._admit()
+        assert admitted.num_rows <= 1
+        debited = sum(burst - tokens
+                      for tokens, _ in c.gate.state().values())
+        assert debited == pytest.approx(admitted.num_rows)
     finally:
         c.shutdown()
 
@@ -130,7 +150,7 @@ def test_polite_disallowed_queue_head_costs_its_host_one_round(
 def test_parity_queue_holds_no_seen_url(ray_session, tmp_path, monkeypatch):
     """Parity: before every admission, no queued url is in the seen set,
     and the crawl still equals the oracle."""
-    orig = Crawler._admit_parity
+    orig = Crawler._admit
     checked = []
 
     def admit(self):
@@ -141,7 +161,7 @@ def test_parity_queue_holds_no_seen_url(ray_session, tmp_path, monkeypatch):
         checked.append(q.num_rows)
         return orig(self)
 
-    monkeypatch.setattr(Crawler, "_admit_parity", admit)
+    monkeypatch.setattr(Crawler, "_admit", admit)
     c, _ = run_crawl(_cfg(str(tmp_path), budget_per_round=3))
     try:
         want = run_oracle(SyntheticWeb(SMALL_WEB))

@@ -220,6 +220,10 @@ def test_robots_disallow_respected(ray_session, tmp_path):
 def test_polite_mode_caps_hot_host_per_round(ray_session, tmp_path):
     """Skew control: the hot host (3x pages) cannot monopolize a round —
     per-host token buckets cap its admissions while other hosts proceed."""
+    from collections import Counter
+
+    from owlcrawler_ray.functions.ids import host_of
+    from owlcrawler_ray.sinks import table_store
     from owlcrawler_ray.state.politeness import PolitenessConfig
 
     base = str(tmp_path / "skew")
@@ -235,17 +239,21 @@ def test_polite_mode_caps_hot_host_per_round(ray_session, tmp_path):
     )
     c, _ = run_crawl(cfg)
     try:
-        per_round = [m["per_host_fetches"] for m in c.metrics["rounds"]]
-        for counts in per_round:
-            # burst=2.0 -> no host ever gets more than 2 fetches in a round
-            assert all(v <= 2 for v in counts.values()), counts
-        total = {}
-        for counts in per_round:
-            for h, v in counts.items():
-                total[h] = total.get(h, 0) + v
+        # each round's attempts as the store holds them (as perfbench's
+        # polite gate reads them)
+        worst, hot_ok = 0, 0
+        for r in table_store.list_rounds(c.cfg.out_dir, "attempts"):
+            att = table_store.read_all_arrow_round(c.cfg.out_dir,
+                                                   "attempts", r)
+            hosts = [host_of(u) for u in att.column("url").to_pylist()]
+            worst = max([worst, *Counter(hosts).values()])
+            hot_ok += sum(h == "host-0.test" and s == 200 for h, s in
+                          zip(hosts, att.column("status").to_pylist()))
+        # burst=2.0 -> no host is tried more than twice in a round
+        assert worst <= 2, worst
         # the hot host still gets crawled fully, just spread across rounds
         # (+1: the seed root url "/" is distinct from "/page-0.html")
-        assert total.get("host-0.test", 0) == SMALL_WEB.pages_on(0) + 1
+        assert hot_ok == SMALL_WEB.pages_on(0) + 1
     finally:
         c.shutdown()
 
@@ -545,13 +553,13 @@ def test_push_frontier_skips_seen_urls(ray_session, tmp_path):
         before = c._sizes()[0]
         c._push_frontier(dup_urls, [1] * 12, [-1.0] * 12)
         assert c._sizes()[0] == before  # none of them was queued
-        admitted = c._admit_parity()
+        admitted = c._admit()
         seeds = c.web.seeds()
         assert admitted.column("url").to_pylist() == seeds[:2]
         assert admitted.num_rows == 2
         # the admission consumed exactly the two seeds
         assert c._sizes()[0] == before - 2
-        again = c._admit_parity()
+        again = c._admit()
         assert again.column("url").to_pylist() == seeds[2:4]
         # a mixed push queues only its unseen url
         n = c._sizes()[0]

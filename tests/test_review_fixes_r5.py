@@ -1,7 +1,9 @@
 """Regression tests for the round-5 closing review findings: polite-mode
 livelock config, write_round's Dataset branch part naming, mid-commit
-reader races, token refunds at the max_ticks cap, checkpoint-manifest
-metrics alignment, and the images metric counting the store's rows."""
+reader races, checkpoint-manifest metrics alignment, and the images
+metric counting the store's rows. (The max_ticks cap's token debit is
+tested with the admission: tests/test_settle.py and
+tests/test_commit_dedup.py.)"""
 
 import os
 import shutil
@@ -13,7 +15,7 @@ from owlcrawler_ray.pipelines.crawl import CrawlConfig, Crawler, run_crawl
 from owlcrawler_ray.sinks import table_store
 from owlcrawler_ray.sinks.checkpoint import CheckpointManager
 from owlcrawler_ray.sources.corpus import SyntheticWeb, WebConfig
-from owlcrawler_ray.state.politeness import PolitenessConfig, PolitenessGate
+from owlcrawler_ray.state.politeness import PolitenessConfig
 
 WEB = WebConfig(num_hosts=3, base_pages=6, hot_factor=2, n_seed_hosts=2)
 
@@ -76,44 +78,6 @@ def test_stamped_view_skips_uncommitted_stamps_round(ray_session, tmp_path):
             c.cfg.out_dir, "stamps", f"round={last:06d}", "_SUCCESS"))
         partial = c.pages_table()
         assert 0 < partial.num_rows < full  # skipped, not crashed
-    finally:
-        c.shutdown()
-
-
-# -- finding 4: max_ticks truncation must refund host tokens --------------
-
-def test_bucket_refund_exact_inverse():
-    gate = PolitenessGate(PolitenessConfig(
-        mode="polite", rate_per_s=1.0, burst=4.0))
-    got = gate.admit_budget("h", 3, now_s=0.0)
-    assert got == 3
-    assert gate.buckets["h"].tokens == pytest.approx(1.0)
-    gate.refund("h", 3)
-    assert gate.buckets["h"].tokens == pytest.approx(4.0)
-    gate.refund("h", 99)  # capped at burst, never beyond
-    assert gate.buckets["h"].tokens == pytest.approx(4.0)
-    gate.refund("missing-host", 1)  # unknown host: no-op, no crash
-
-
-def test_polite_truncation_refunds_tokens(ray_session, tmp_path):
-    base = str(tmp_path / "trunc")
-    shutil.rmtree(base, ignore_errors=True)
-    cfg = _cfg(
-        base, mode="polite", max_ticks=1, budget_per_round=32,
-        politeness=PolitenessConfig(mode="polite", rate_per_s=2.0,
-                                    burst=8.0),
-    )
-    c = Crawler(cfg)
-    try:
-        admitted = c._admit_polite()
-        assert admitted.num_rows <= 1
-        # every token debited beyond the kept entries was refunded: at
-        # virtual now=0 no refill has happened, so the total outstanding
-        # debit across buckets must equal the admitted row count exactly
-        debited = sum(
-            b.burst - b.tokens for b in c.gate.buckets.values()
-        )
-        assert debited == pytest.approx(admitted.num_rows)
     finally:
         c.shutdown()
 
