@@ -9,8 +9,8 @@ atomic table_store machinery (begin/commit + ``_SUCCESS``):
     out_root/bucket=0007/round=000000/_SUCCESS
 
 Pipeline: documents stream -> exact dedup (md5(text), first-writer-wins;
-keep-ids stay a Dataset, filtered in with a hash-partitioned LEFT SEMI
-join) -> quality filter (n_chars >= min_chars, the stats-view "parsed"
+keep-ids stay a Dataset, filtered in with a LEFT SEMI queries._hash_join)
+-> quality filter (n_chars >= min_chars, the stats-view "parsed"
 predicate) -> bucket = doc_id % n_buckets -> per-bucket
 part files written FROM INSIDE the map tasks (content-keyed names, so
 task retries overwrite idempotently) -> driver commits each bucket dir.
@@ -182,17 +182,18 @@ def export_corpus(sf_dir: str, out_root: str, n_buckets: int = 16) -> pa.Table:
             ds.map_batches(keep_partial, batch_format="pyarrow")
             .groupby("h").aggregate(Min("keep_p", alias_name="keep_id"))
         )
-        # adaptive semi-join (see queries._semi_filter): keep_ids are
-        # unique (one min doc_id per content hash) and number at most the
-        # footer row count, so small corpora broadcast + pc.is_in (zero
-        # shuffle) and 10^10-doc corpora take the hash-partitioned LEFT
-        # SEMI join — the keep side never lands on the driver there
-        from .queries import _semi_filter, _table_bytes, _table_rows
+        # LEFT SEMI join on the keep ids (see queries._hash_join): they
+        # are unique (one min doc_id per content hash) and number at most
+        # the footer row count, so small corpora take the broadcast branch
+        # and 10^10-doc corpora the shuffle — the keep side never lands on
+        # the driver there
+        from .queries import _hash_join, _join_width, _table_bytes, _table_rows
 
-        ds = _semi_filter(
+        ds = _hash_join(
             ds, keep_tbl.select_columns(["keep_id"]), "doc_id", "keep_id",
-            est_keep_bytes=16 * _table_rows(sf_dir, "documents"),
-            shuffle_bytes=_table_bytes(sf_dir, "documents"),
+            "left semi",
+            est_right_bytes=16 * _table_rows(sf_dir, "documents"),
+            B=_join_width(_table_bytes(sf_dir, "documents")),
         )
         tmps = {
             b: table_store.begin_round(out_root, _bucket_name(b), 0)
@@ -202,6 +203,9 @@ def export_corpus(sf_dir: str, out_root: str, n_buckets: int = 16) -> pa.Table:
 
         def shard_write(batch: pa.Table) -> pa.Table:
             tdirs = ray.get(tmps_ref)
+            if batch.num_columns == 0:  # a shuffled join's row-free bucket
+                return pa.table({"bucket": pa.array([], pa.int64()),
+                                 "n_p": pa.array([], pa.int64())})
             batch = batch.filter(
                 pc.greater_equal(batch.column("n_chars"), MIN_CHARS)
             )

@@ -43,6 +43,7 @@ import ray.data as rd
 from ray.data.aggregate import AggregateFn, Count, Max, Min, Sum
 
 from ..functions.vecs import list_to_matrix
+from ..state import wire
 
 
 def _p(sf_dir: str, table: str) -> str:
@@ -70,6 +71,15 @@ def _clean_schema(path: str, columns=None) -> pa.Schema:
     return schema
 
 
+def _cpus() -> int:
+    """The cluster's logical CPU count; 4 before ray.init (import-time
+    callers)."""
+    try:
+        return int(ray.cluster_resources().get("CPU", 4))
+    except Exception:
+        return 4
+
+
 def _read_blocks(path: str, bytes_per_block: int = 4 << 20) -> int | None:
     """COMPACTION-ONLY read block override: ~4 MB of compressed parquet
     per block for SMALL inputs; None (Ray's own size-aware planning) for
@@ -83,13 +93,9 @@ def _read_blocks(path: str, bytes_per_block: int = 4 << 20) -> int | None:
     read — a 100-TB input pinned to 4 blocks/cpu would serialize
     hundreds of GB per task — so past the cpu knee we step aside and
     let the engine split by its target block size."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
     size = os.path.getsize(path)
     n = max(1, math.ceil(size / bytes_per_block))
-    return n if n < 4 * cpus else None
+    return n if n < 4 * _cpus() else None
 
 
 def _read(sf_dir: str, table: str, columns=None):
@@ -112,10 +118,7 @@ def _widen(ds, path: str, width: int | None = None):
     it only reinflates parallelism that _read_blocks' small-file
     compaction took away."""
     if width is None:
-        try:
-            width = 2 * int(ray.cluster_resources().get("CPU", 4))
-        except Exception:
-            width = 8
+        width = 2 * _cpus()
     blocks = _read_blocks(path)
     if blocks is None or blocks >= width:  # None: engine-planned wide read
         return ds
@@ -138,23 +141,85 @@ def _route_hash(arr, B: int) -> pa.Array:
 
 
 def _route_width() -> int:
-    """Default run-local bucket count for _route_hash consumers: ~2
-    buckets/cpu (each bucket is one merge task). At cluster scale pass
-    an explicit larger width — buckets are the shuffle width."""
-    try:
-        return 2 * int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        return 8
+    """Default run-local bucket count of _shuffle: ~2 buckets/cpu (each
+    bucket is one merge task). At cluster scale pass an explicit larger
+    width — buckets are the shuffle width."""
+    return 2 * _cpus()
 
 
-def _route(t: pa.Table, col: str, B: int) -> pa.Table:
-    """Append the run-local "_route_b" bucket column ("_route_b", not
-    "bucket": callers' tables may carry their own bucket column — the
-    LSH band key does), guarding the schema-less empty blocks a
-    map_groups stage can emit."""
-    if t.num_rows == 0:
-        return t.append_column("_route_b", pa.array([], pa.int64()))
-    return t.append_column("_route_b", _route_hash(t.column(col), B))
+_BLOBS = pa.schema([("_route_b", pa.int64()), ("_side", pa.int8()),
+                    ("_ipc", pa.large_binary())])
+
+
+def _to_buckets(side: int, key: str, B: int, every: bool):
+    """The map half of _shuffle: a batch -> one row per bucket slice
+    (bucket, side, the slice as one Arrow IPC stream), rows kept in batch
+    order. ``every`` also emits the empty slices, so every bucket learns
+    the side's schema (a join bucket with no right rows still needs the
+    right columns)."""
+    # a stable sort of <= 16-bit ints is a radix sort (3x the int64 one)
+    dtype = np.uint16 if B <= 1 << 16 else np.int64
+
+    def split(t: pa.Table) -> pa.Table:
+        if t.num_columns == 0:  # schema-less empty block of a map_groups
+            return _BLOBS.empty_table()
+        b = (_route_hash(t.column(key), B).to_numpy().astype(dtype)
+             if t.num_rows else np.empty(0, dtype))
+        order = np.argsort(b, kind="stable")
+        t = t.take(order)
+        bounds = np.searchsorted(b[order], np.arange(B + 1))
+        ids = np.arange(B) if every else np.flatnonzero(np.diff(bounds))
+        bufs = [wire.pack(t.slice(bounds[i], bounds[i + 1] - bounds[i]))
+                for i in ids]
+        ends = np.cumsum([0] + [x.size for x in bufs], dtype=np.int64)
+        return pa.table({
+            "_route_b": pa.array(ids, pa.int64()),
+            "_side": pa.array(np.full(len(ids), side, np.int8)),
+            "_ipc": pa.LargeBinaryArray.from_buffers(
+                pa.large_binary(), len(bufs),
+                [None, pa.py_buffer(ends), pa.py_buffer(b"".join(bufs))]),
+        })
+    return split
+
+
+def _shuffle(sides: list, fn, B: int | None = None):
+    """The module's one routed shuffle. ``sides`` is a list of (Dataset,
+    key column) pairs: every row of every side goes to run-local bucket
+    hash(key) % B, and ``fn(*tables)`` runs once per bucket with that
+    bucket's rows of each side as one contiguous table (None for a side
+    with no block at all; rows of one batch keep their batch order). With
+    one side, fn sees only buckets that got rows.
+
+    The exchange moves one row per (batch, bucket, side) — the slice as
+    an Arrow IPC stream — through Ray Data's sort-based
+    ``groupby("_route_b").map_groups``, so it needs no shuffle actors (it
+    runs at num_cpus=1, where Dataset.join's hash-shuffle actors stall)
+    and no schema of either side on the driver. Several sides are
+    re-split to B blocks after their union: the sort emits one block per
+    input block, so a join feeding the next join would otherwise double
+    its block count per step."""
+    if B is None:
+        B = _route_width()
+    n = len(sides)
+    routed = [
+        ds.map_batches(_to_buckets(i, key, B, n > 1), batch_format="pyarrow",
+                       zero_copy_batch=True)
+        for i, (ds, key) in enumerate(sides)
+    ]
+    ds = routed[0] if n == 1 else routed[0].union(*routed[1:]).repartition(B)
+
+    def run(g: pa.Table) -> pa.Table:
+        side = g.column("_side").to_numpy()
+        blobs = g.column("_ipc")
+        tables = []
+        for s in range(n):
+            parts = [wire.unpack(blobs[int(i)].as_buffer())
+                     for i in np.flatnonzero(side == s)]
+            tables.append(pa.concat_tables(parts, promote_options="default")
+                          .combine_chunks() if parts else None)
+        return fn(*tables)
+
+    return ds.groupby("_route_b").map_groups(run, batch_format="pyarrow")
 
 
 def _bucket_merge(ds, keys: list[str], aggs: list[tuple[str, str]],
@@ -171,22 +236,10 @@ def _bucket_merge(ds, keys: list[str], aggs: list[tuple[str, str]],
 
     ``aggs`` are Arrow group_by specs over the partial columns, e.g.
     [("n_p", "sum")]; ``out`` names the aggregated columns in order."""
-    if B is None:
-        B = _route_width()
-
-    def route(t: pa.Table) -> pa.Table:
-        return _route(t, keys[0], B)
-
     def merge(t: pa.Table) -> pa.Table:
-        return (
-            t.drop_columns(["_route_b"]).group_by(keys).aggregate(aggs)
-            .rename_columns(keys + out)
-        )
+        return t.group_by(keys).aggregate(aggs).rename_columns(keys + out)
 
-    return (
-        ds.map_batches(route, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_route_b").map_groups(merge, batch_format="pyarrow")
-    )
+    return _shuffle([(ds, keys[0])], merge, B)
 
 
 def _hot_rows(counts, n_min: int = 2) -> list[dict]:
@@ -234,19 +287,15 @@ def _join_width(est_bytes: int | None = None, frac: float = 1.0,
     caller can estimate them cheaply (file sizes / materialized
     size_bytes / pa.Table.nbytes — never size_bytes() of a derived lazy
     dataset, which would trigger execution)."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:  # not initialised yet (import-time callers)
-        cpus = 4
-    width = max(lo, min(hi, int(cpus * frac)))
+    width = max(lo, min(hi, int(_cpus() * frac)))
     if est_bytes:
         width = max(lo, min(width, math.ceil(est_bytes / bytes_per_partition)))
     return width
 
 
 # estimate failure sentinel: FAIL LARGE, never small. A 0 estimate would
-# satisfy every broadcast threshold and let _semi_filter pull an
-# arbitrarily large keep side onto the driver on the error path — the
+# satisfy every broadcast threshold and let _hash_join pull an
+# arbitrarily large right side onto the driver on the error path — the
 # exact violation its "cannot under-count" invariant forbids. A huge
 # sentinel instead degrades to the always-safe partitioned/distributed
 # path.
@@ -281,36 +330,51 @@ BROADCAST_SEMI_BYTES = 64 << 20
 COMPONENTS_DRIVER_BYTES = 8 << 20
 
 
-def _semi_filter(probe, keep, probe_key: str, keep_key: str,
-                 est_keep_bytes: int, shuffle_bytes: int):
-    """Adaptive semi-join — the standard broadcast-vs-shuffle selection.
-    When the keep side's (OVER)estimated key bytes fit one comfortable
-    broadcast object, collect its keys once, ray.put them, and filter the
-    probe with the vectorized pc.is_in kernel: ONE streaming pass over
-    the probe, zero shuffle. Otherwise fall back to the hash-partitioned
-    LEFT SEMI Dataset.join (the keep side stays a Dataset; nothing lands
-    on the driver — the r2-verdict scale shape). Callers must pass an
-    estimate that cannot under-count (footer row counts × key width), so
-    the broadcast path can never be chosen for a side that doesn't fit.
-    Both paths are value-identical; pinned by
+def _hash_join(left, right, on: str, right_on: str, how: str,
+               est_right_bytes: int | None = None, B: int | None = None,
+               then=None):
+    """The package's one join: ``left`` ⋈ ``right`` on left[on] ==
+    right[right_on], ``how`` one of Arrow's "inner", "left semi", "left
+    anti" or "left outer"; rows as Arrow's Table.join gives them (left
+    columns, then right's non-key columns), each output table passed
+    through ``then`` when given (fused into the join's own stage, which
+    keeps row-free buckets' schema-less blocks away from it). Payload
+    columns must be types Arrow's hash join carries (no lists).
+
+    Small side: when the caller's estimate of ``right`` — one that
+    cannot under-count (footer row counts x key width, file sizes) —
+    fits BROADCAST_SEMI_BYTES, collect ``right`` once (a pa.Table is
+    already collected), ray.put it, and join each left batch against it
+    in ONE streaming pass with no shuffle. Otherwise, or with no
+    estimate, both sides take the routed _shuffle into B buckets (default
+    _join_width()) and each bucket runs one Table.join; the right side
+    never reaches the driver. Both branches give the same rows: pinned
+    by tests/test_queries_oracle.py (forced shuffle) and
     tests/test_rows_only_ops.py::test_semi_filter_paths_agree."""
-    if est_keep_bytes <= BROADCAST_SEMI_BYTES:
-        keys = pa.concat_tables(
-            ray.get(keep.select_columns([keep_key]).to_arrow_refs())
-        ).column(keep_key).combine_chunks()
-        ref = ray.put(keys)
+    def join(lt, rt):
+        if lt is None:
+            return pa.table({})
+        if rt is None:  # the right side has no block: no matches
+            out = lt if how in ("left anti", "left outer") else lt.slice(0, 0)
+        else:
+            out = lt.join(rt, keys=on, right_keys=right_on, join_type=how)
+        return out if then is None else then(out)
 
-        def in_keep(batch: pa.Table) -> pa.Table:
-            ks = ray.get(ref)
-            return batch.filter(
-                pc.is_in(batch.column(probe_key), value_set=ks))
+    if est_right_bytes is not None and est_right_bytes <= BROADCAST_SEMI_BYTES:
+        if not isinstance(right, pa.Table):
+            blocks = [t for t in ray.get(right.to_arrow_refs())
+                      if t.num_columns]
+            right = pa.concat_tables(blocks) if blocks else None
+        ref = ray.put(right)
 
-        return probe.map_batches(in_keep, batch_format="pyarrow")
-    return probe.join(
-        keep, join_type="left_semi",
-        num_partitions=_join_width(shuffle_bytes),
-        on=(probe_key,), right_on=(keep_key,),
-    )
+        def probe(batch: pa.Table) -> pa.Table:
+            return join(batch if batch.num_columns else None, ray.get(ref))
+
+        return left.map_batches(probe, batch_format="pyarrow",
+                                zero_copy_batch=True)
+    if isinstance(right, pa.Table):
+        right = rd.from_arrow(right)
+    return _shuffle([(left, on), (right, right_on)], join, B or _join_width())
 
 
 def _pool_size(frac: float = 0.5, lo: int = 1) -> tuple[int, int]:
@@ -321,11 +385,7 @@ def _pool_size(frac: float = 0.5, lo: int = 1) -> tuple[int, int]:
     the whole fused pipeline crawls until the pool scales up (measured:
     (1,16) 3.6-4.6 s vs (8,16) 2.0 s for images_decode_stats at 32
     cpus). Pre-start half the ceiling, let autoscaling handle the rest."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:  # not initialised yet (import-time callers)
-        cpus = 4
-    hi = max(lo + 1, int(cpus * frac))
+    hi = max(lo + 1, int(_cpus() * frac))
     return (max(lo, hi // 2), hi)
 
 
@@ -446,39 +506,26 @@ def q_exact_dedup(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 def q_anti_join_unseen(sf_dir: str):
-    """orders with no lineitems = orders ∖ lineitem on orderkey. The
-    build-side KEY SET is distilled to uniques DISTRIBUTED (per-batch
-    partial unique, tiny driver merge of the partials — never the raw
-    build table on the driver) and broadcast via ray.put once (sorted for
-    searchsorted); each batch filters vectorized — the batched form of the
-    reference's per-link HEAD anti-semi-join. The 100-TB variant (Bloom
-    filter of the key set + exact recheck of positives) is implemented as
-    q_anti_join_bloom below, oracled to the same rows."""
-    key_partials = (
-        _read(sf_dir, "lineitem", columns=["l_orderkey"])
-        .map_batches(
-            lambda b: pa.table({"l_orderkey": pc.unique(b.column("l_orderkey"))}),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-        .to_arrow_refs()
+    """orders with no lineitems = orders ∖ lineitem on orderkey, as a LEFT
+    ANTI _hash_join — the batched form of the reference's per-link HEAD
+    anti-semi-join. The build side is distilled to per-batch unique keys
+    map-side (an anti join is insensitive to duplicate right keys); at
+    most the footer row count of them, so small tables take the
+    broadcast branch (one ray.put of the keys, one Table.join per probe
+    batch). The 100-TB variant (Bloom filter of the key set + exact
+    recheck of positives) is q_anti_join_bloom below, oracled to the same
+    rows."""
+    keys = _read(sf_dir, "lineitem", columns=["l_orderkey"]).map_batches(
+        lambda b: pa.table({"l_orderkey": pc.unique(b.column("l_orderkey"))}),
+        batch_format="pyarrow", zero_copy_batch=True,
     )
-    seen_keys = np.unique(
-        pa.concat_tables(ray.get(key_partials)).column("l_orderkey").to_numpy()
+    return _hash_join(
+        _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"]), keys,
+        "o_orderkey", "l_orderkey", "left anti",
+        est_right_bytes=16 * _table_rows(sf_dir, "lineitem"),
+        B=_join_width(_table_bytes(sf_dir, "orders")
+                      + _table_bytes(sf_dir, "lineitem")),
     )
-    ref = ray.put(seen_keys)
-    ds = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-
-    def anti(batch: pa.Table) -> pa.Table:
-        keys = ray.get(ref)
-        if len(keys) == 0:  # empty build side: every probe row passes
-            return batch
-        probe = batch.column("o_orderkey").to_numpy()
-        pos = np.searchsorted(keys, probe)
-        pos = np.minimum(pos, len(keys) - 1)
-        mask = keys[pos] != probe
-        return batch.filter(pa.array(mask))
-
-    return ds.map_batches(anti, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def q_anti_join_bloom(sf_dir: str):
@@ -501,8 +548,8 @@ def q_anti_join_bloom(sf_dir: str):
                    and hashed exactly once). NEGATIVES exit immediately
                    (a bloom negative is definitively unseen); only the
                    POSITIVES sliver (real matches + ~fp-rate) enters a
-                   hash-partitioned LEFT ANTI Dataset.join against the
-                   build side's distinct keys. The bloom's job is to keep
+                   shuffled LEFT ANTI _hash_join against the build
+                   side's distinct keys. The bloom's job is to keep
                    rows that cannot match out of the shuffle: the join's
                    left side carries ~(matches + 1%) of the probe.
 
@@ -601,12 +648,11 @@ def q_anti_join_bloom(sf_dir: str):
         lambda b: pa.table({"l_orderkey": pc.unique(b.column("l_orderkey"))}),
         batch_format="pyarrow", zero_copy_batch=True,
     )
-    kept = positives.join(
-        li_keys, join_type="left_anti",
-        num_partitions=_join_width(_table_bytes(sf_dir, "orders")
-                                   + _table_bytes(sf_dir, "lineitem")),
-        on=("o_orderkey",), right_on=("l_orderkey",),
-    ).select_columns(["o_orderkey", "o_custkey"])
+    kept = _hash_join(
+        positives, li_keys, "o_orderkey", "l_orderkey", "left anti",
+        B=_join_width(_table_bytes(sf_dir, "orders")
+                      + _table_bytes(sf_dir, "lineitem")),
+    )
     return negatives.union(kept)
 
 
@@ -781,24 +827,25 @@ def q_filter_scan(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 def q_broadcast_join(sf_dir: str):
-    """orders ⋈ customer with the dimension side broadcast once (ray.put)
-    and merged per batch via pa.Table.join — zero-copy Arrow throughout,
-    no shuffle of the fact table and no pandas round-trip."""
+    """orders ⋈ customer: the dimension side is read once on the driver
+    and, when it fits the broadcast budget, _hash_join ships it once
+    (ray.put) and joins every filtered fact batch against it with one
+    Arrow Table.join — no shuffle of the fact table."""
     cust = pq.read_table(
         _p(sf_dir, "customer"), columns=["c_custkey", "c_name", "c_mktsegment"]
     )
-    ref = ray.put(cust)
     ds = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_totalprice"])
-
-    def join(batch: pa.Table) -> pa.Table:
-        dim = ray.get(ref)
-        out = batch.filter(
-            pc.greater(batch.column("o_totalprice"), 150000)
-        ).join(dim, keys=["o_custkey"], right_keys=["c_custkey"],
-               join_type="inner")
-        return out.select(["o_orderkey", "c_name", "c_mktsegment", "o_totalprice"])
-
-    return ds.map_batches(join, batch_format="pyarrow", zero_copy_batch=True)
+    big = ds.map_batches(
+        lambda b: b.filter(pc.greater(b.column("o_totalprice"), 150000)),
+        batch_format="pyarrow", zero_copy_batch=True,
+    )
+    return _hash_join(
+        big, cust, "o_custkey", "c_custkey", "inner",
+        est_right_bytes=cust.nbytes,
+        B=_join_width(_table_bytes(sf_dir, "orders") + cust.nbytes),
+        then=lambda t: t.select(
+            ["o_orderkey", "c_name", "c_mktsegment", "o_totalprice"]),
+    )
 
 
 def q_customer_order_counts(sf_dir: str):
@@ -807,10 +854,10 @@ def q_customer_order_counts(sf_dir: str):
     ZERO for customers who never ordered — the rows an inner join would
     silently drop. The fact side pre-aggregates to per-key partial
     counts inside map_batches before the shuffle (the combiner rule), so
-    the hash-partitioned outer join moves O(distinct custkeys), not
-    O(orders); the partial merge is a _bucket_merge (measured 4.2 s ->
-    0.7 s vs Ray's per-key Aggregate at sf0.1); null fill is one
-    vectorized coalesce after the join."""
+    the outer join moves O(distinct custkeys), not O(orders); the partial
+    merge is a _bucket_merge (measured 4.2 s -> 0.7 s vs Ray's per-key
+    Aggregate at sf0.1); null fill is one vectorized coalesce fused into
+    the join."""
     orders = _read(sf_dir, "orders", columns=["o_custkey"])
 
     def count_partial(batch: pa.Table) -> pa.Table:
@@ -827,50 +874,22 @@ def q_customer_order_counts(sf_dir: str):
     )
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
 
-    # adaptive outer join (the _semi_filter rule applied to LEFT OUTER):
-    # the aggregated side is O(distinct custkeys); when its OVERestimate
-    # (fact-table row count x 16B/key — distinct keys can only be fewer)
-    # fits one broadcast object, ship it once and resolve the join as a
-    # vectorized index_in lookup inside ONE streaming pass over the
-    # dimension side — zero join shuffle. Beyond the budget, the
-    # hash-partitioned Dataset.join (both sides stay distributed).
-    est_counts_bytes = _table_rows(sf_dir, "orders") * 16
-    if est_counts_bytes <= BROADCAST_SEMI_BYTES:
-        blocks = [t for t in ray.get(counts.to_arrow_refs())
-                  if t.num_rows]  # empty map_groups blocks are schema-less
-        ctab = (pa.concat_tables(blocks) if blocks else
-                pa.table({"o_custkey": pa.array([], pa.int64()),
-                          "n": pa.array([], pa.int64())}))
-        ref = ray.put(ctab)
-
-        def lookup_fill(batch: pa.Table) -> pa.Table:
-            ct = ray.get(ref)
-            idx = pc.index_in(batch.column("c_custkey"),
-                              value_set=ct.column("o_custkey"))
-            n = pc.fill_null(ct.column("n").take(idx), 0)
-            return pa.table({
-                "c_custkey": batch.column("c_custkey"),
-                "c_name": batch.column("c_name"),
-                "n_orders": n.cast(pa.int64()),
-            })
-
-        return cust.map_batches(lookup_fill, batch_format="pyarrow")
-
-    def fill(batch: pa.Table) -> pa.Table:
+    def fill(t: pa.Table) -> pa.Table:
+        n = (t.column("n") if "n" in t.column_names  # no counts block at all
+             else pa.nulls(t.num_rows, pa.int64()))
         return pa.table({
-            "c_custkey": batch.column("c_custkey"),
-            "c_name": batch.column("c_name"),
-            "n_orders": pc.fill_null(
-                batch.column("n").cast(pa.int64()), 0),
+            "c_custkey": t.column("c_custkey"),
+            "c_name": t.column("c_name"),
+            "n_orders": pc.fill_null(n.cast(pa.int64()), 0),
         })
 
-    return (
-        cust.join(
-            counts, join_type="left_outer",
-            on=("c_custkey",), right_on=("o_custkey",),
-            num_partitions=_join_width(_table_bytes(sf_dir, "customer")),
-        )
-        .map_batches(fill, batch_format="pyarrow")
+    # the aggregated side is O(distinct custkeys); its OVERestimate
+    # (fact-table row count x 16B/key — distinct keys can only be fewer)
+    # selects the join's branch
+    return _hash_join(
+        cust, counts, "c_custkey", "o_custkey", "left outer",
+        est_right_bytes=_table_rows(sf_dir, "orders") * 16,
+        B=_join_width(_table_bytes(sf_dir, "customer")), then=fill,
     )
 
 
@@ -902,9 +921,10 @@ def q_events_hourly(sf_dir: str):
     agg = _bucket_merge(
         # wide-key aggregate ((user, hour) is near-unique, partials don't
         # reduce) — bucket on user_id, merge (user, hour) groups with one
-        # vectorized Arrow group_by per bucket
-        _widen(ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True), _p(sf_dir, "events")),
+        # vectorized Arrow group_by per bucket; re-split ahead of the
+        # partials so the route map fuses with them
+        _widen(ds, _p(sf_dir, "events")).map_batches(
+            partial, batch_format="pyarrow", zero_copy_batch=True),
         keys=["user_id", "hour"],
         aggs=[("v_p", "sum"), ("n_p", "sum")], out=["sum_v", "n_events"],
     )
@@ -2343,24 +2363,21 @@ def q_dedup_documents(sf_dir: str):
     """The dedup pipeline's OUTPUT stage: the deduplicated corpus itself
     (first-writer-wins per content hash), not just the group stats.
 
-    The keep-id set stays a DATASET end-to-end: a hash-partitioned
-    LEFT SEMI ``Dataset.join`` filters the clone-union stream against it.
-    No driver-side keep array — at 10^10 docs an O(distinct-docs) int64
-    ``np.unique`` on the driver is ~80 GB (the r2 verdict's last
-    whole-dataset driver materialization; this was it). keep_ids are
+    The keep-id set filters the clone-union stream through a LEFT SEMI
+    _hash_join. keep ids number at most rows+clones (footer count — no
+    data read), so small corpora take its broadcast branch, and 10^10-doc
+    corpora its shuffle, where the keep set never reaches the driver (an
+    O(distinct-docs) int64 keep array there is ~80 GB). keep_ids are
     unique by construction (one min doc_id per content hash, hashes
     partition the docs), so semi vs inner makes no row-count difference,
     but semi also keeps the probe schema untouched."""
     groups = q_exact_dedup(sf_dir)  # Dataset: content_hash, keep_id, n_copies
     keep = groups.select_columns(["keep_id"])
     ds = _with_clones(_read(sf_dir, "documents", columns=["doc_id", "text"]), sf_dir)
-    # adaptive semi-join: keep ids number at most rows+clones (footer
-    # count — no data read), so small corpora take the zero-shuffle
-    # broadcast path and 10^10-doc corpora the partitioned join
-    return _semi_filter(
-        ds, keep, "doc_id", "keep_id",
-        est_keep_bytes=16 * (_table_rows(sf_dir, "documents") + 64),
-        shuffle_bytes=_table_bytes(sf_dir, "documents"),
+    return _hash_join(
+        ds, keep, "doc_id", "keep_id", "left semi",
+        est_right_bytes=16 * (_table_rows(sf_dir, "documents") + 64),
+        B=_join_width(_table_bytes(sf_dir, "documents")),
     )
 
 
@@ -2391,8 +2408,6 @@ def q_top_events_per_user(sf_dir: str):
     k = 3
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "value"])
 
-    rw = _route_width()  # snapshot on the driver; ships as an int
-
     def partial(batch: pa.Table) -> pa.Table:
         idx = pc.sort_indices(
             batch, sort_keys=[("user_id", "ascending"), ("value", "descending"),
@@ -2403,15 +2418,12 @@ def q_top_events_per_user(sf_dir: str):
         # rank within user via run boundaries (vectorized)
         starts = np.r_[0, np.flatnonzero(users[1:] != users[:-1]) + 1]
         rank = np.arange(len(users)) - np.repeat(starts, np.diff(np.r_[starts, len(users)]))
-        t = t.filter(pa.array(rank < k))
-        return t.append_column(
-            "_route_b", _route_hash(t.column("user_id"), rw))
+        return t.filter(pa.array(rank < k))
 
     def merge_bucket(t: pa.Table) -> pa.Table:
         # all of a user's partials co-locate; the whole bucket merges in
         # ONE vectorized sort + run-boundary rank (the same kernel as the
         # batch partial) instead of a per-user pandas map_groups walk
-        t = t.drop_columns(["_route_b"])
         idx = pc.sort_indices(
             t, sort_keys=[("user_id", "ascending"), ("value", "descending"),
                           ("event_id", "ascending")])
@@ -2424,12 +2436,9 @@ def q_top_events_per_user(sf_dir: str):
         return t.filter(pa.array(rank < k)).select(
             ["user_id", "rank", "event_id", "value"])
 
-    return (
-        _widen(ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True), _p(sf_dir, "events"))
-        .groupby("_route_b")
-        .map_groups(merge_bucket, batch_format="pyarrow")
-    )
+    parts = _widen(ds, _p(sf_dir, "events")).map_batches(
+        partial, batch_format="pyarrow", zero_copy_batch=True)
+    return _shuffle([(parts, "user_id")], merge_bucket)
 
 
 QUERIES["top_events_per_user"] = q_top_events_per_user
@@ -2685,16 +2694,10 @@ def q_sessionization(sf_dir: str):
     event_id, identical to the SQL window ORDER BY."""
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id"])
 
-    rw = _route_width()  # snapshot on the driver; ships as an int
-
-    def route(t: pa.Table) -> pa.Table:
-        return _route(t, "user_id", rw)
-
     def sessions_bucket(t: pa.Table) -> pa.Table:
         # every event of a user co-locates: one vectorized sort + run-
         # boundary session count for the whole bucket (vs a per-user
         # pandas map_groups walk — the _bucket_merge rationale)
-        t = t.drop_columns(["_route_b"])
         idx = pc.sort_indices(
             t, sort_keys=[("user_id", "ascending"), ("ts", "ascending"),
                           ("event_id", "ascending")])
@@ -2717,12 +2720,8 @@ def q_sessionization(sf_dir: str):
 
     # per-user state over a wide user space — re-split ahead of the
     # bucket shuffle (see _widen)
-    return (
-        _widen(ds, _p(sf_dir, "events"))
-        .map_batches(route, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_route_b").map_groups(sessions_bucket,
-                                        batch_format="pyarrow")
-    )
+    return _shuffle([(_widen(ds, _p(sf_dir, "events")), "user_id")],
+                    sessions_bucket)
 
 
 QUERIES["sessionization"] = q_sessionization
@@ -2769,11 +2768,6 @@ def q_events_sliding_3h(sf_dir: str):
             .rename_columns(["user_id", "hour", "v_p", "n_p"])
         )
 
-    rw = _route_width()  # snapshot on the driver; ships as an int
-
-    def route(t: pa.Table) -> pa.Table:
-        return _route(t, "user_id", rw)
-
     def merge_slide(t: pa.Table) -> pa.Table:
         # one bucket holds every partial of each of its users: merge the
         # tumbling partials AND compute every user's slide in ONE
@@ -2785,8 +2779,7 @@ def q_events_sliding_3h(sf_dir: str):
         # 30-year span) — and a monotonicity check hard-fails rather
         # than ever returning silently wrong windows.
         m = (
-            t.drop_columns(["_route_b"])
-            .group_by(["user_id", "hour"])
+            t.group_by(["user_id", "hour"])
             .aggregate([("v_p", "sum"), ("n_p", "sum")])
             .rename_columns(["user_id", "hour", "v_h", "n_h"])
         )
@@ -2817,12 +2810,9 @@ def q_events_sliding_3h(sf_dir: str):
                 (cv[hi] - cv[lo]).astype(np.float64) / 1000.0),
         })
 
-    return (
-        _widen(ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True), _p(sf_dir, "events"))
-        .map_batches(route, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_route_b").map_groups(merge_slide, batch_format="pyarrow")
-    )
+    parts = _widen(ds, _p(sf_dir, "events")).map_batches(
+        partial, batch_format="pyarrow", zero_copy_batch=True)
+    return _shuffle([(parts, "user_id")], merge_slide)
 
 
 QUERIES["events_sliding_3h"] = q_events_sliding_3h
@@ -3702,12 +3692,13 @@ ORACLES["ngram_jaccard_verify"] = _MINHASH_CTES + """
 
 def q_partitioned_join(sf_dir: str):
     """Revenue per urgent order = orders ⋈ lineitem on orderkey, both sides
-    large -> hash-partitioned join. Uses Dataset.join (hash-partitioned on
-    the key) when available in this Ray build; the portable bucket pattern
-    (tag sides, bucket = hash(key) %% B, groupby(bucket).map_groups merge)
-    is what it compiles to conceptually. The lineitem side is pre-aggregated
-    per orderkey BEFORE the join shuffle (partial revenue per batch), so the
-    exchange carries one row per (batch, orderkey), not per lineitem."""
+    large -> the shuffle branch of _hash_join: both sides route by
+    hash(orderkey) % B and each bucket runs one Arrow Table.join. The
+    lineitem side is pre-aggregated per orderkey BEFORE the shuffle
+    (partial revenue per batch), so the exchange carries one row per
+    (batch, orderkey), not per lineitem; a bucket holds every partial of
+    its orderkeys, so the final per-order sum runs in the join's own
+    bucket with no second exchange."""
     # priority predicate pushed down INTO the read (row-group pruning;
     # the filter column rides along for the clean schema, then projected
     # away)
@@ -3745,40 +3736,19 @@ def q_partitioned_join(sf_dir: str):
 
     li_partial = li.map_batches(partial_rev, batch_format="pyarrow",
                                 zero_copy_batch=True)
-    joined = orders.join(
-        li_partial, join_type="inner",
-        num_partitions=_join_width(_table_bytes(sf_dir, "orders")
-                                   + _table_bytes(sf_dir, "lineitem")),
-        on=("o_orderkey",), right_on=("l_orderkey",),
-    )
 
-    def finalize_partial(batch: pa.Table) -> pa.Table:
+    def revenue(t: pa.Table) -> pa.Table:
         return (
-            batch.select(["o_orderkey", "rev_p"])
-            .group_by("o_orderkey").aggregate([("rev_p", "sum")])
-            .rename_columns(["o_orderkey", "rev_pp"])
+            t.group_by("o_orderkey").aggregate([("rev_p", "sum")])
+            .rename_columns(["o_orderkey", "revenue_cents"])
         )
 
-    # post-join key space is near-unique (one key per urgent order):
-    # merge the rev_pp partials with the vectorized bucket pattern, not
-    # Ray's per-key Aggregate walk
-    agg = _bucket_merge(
-        joined.map_batches(finalize_partial, batch_format="pyarrow"),
-        keys=["o_orderkey"], aggs=[("rev_pp", "sum")], out=["rev_raw"],
+    return _hash_join(
+        orders, li_partial, "o_orderkey", "l_orderkey", "inner",
+        B=_join_width(_table_bytes(sf_dir, "orders")
+                      + _table_bytes(sf_dir, "lineitem")),
+        then=revenue,
     )
-
-    def rounder(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:  # schema-less _bucket_merge empty block
-            return pa.table({"o_orderkey": pa.array([], pa.int64()),
-                             "revenue_cents": pa.array([], pa.int64())})
-        return pa.table(
-            {
-                "o_orderkey": batch.column("o_orderkey"),
-                "revenue_cents": batch.column("rev_raw"),
-            }
-        )
-
-    return agg.map_batches(rounder, batch_format="pyarrow")
 
 
 QUERIES["partitioned_join"] = q_partitioned_join
@@ -3841,7 +3811,7 @@ def q_near_dup_components(sf_dir: str):
 
 def _propagate_components(a: np.ndarray, b: np.ndarray, force_bsp=False):
     """The shared connected-components step over int64 edge endpoints.
-    Adaptive like _semi_filter: the edge list is ALREADY driver-resident
+    Adaptive like _hash_join: the edge list is ALREADY driver-resident
     (it is the bounded OUTPUT of the LSH pair pipeline), so when it fits
     the broadcast budget a union-find walks it in-place — each BSP
     superstep costs two hash joins + an aggregate + two materializations
@@ -3918,26 +3888,21 @@ def _propagate_components(a: np.ndarray, b: np.ndarray, force_bsp=False):
     width = _join_width(edges_t.nbytes, frac=0.5)
 
     while True:
-        prop = edges.join(
-            labels, join_type="inner", num_partitions=width,
-            on=("a",), right_on=("node",),
-        ).map_batches(proposals, batch_format="pyarrow")
-        stepped = (
-            prop.union(labels)
-            .groupby("node")
-            .aggregate(Min("label", alias_name="label"))
-            .materialize()  # consumed twice (join probe + parent side)
-        )
+        prop = _hash_join(edges, labels, "a", "node", "inner", B=width,
+                          then=proposals)
+        # each step's output is executed once and rebuilt over its block
+        # refs, not materialize()d: a materialized Dataset's stats link
+        # the datasets it came from, and with every step reading the
+        # previous one twice that chain doubled per step (superstep 12 of
+        # the test graph took 129 s, superstep 1 0.9 s)
+        stepped = rd.from_arrow_refs(  # consumed twice (probe + parents)
+            prop.union(labels).groupby("node")
+            .aggregate(Min("label", alias_name="label")).to_arrow_refs())
         # pointer jump: label <- label(label) through a self-join
         parents = stepped.map_batches(as_parent, batch_format="pyarrow")
-        labels = (
-            stepped.join(
-                parents, join_type="inner", num_partitions=width,
-                on=("label",), right_on=("src",),
-            )
-            .map_batches(jumped, batch_format="pyarrow")
-            .materialize()
-        )
+        labels = rd.from_arrow_refs(_hash_join(
+            stepped, parents, "label", "src", "inner", B=width,
+            then=jumped).to_arrow_refs())
         cur_sum = int(labels.aggregate(Sum("label"))["sum(label)"])
         if cur_sum == prev_sum:
             break
@@ -4105,8 +4070,6 @@ def q_events_asof_join(sf_dir: str):
          "lag_us": pa.array([], pa.int64())}
     )
 
-    rw = _route_width()  # snapshot on the driver; ships as an int
-
     def merge(group: pa.Table) -> pa.Table:
         # bucket-level vectorized as-of: all of a user's clicks AND
         # purchases co-locate; users separate on a dense-rank x stride
@@ -4116,7 +4079,6 @@ def q_events_asof_join(sf_dir: str):
         # prior click must NOT match the previous user's clicks) and a
         # monotonicity guard against int64 wrap (hard error, never a
         # silently wrong attribution)
-        group = group.drop_columns(["_route_b"])
         clicks = group.filter(pc.equal(group.column("event_type"), "click"))
         purch = group.filter(pc.equal(group.column("event_type"), "purchase"))
         if clicks.num_rows == 0 or purch.num_rows == 0:
@@ -4164,11 +4126,7 @@ def q_events_asof_join(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(lambda t: _route(t, "user_id", rw),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_route_b").map_groups(merge, batch_format="pyarrow")
-    )
+    return _shuffle([(ds, "user_id")], merge)
 
 
 QUERIES["events_asof_join"] = q_events_asof_join
@@ -4217,14 +4175,11 @@ def q_events_range_join(sf_dir: str):
          "n_errors_1h": pa.array([], pa.int64())}
     )
 
-    rw = _route_width()  # snapshot on the driver; ships as an int
-
     def count_band(group: pa.Table) -> pa.Table:
         # bucket-level vectorized band count (the as-of join's dense-rank
         # x stride composite key: the band never crosses users because
         # consecutive ranks sit >= one full ts-span + band apart; the
         # monotonicity guard hard-fails on int64 wrap)
-        group = group.drop_columns(["_route_b"])
         sign = group.filter(pc.equal(group.column("event_type"), "signup"))
         if sign.num_rows == 0:
             return empty
@@ -4263,11 +4218,7 @@ def q_events_range_join(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(lambda t: _route(t, "user_id", rw),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_route_b").map_groups(count_band, batch_format="pyarrow")
-    )
+    return _shuffle([(ds, "user_id")], count_band)
 
 
 QUERIES["events_range_join"] = q_events_range_join
@@ -4416,32 +4367,23 @@ def q_users_per_event_type(sf_dir: str):
     and even a 4096-bucket cluster stays governance-tiny."""
     ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
 
-    rw = _route_width()  # snapshot on the driver; ships as an int
-
     def uniq_pairs(batch: pa.Table) -> pa.Table:
-        t = batch.group_by(["event_type", "user_id"]).aggregate([])
-        return t.append_column("_route_b",
-                               _route_hash(t.column("user_id"), rw))
+        return batch.group_by(["event_type", "user_id"]).aggregate([])
 
     def bucket_distinct(t: pa.Table) -> pa.Table:
         # all pairs of a user co-locate -> in-bucket distinct is global
         # distinct; collapse to per-type partial counts so only
         # O(types x buckets) rows reach the final (tiny-key) aggregate
         return (
-            t.drop_columns(["_route_b"])
-            .group_by(["event_type", "user_id"]).aggregate([])
+            t.group_by(["event_type", "user_id"]).aggregate([])
             .group_by("event_type").aggregate([([], "count_all")])
             .rename_columns(["event_type", "n_p"])
         )
 
-    parts = (
-        _widen(ds, _p(sf_dir, "events"))
-        .map_batches(uniq_pairs, batch_format="pyarrow",
-                     zero_copy_batch=True)
-        .groupby("_route_b").map_groups(bucket_distinct,
-                                        batch_format="pyarrow")
-        .take_all()  # O(types x buckets) partial rows — governance-tiny
-    )
+    pairs = _widen(ds, _p(sf_dir, "events")).map_batches(
+        uniq_pairs, batch_format="pyarrow", zero_copy_batch=True)
+    # O(types x buckets) partial rows — governance-tiny
+    parts = _shuffle([(pairs, "user_id")], bucket_distinct).take_all()
     acc: dict[str, int] = {}
     for r in parts:
         acc[r["event_type"]] = acc.get(r["event_type"], 0) + r["n_p"]
@@ -5310,7 +5252,7 @@ def q_semantic_dedup(sf_dir: str):
     with one inverted pc.is_in pass — zero additional shuffle beyond
     what the pair pipeline already paid. At 10^10 rows the drop set is
     O(duplicates); if duplicates themselves outgrow a broadcast object
-    the same _semi_filter fallback used by dedup_documents applies."""
+    the shuffle branch of _hash_join that dedup_documents uses applies."""
     pairs = _emb_pairs_cached(sf_dir)  # pa.Table (vec_a < vec_b), bounded
     drops = pc.unique(pairs.column("vec_b"))
     drop_ref = ray.put(drops)
@@ -5761,11 +5703,6 @@ def q_source_overlap(sf_dir: str):
     # the per-key AggregateFn accumulate (Ray walks those in Python key
     # by key) and collapses to the (source_set -> count) histogram
     # INSIDE the task, so only O(2^|sources|) rows per bucket return
-    rw = _route_width()  # snapshot on the driver; ships as an int
-
-    def route(t: pa.Table) -> pa.Table:
-        return _route(t, "g", rw)
-
     def union_hist(t: pa.Table) -> pa.Table:
         sets = t.group_by("g").aggregate([("srcs", "list")])
         h: dict[str, int] = {}
@@ -5778,15 +5715,11 @@ def q_source_overlap(sf_dir: str):
         return pa.table({"srcs": pa.array(list(h), pa.string()),
                          "n_p": pa.array(list(h.values()), pa.int64())})
 
+    partials = _widen(src, _p(sf_dir, "documents")).map_batches(
+        shingle_partial, batch_format="pyarrow", zero_copy_batch=True)
     hist: dict[str, int] = {}
-    for part in (
-        _widen(src, _p(sf_dir, "documents"))
-        .map_batches(shingle_partial, batch_format="pyarrow",
-                     zero_copy_batch=True)
-        .map_batches(route, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_route_b").map_groups(union_hist, batch_format="pyarrow")
-        .take_all()
-    ):  # O(buckets * 2^|sources|), not O(vocabulary)
+    for part in _shuffle([(partials, "g")], union_hist).take_all():
+        # O(buckets * 2^|sources|), not O(vocabulary)
         hist[part["srcs"]] = hist.get(part["srcs"], 0) + part["n_p"]
 
     names = sorted({s for key in hist for s in key.split(_SRC_SEP)})

@@ -87,25 +87,27 @@ def test_all_queries_have_callable(ray_session):
         assert callable(fn)
 
 
+@pytest.mark.parametrize("name", ["customer_order_counts", "dedup_documents",
+                                  "broadcast_join", "anti_join_unseen"])
 def test_customer_order_counts_distributed_join_path(
-    ray_session, con, monkeypatch
+    ray_session, con, monkeypatch, name
 ):
-    """r4 ADVICE: the hash-partitioned left_outer Dataset.join fallback in
-    q_customer_order_counts is never selected at test scale (the broadcast
-    estimate always wins), so a regression there would be invisible. Zero
-    the broadcast budget to force the join branch and assert it matches
-    the oracle bit-for-bit, same as the recorded (broadcast) path."""
+    """Each query whose _hash_join picks its branch by size takes the
+    broadcast branch at test scale, so a regression in the shuffle branch
+    would be invisible there. Zero the broadcast budget to force the
+    shuffle and assert it matches the oracle bit-for-bit, same as the
+    recorded (broadcast) path."""
     from owlcrawler_ray.pipelines import queries as q
 
     monkeypatch.setattr(q, "BROADCAST_SEMI_BYTES", 0)
-    got = _normalize(_to_pdf(q.QUERIES["customer_order_counts"](SF)))
-    want = _normalize(con.execute(q.ORACLES["customer_order_counts"]).df())
+    got = _normalize(_to_pdf(q.QUERIES[name](SF)))
+    want = _normalize(con.execute(q.ORACLES[name]).df())
     assert list(got.columns) == list(want.columns)
     assert len(got) == len(want)
     for c in got.columns:
         pd.testing.assert_series_equal(
             got[c], want[c], check_names=False, check_dtype=False,
-            obj=f"customer_order_counts.{c}",
+            obj=f"{name}.{c}",
         )
 
 

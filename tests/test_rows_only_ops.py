@@ -843,9 +843,9 @@ def test_word_ngrams_property_matches_naive():
 
 
 def test_semi_filter_paths_agree(ray_session, monkeypatch):
-    """The adaptive semi-join's two paths (broadcast pc.is_in vs
-    hash-partitioned LEFT SEMI Dataset.join) must be value-identical —
-    dedup_documents run once with each path forced."""
+    """_hash_join's two branches for a LEFT SEMI join (broadcast Table.join
+    per probe batch vs the routed shuffle) must be value-identical —
+    dedup_documents run once with each branch forced."""
     from owlcrawler_ray.pipelines import queries as Q
 
     sf = "/root/testdata/sf0.001"
@@ -911,9 +911,10 @@ def test_greedy_bins_property_matches_naive():
 
 def test_component_paths_agree(ray_session):
     """_propagate_components' two paths (driver union-find for
-    broadcast-size edge tables vs the distributed BSP min-label loop)
-    must be value-identical — the same guarantee the adaptive semi-join
-    pins for its paths."""
+    broadcast-size edge tables vs the distributed BSP min-label loop,
+    whose two joins per superstep are shuffled _hash_joins) must be
+    value-identical — the same guarantee test_semi_filter_paths_agree
+    pins for _hash_join's branches."""
     import numpy as np
 
     from owlcrawler_ray.pipelines.queries import _propagate_components
