@@ -24,8 +24,6 @@ killed export restart without rewriting finished output.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -150,7 +148,7 @@ def export_corpus(sf_dir: str, out_root: str, n_buckets: int = 16) -> pa.Table:
     the committed output — the on-disk truth, not in-flight counters."""
     import ray.data as rd
 
-    from .queries import _read
+    from .queries import _md5_hex, _read
 
     done = {
         b for b in range(n_buckets)
@@ -164,13 +162,8 @@ def export_corpus(sf_dir: str, out_root: str, n_buckets: int = 16) -> pa.Table:
         # keep-id set: per-batch (hash -> min doc_id) partials, tiny global
         # groupby, broadcast — same family as q_exact_dedup
         def keep_partial(batch: pa.Table) -> pa.Table:
-            t = pa.table(
-                {
-                    "h": [hashlib.md5(x.encode()).hexdigest()
-                          for x in batch.column("text").to_pylist()],
-                    "doc_id": batch.column("doc_id"),
-                }
-            )
+            t = pa.table({"h": _md5_hex(batch.column("text")),
+                          "doc_id": batch.column("doc_id")})
             return (
                 t.group_by("h").aggregate([("doc_id", "min")])
                 .rename_columns(["h", "keep_p"])

@@ -44,6 +44,7 @@ from ray.data.aggregate import AggregateFn, Count, Max, Min, Sum
 
 from ..functions.vecs import list_to_matrix
 from ..state import wire
+from .settle import host_rank
 
 
 def _p(sf_dir: str, table: str) -> str:
@@ -377,6 +378,102 @@ def _hash_join(left, right, on: str, right_on: str, how: str,
     return _shuffle([(left, on), (right, right_on)], join, B or _join_width())
 
 
+def _md5(keys) -> pa.FixedSizeBinaryArray:
+    """The module's one md5 kernel: the 16-byte digest of every value of
+    ``keys`` (strings; numbers hash as their decimal text, which is
+    DuckDB's ``CAST(x AS VARCHAR)``; a null hashes as ''). The digests
+    sort in the order of their hex strings, so they are a rank as they
+    are; _md5_u64 and _md5_hex read the other views the oracles use."""
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.combine_chunks()
+    keys = keys.cast(pa.string()).cast(pa.large_binary())
+    ends = np.frombuffer(keys.buffers()[1], np.int64)[
+        keys.offset:keys.offset + len(keys) + 1].tolist()
+    data = memoryview(keys.buffers()[2] or b"")
+    md5 = hashlib.md5
+    digests = b"".join([md5(data[a:b]).digest()
+                        for a, b in zip(ends[:-1], ends[1:])])
+    return pa.FixedSizeBinaryArray.from_buffers(
+        pa.binary(16), len(keys), [None, pa.py_buffer(digests)])
+
+
+def _md5_u64(keys) -> np.ndarray:
+    """The first 8 digest bytes as a little-endian uint64 (_MD5_LE64)."""
+    return np.frombuffer(_md5(keys).buffers()[1], "<u8")[::2]
+
+
+# _md5_u64 in DuckDB: the little-endian uint64 of the first 8 bytes of
+# the hex digest ``md``, by hex surgery (the importance_sample,
+# sample_fraction, simhash and fingerprint oracles)
+_MD5_LE64 = (
+    "('0x' || substr(md, 15, 2) || substr(md, 13, 2) || substr(md, 11, 2)"
+    " || substr(md, 9, 2) || substr(md, 7, 2) || substr(md, 5, 2)"
+    " || substr(md, 3, 2) || substr(md, 1, 2))::UBIGINT"
+)
+
+
+_HEX = np.frombuffer(b"0123456789abcdef", np.uint8)
+
+
+def _md5_hex(keys) -> pa.StringArray:
+    """The digests as DuckDB's md5(): 32 lowercase hex characters."""
+    d = np.frombuffer(_md5(keys).buffers()[1], np.uint8).reshape(-1, 16)
+    out = np.empty((len(d), 32), np.uint8)
+    out[:, 0::2] = _HEX[d >> 4]
+    out[:, 1::2] = _HEX[d & 15]
+    return pa.StringArray.from_buffers(
+        len(d), pa.py_buffer(np.arange(0, 32 * len(d) + 1, 32, np.int32)),
+        pa.py_buffer(out))
+
+
+def _keep_top(t: pa.Table, keys: list[tuple[str, str]], k: int,
+              by: str | None = None, rank: str | None = None) -> pa.Table:
+    """The rank-and-keep batch kernel: each stratum's first ``k`` rows of
+    ``t`` in ``keys`` order (Arrow sort keys; the last must break every
+    tie). With ``by`` None the stratum is the whole table: one
+    select_k_unstable, rows unordered. Otherwise every distinct ``by``
+    value is a stratum (null is one of its own, as in SQL's PARTITION
+    BY): one sort on ``keys``, each row's rank within its stratum from
+    settle.host_rank, and the rows ranked below ``k`` kept in ``keys``
+    order; ``rank`` appends that 1-based rank as an int64 column. A
+    row-free table, a router's schema-less empty block included, passes
+    through unchanged."""
+    if by is None:
+        if t.num_rows <= k:
+            return t
+        return t.take(pc.select_k_unstable(t, k=k, sort_keys=keys))
+    if t.num_columns == 0:
+        return t
+    order = pc.sort_indices(t, sort_keys=keys)
+    r = host_rank(t.column(by).take(order))[0]
+    keep = r < k
+    t = t.take(order.filter(pa.array(keep)))
+    return t if rank is None else t.append_column(rank, pa.array(r[keep] + 1))
+
+
+def _top_k(ds, keys: list[tuple[str, str]], k: int, by: str | None = None,
+           rank: str | None = None, columns: list[str] | None = None):
+    """The rank-and-keep operator: _keep_top over the whole Dataset,
+    never a full sort of the input. Every batch keeps its own top ``k``
+    per stratum first, so at most k rows per (batch, stratum) move on;
+    then with ``by`` None one small sort + limit merges them, and with
+    ``by`` each stratum's partials meet in one _shuffle bucket keyed on
+    ``by``, where the same kernel runs again (``rank`` is appended
+    there). ``columns`` selects the output columns (drops rank keys)."""
+    parts = ds.map_batches(lambda t: _keep_top(t, keys, k, by),
+                           batch_format="pyarrow", zero_copy_batch=True)
+    if by is None:
+        out = parts.sort([c for c, _ in keys], descending=[
+            o == "descending" for _, o in keys]).limit(k)
+        return out if columns is None else out.select_columns(columns)
+
+    def merge(t: pa.Table) -> pa.Table:
+        t = _keep_top(t, keys, k, by, rank)
+        return t if columns is None else t.select(columns)
+
+    return _shuffle([(parts, by)], merge)
+
+
 def _pool_size(frac: float = 0.5, lo: int = 1) -> tuple[int, int]:
     """Actor-pool sizing derived from the cluster CPU count. A hard-coded
     (1, 2) pool starves a 32-cpu node (measured in BENCH_r01: decode
@@ -482,11 +579,8 @@ def q_exact_dedup(sf_dir: str):
     ds = _with_clones(_read(sf_dir, "documents", columns=["doc_id", "text"]), sf_dir)
 
     def partial(batch: pa.Table) -> pa.Table:
-        texts = batch.column("text").to_pylist()
-        hashes = [hashlib.md5(t.encode()).hexdigest() for t in texts]
-        t = pa.table(
-            {"content_hash": hashes, "doc_id": batch.column("doc_id")}
-        )
+        t = pa.table({"content_hash": _md5_hex(batch.column("text")),
+                      "doc_id": batch.column("doc_id")})
         return (
             t.group_by("content_hash")
             .aggregate([("doc_id", "min"), ([], "count_all")])
@@ -661,27 +755,13 @@ def q_anti_join_bloom(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 def q_topk(sf_dir: str):
-    """Local per-batch prune to k, then one tiny global sort+limit — the
-    scale-safe top-k (never a full sort of the input)."""
-    k = 100
+    """Top 100 lineitems by price through _top_k: local per-batch prune
+    to k, then one tiny global sort+limit (never a full sort)."""
     ds = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_linenumber", "l_extendedprice"])
-
-    def prune(batch: pa.Table) -> pa.Table:
-        idx = pc.select_k_unstable(
-            batch, k=min(k, batch.num_rows),
-            sort_keys=[("l_extendedprice", "descending"),
+    return _top_k(ds, [("l_extendedprice", "descending"),
                        ("l_orderkey", "ascending"),
-                       ("l_linenumber", "ascending")],
-        )
-        return batch.take(idx)
-
-    return (
-        ds.map_batches(prune, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["l_extendedprice", "l_orderkey", "l_linenumber"],
-              descending=[True, False, False])
-        .limit(k)
-    )
+                       ("l_linenumber", "ascending")], 100)
 
 
 # ---------------------------------------------------------------------------
@@ -692,20 +772,8 @@ def q_fifo_order(sf_dir: str):
     """events in (ts, event_id) order with a global sequence — the NATS
     FIFO-parity shape. Local prune + global sort+limit, seq assigned on
     the (small) result."""
-    n = 1000
     ds = _read(sf_dir, "events", columns=["event_id", "ts", "user_id"])
-
-    def prune(batch: pa.Table) -> pa.Table:
-        idx = pc.select_k_unstable(
-            batch, k=min(n, batch.num_rows),
-            sort_keys=[("ts", "ascending"), ("event_id", "ascending")],
-        )
-        return batch.take(idx)
-
-    head = (
-        ds.map_batches(prune, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["ts", "event_id"]).limit(n)
-    )
+    head = _top_k(ds, [("ts", "ascending"), ("event_id", "ascending")], 1000)
     t = pa.concat_tables([ray.get(r) for r in head.to_arrow_refs()])
     return t.add_column(
         0, "seq", pa.array(np.arange(1, t.num_rows + 1, dtype=np.int64))
@@ -1246,8 +1314,8 @@ def q_minhash_lsh_pairs(sf_dir: str):
 
 def q_ann_topk(sf_dir: str):
     """Embedding similarity search: broadcast the query vector, batch
-    matmul in float64, local prune, tiny global sort+limit."""
-    k = 20
+    matmul in float64, then _top_k (local prune, tiny global
+    sort+limit)."""
     emb = pq.read_table(_p(sf_dir, "embeddings"))
     qvec = np.array(emb.column("embedding")[0].as_py(), dtype=np.float64)
     qn = qvec / np.linalg.norm(qvec)
@@ -1259,25 +1327,22 @@ def q_ann_topk(sf_dir: str):
         mat = list_to_matrix(batch.column("embedding"))
         norms = np.linalg.norm(mat, axis=1)
         cos = (mat @ q) / np.maximum(norms, 1e-12)
-        t = pa.table(
+        return pa.table(
             {
                 "vec_id": batch.column("vec_id"),
                 "label": batch.column("label"),
                 "cos": cos,
             }
         ).filter(pc.not_equal(batch.column("vec_id"), 0))
-        idx = pc.select_k_unstable(
-            t, k=min(k, t.num_rows),
-            sort_keys=[("cos", "descending"), ("vec_id", "ascending")],
-        )
-        return t.take(idx)
 
-    return (
-        ds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["cos", "vec_id"], descending=[True, False])
-        .limit(k)
-        .select_columns(["vec_id", "label"])
-    )
+    return _ann_top(ds.map_batches(score, batch_format="pyarrow",
+                                   zero_copy_batch=True))
+
+
+def _ann_top(scored):
+    """The ANN queries' merge: the 20 best (vec_id, label) by cosine."""
+    return _top_k(scored, [("cos", "descending"), ("vec_id", "ascending")],
+                  20, columns=["vec_id", "label"])
 
 
 # ---------------------------------------------------------------------------
@@ -1709,7 +1774,7 @@ def q_ann_ivf(sf_dir: str):
     candidates get exact cosine ranking — ~40% of the table on uniform
     random data (the adversarial case; clustered real embeddings prune
     far harder). Top-20 (vec_id, label); recall vs brute is pytest-gated."""
-    k, n_tables, bits, radius = 20, 8, 10, 2
+    n_tables, bits, radius = 8, 10, 2
     emb = pq.read_table(_p(sf_dir, "embeddings"))
     qvec = np.array(emb.column("embedding")[0].as_py(), dtype=np.float64)
     qn = qvec / np.linalg.norm(qvec)
@@ -1736,32 +1801,17 @@ def q_ann_ivf(sf_dir: str):
                 x >>= np.uint64(1)
             mask |= ham <= radius
         mask &= batch.column("vec_id").to_numpy() != 0
-        if not mask.any():
-            return pa.table(
-                {"vec_id": pa.array([], pa.int64()),
-                 "label": pa.array([], pa.int32()),
-                 "cos": pa.array([], pa.float64())}
-            )
         cos = (mat[mask] @ q) / norms[mask]
-        t = pa.table(
+        return pa.table(
             {
                 "vec_id": batch.column("vec_id").filter(pa.array(mask)),
                 "label": batch.column("label").filter(pa.array(mask)),
                 "cos": cos,
             }
         )
-        idx = pc.select_k_unstable(
-            t, k=min(k, t.num_rows),
-            sort_keys=[("cos", "descending"), ("vec_id", "ascending")],
-        )
-        return t.take(idx)
 
-    return (
-        ds.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["cos", "vec_id"], descending=[True, False])
-        .limit(k)
-        .select_columns(["vec_id", "label"])
-    )
+    return _ann_top(ds.map_batches(probe, batch_format="pyarrow",
+                                   zero_copy_batch=True))
 
 
 def q_ann_ivf_centroids(sf_dir: str):
@@ -1777,7 +1827,7 @@ def q_ann_ivf_centroids(sf_dir: str):
     random vectors are the ADVERSARIAL case for IVF (no cluster
     structure: measured recall 0.7-0.8 at nprobe=12/32, 0.9 at 16); the
     pytest gate is >=0.6, matching the honest stance of the LSH path."""
-    k_lists, nprobe, k, iters = 32, 12, 20, 5
+    k_lists, nprobe, iters = 32, 12, 5
     pf = pq.ParquetFile(_p(sf_dir, "embeddings"))
     sample = pf.read_row_group(0, columns=["embedding"]).column("embedding")
     smat = list_to_matrix(sample.slice(0, 2048))
@@ -1806,32 +1856,17 @@ def q_ann_ivf_centroids(sf_dir: str):
         assign = np.argmax(nmat @ c.T, axis=1)
         mask = np.isin(assign, list(pl))
         mask &= batch.column("vec_id").to_numpy() != 0
-        if not mask.any():
-            return pa.table(
-                {"vec_id": pa.array([], pa.int64()),
-                 "label": pa.array([], pa.int32()),
-                 "cos": pa.array([], pa.float64())}
-            )
         cos = nmat[mask] @ q
-        t = pa.table(
+        return pa.table(
             {
                 "vec_id": batch.column("vec_id").filter(pa.array(mask)),
                 "label": batch.column("label").filter(pa.array(mask)),
                 "cos": cos,
             }
         )
-        idx = pc.select_k_unstable(
-            t, k=min(k, t.num_rows),
-            sort_keys=[("cos", "descending"), ("vec_id", "ascending")],
-        )
-        return t.take(idx)
 
-    return (
-        ds.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["cos", "vec_id"], descending=[True, False])
-        .limit(k)
-        .select_columns(["vec_id", "label"])
-    )
+    return _ann_top(ds.map_batches(probe, batch_format="pyarrow",
+                                   zero_copy_batch=True))
 
 
 QUERIES["ann_ivf_centroids"] = q_ann_ivf_centroids
@@ -2297,48 +2332,36 @@ def q_search(sf_dir: str):
     desc (doc_id tiebreak), top 10, with a 150-char highlight fragment
     starting 40 chars before the first hit — the capability of the
     reference's ES match+highlight query (elastic_search.go:111-157),
-    without an external search cluster. Single scan, local prune, tiny
-    global top-k."""
+    without an external search cluster. Single scan, then _top_k (local
+    prune, tiny global top-k). The scoring map runs the batch kernel
+    itself and cuts fragments for the <= 10 rows it keeps: a fragment
+    stage after the limit is one more Ray operator per query."""
     term = SEARCH_TERM
-    k = 10
+    keys = [("score", "descending"), ("doc_id", "ascending")]
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def score(batch: pa.Table) -> pa.Table:
         # vectorized: tf + hit mask via pc.count_substring (r2 verdict —
         # the per-row text.count loop was the hot path); the only Python
-        # loop left is fragment extraction over the <= k pruned rows
+        # loop left is fragment extraction over the <= 10 kept rows
         n = pc.count_substring(batch.column("text"), term)
-        t = pa.table(
+        t = _keep_top(pa.table(
             {
                 "doc_id": batch.column("doc_id"),
                 "score": pc.cast(n, pa.int64()),
                 "text": batch.column("text"),
             }
-        ).filter(pc.greater(n, 0))
-        if t.num_rows > k:
-            idx = pc.select_k_unstable(
-                t, k=k, sort_keys=[("score", "descending"),
-                                   ("doc_id", "ascending")],
-            )
-            t = t.take(idx)
+        ).filter(pc.greater(n, 0)), keys, 10)
         frags = []
         for text in t.column("text").to_pylist():
             pos = text.find(term) + 1  # 1-based, duckdb strpos semantics
             start = max(pos - 40, 1) - 1
             frags.append(text[start : start + 150])
-        return pa.table(
-            {
-                "doc_id": t.column("doc_id"),
-                "score": t.column("score"),
-                "highlight": pa.array(frags, pa.string()),
-            }
-        )
+        return t.drop_columns(["text"]).append_column(
+            "highlight", pa.array(frags, pa.string()))
 
-    return (
-        ds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["score", "doc_id"], descending=[True, False])
-        .limit(k)
-    )
+    return _top_k(ds.map_batches(score, batch_format="pyarrow",
+                                 zero_copy_batch=True), keys, 10)
 
 
 QUERIES["search"] = q_search
@@ -2400,45 +2423,14 @@ ORACLES["dedup_documents"] = """
 # ---------------------------------------------------------------------------
 
 def q_top_events_per_user(sf_dir: str):
-    """Windowed rank: top-3 events per user by (value desc, event_id).
-    Per-BATCH partial top-3 per user first (bounded state, vectorized
-    arrow sort within the batch), then a per-user merge of the partials —
-    the exchange carries <= 3 rows per (batch, user), never the full
-    events stream."""
-    k = 3
+    """Windowed rank: top-3 events per user by (value desc, event_id),
+    with the rank — one per-stratum _top_k: per-BATCH top-3 per user,
+    then a per-user merge of the partials, so the exchange carries <= 3
+    rows per (batch, user), never the full events stream."""
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(
-            batch, sort_keys=[("user_id", "ascending"), ("value", "descending"),
-                              ("event_id", "ascending")],
-        )
-        t = batch.take(idx)
-        users = t.column("user_id").to_numpy()
-        # rank within user via run boundaries (vectorized)
-        starts = np.r_[0, np.flatnonzero(users[1:] != users[:-1]) + 1]
-        rank = np.arange(len(users)) - np.repeat(starts, np.diff(np.r_[starts, len(users)]))
-        return t.filter(pa.array(rank < k))
-
-    def merge_bucket(t: pa.Table) -> pa.Table:
-        # all of a user's partials co-locate; the whole bucket merges in
-        # ONE vectorized sort + run-boundary rank (the same kernel as the
-        # batch partial) instead of a per-user pandas map_groups walk
-        idx = pc.sort_indices(
-            t, sort_keys=[("user_id", "ascending"), ("value", "descending"),
-                          ("event_id", "ascending")])
-        t = t.take(idx)
-        users = t.column("user_id").to_numpy()
-        starts = np.r_[0, np.flatnonzero(users[1:] != users[:-1]) + 1]
-        rank = np.arange(len(users)) - np.repeat(
-            starts, np.diff(np.r_[starts, len(users)]))
-        t = t.append_column("rank", pa.array((rank + 1).astype(np.int64)))
-        return t.filter(pa.array(rank < k)).select(
-            ["user_id", "rank", "event_id", "value"])
-
-    parts = _widen(ds, _p(sf_dir, "events")).map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True)
-    return _shuffle([(parts, "user_id")], merge_bucket)
+    return _top_k(_widen(ds, _p(sf_dir, "events")),
+                  [("value", "descending"), ("event_id", "ascending")], 3,
+                  by="user_id", rank="rank")
 
 
 QUERIES["top_events_per_user"] = q_top_events_per_user
@@ -2553,29 +2545,18 @@ def q_search_es(sf_dir: str):
     (elastic_search.go:123-154): score = tf(term1) + tf(term2) + 10 x
     slop-1 phrase matches ('w1 w2' or 'w1 X w2' — the boosted
     match_phrase with phrase_slop 1, boost 10.0). Top 10 by (score desc,
-    doc_id). Single scan, local prune, tiny global sort — same scale
-    shape as q_search."""
-    k = 10
+    doc_id). Single scan, then _top_k — same scale shape as q_search."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def score(batch: pa.Table) -> pa.Table:
         s = _es_score(batch.column("text"))
-        t = pa.table(
+        return pa.table(
             {"doc_id": batch.column("doc_id"), "score": s}
         ).filter(pc.greater(s, 0))
-        if t.num_rows > k:
-            idx = pc.select_k_unstable(
-                t, k=k, sort_keys=[("score", "descending"),
-                                   ("doc_id", "ascending")],
-            )
-            t = t.take(idx)
-        return t
 
-    return (
-        ds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["score", "doc_id"], descending=[True, False])
-        .limit(k)
-    )
+    return _top_k(
+        ds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True),
+        [("score", "descending"), ("doc_id", "ascending")], 10)
 
 
 QUERIES["search_es"] = q_search_es
@@ -3192,7 +3173,6 @@ def q_frequent_words(sf_dir: str):
     (the word explode + count happens inside the batch), small groupby
     over partials, tiny top-k — the exchange carries (word, count)
     partials, never the corpus."""
-    k = 20
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -3208,21 +3188,7 @@ def q_frequent_words(sf_dir: str):
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
         keys=["word"], aggs=[("n_p", "sum")], out=["n"],
     )
-
-    def prune(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:  # schema-less empty block (see _hot_rows)
-            return batch
-        idx = pc.select_k_unstable(
-            batch, k=min(k, batch.num_rows),
-            sort_keys=[("n", "descending"), ("word", "ascending")],
-        )
-        return batch.take(idx)
-
-    return (
-        counts.map_batches(prune, batch_format="pyarrow")
-        .sort(["n", "word"], descending=[True, False])
-        .limit(k)
-    )
+    return _top_k(counts, [("n", "descending"), ("word", "ascending")], 20)
 
 
 QUERIES["frequent_words"] = q_frequent_words
@@ -3260,11 +3226,8 @@ def q_cms_frequent_words(sf_dir: str):
         )
         cms = CountMinSketch()
         cms.add(t.column("word").to_pylist(), t.column("n").to_numpy())
-        idx = pc.select_k_unstable(
-            t, k=min(4 * k, t.num_rows),
-            sort_keys=[("n", "descending"), ("word", "ascending")],
-        )
-        cand = t.take(idx).column("word")
+        cand = _keep_top(t, [("n", "descending"), ("word", "ascending")],
+                         4 * k).column("word")
         return pa.table(
             {
                 "counts": pa.array([cms.counts.tobytes()], pa.binary()),
@@ -3304,33 +3267,28 @@ QUERIES["cms_frequent_words"] = q_cms_frequent_words
 # SO4b: deterministic sample (hash-ranked — reproducible across engines)
 # ---------------------------------------------------------------------------
 
+def _line_key(t: pa.Table) -> pa.Array:
+    """A lineitem row's sampling key, 'orderkey|linenumber' (the SQL
+    ``l_orderkey || '|' || l_linenumber``)."""
+    return pc.binary_join_element_wise(
+        pc.cast(t.column("l_orderkey"), pa.string()),
+        pc.cast(t.column("l_linenumber"), pa.string()), "|")
+
+
 def q_deterministic_sample(sf_dir: str):
     """Seedable EXACT-membership sampling: rank every row by
     md5(orderkey|linenumber) and keep the lowest 1000 — the distributed
     reservoir pattern whose output is engine-independent (unlike RNG
-    samples, it is SQL-oracle-able bit-for-bit). Per-batch local prune to
-    k by hash, tiny global sort+limit — never a full sort."""
-    k = 1000
+    samples, it is SQL-oracle-able bit-for-bit). One _top_k on the
+    digest: per-batch local prune, tiny global sort+limit — never a
+    full sort."""
     ds = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_linenumber", "l_quantity"])
-
-    def prune(batch: pa.Table) -> pa.Table:
-        keys = [
-            hashlib.md5(f"{o}|{ln}".encode()).hexdigest()
-            for o, ln in zip(batch.column("l_orderkey").to_pylist(),
-                             batch.column("l_linenumber").to_pylist())
-        ]
-        t = batch.append_column("rk", pa.array(keys, pa.string()))
-        idx = pc.select_k_unstable(
-            t, k=min(k, t.num_rows), sort_keys=[("rk", "ascending")]
-        )
-        return t.take(idx)
-
-    return (
-        ds.map_batches(prune, batch_format="pyarrow", zero_copy_batch=True)
-        .sort("rk").limit(k)
-        .select_columns(["l_orderkey", "l_linenumber", "l_quantity"])
-    )
+    ranked = ds.map_batches(
+        lambda t: t.append_column("rk", _md5(_line_key(t))),
+        batch_format="pyarrow", zero_copy_batch=True)
+    return _top_k(ranked, [("rk", "ascending")], 1000,
+                  columns=["l_orderkey", "l_linenumber", "l_quantity"])
 
 
 QUERIES["deterministic_sample"] = q_deterministic_sample
@@ -3347,14 +3305,27 @@ ORACLES["deterministic_sample"] = """
 # ---------------------------------------------------------------------------
 
 def q_sample_fraction(sf_dir: str):
-    """Seeded random sample of lineitem (bench subsets; not parity
-    relevant). Rows-only check: row count within binomial bounds is pytest-
-    verified; exact membership is seed-dependent by design."""
+    """A 10% Bernoulli sample of lineitem (bench subsets) by hash
+    threshold: a row stays when the md5 uint64 of its
+    deterministic_sample key is below floor(2^64 / 10). Membership is a
+    pure function of the row, so the sample is the same over any
+    batching or resume and the DuckDB oracle checks it row for row."""
+    cut = np.uint64((1 << 64) // 10)
     ds = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"])
-    return ds.random_sample(0.1, seed=42)
+    return ds.map_batches(
+        lambda t: t.filter(pa.array(_md5_u64(_line_key(t)) < cut)),
+        batch_format="pyarrow", zero_copy_batch=True)
 
 
 QUERIES["sample_fraction"] = q_sample_fraction
+ORACLES["sample_fraction"] = f"""
+    SELECT l_orderkey, l_linenumber FROM (
+        SELECT l_orderkey, l_linenumber, {_MD5_LE64.replace(
+            "md,", "md5(l_orderkey || '|' || l_linenumber),")} AS u
+        FROM lineitem
+    )
+    WHERE u < {(1 << 64) // 10}
+"""
 
 
 # ---------------------------------------------------------------------------
@@ -4318,41 +4289,17 @@ def q_stratified_sample(sf_dir: str):
     selection step of a training pipeline, where uniform sampling would
     mirror the corpus skew instead of correcting it).
 
-    Scale shape = q_top_events_per_user's: per-BATCH top-k per stratum
-    first (bounded, vectorized run-boundary ranking), so the per-stratum
-    merge exchanges <= k rows per (batch, stratum) — never the corpus.
-    Hash-rank selection keeps the sample stable under any partitioning or
-    resume (same property as q_deterministic_sample)."""
-    k = 50
+    One per-stratum _top_k on the md5 digest: per-BATCH top-k per
+    language first, so the per-language merge exchanges <= k rows per
+    (batch, language) — never the corpus. Hash-rank selection keeps the
+    sample stable under any partitioning or resume (same property as
+    q_deterministic_sample)."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        rk = pa.array(
-            [hashlib.md5(str(d).encode()).hexdigest()
-             for d in batch.column("doc_id").to_pylist()]
-        )
-        t = batch.append_column("rk", rk)
-        idx = pc.sort_indices(
-            t, sort_keys=[("lang", "ascending"), ("rk", "ascending"),
-                          ("doc_id", "ascending")],
-        )
-        t = t.take(idx)
-        langs = np.asarray(t.column("lang").to_pylist(), dtype=object)
-        starts = np.r_[0, np.flatnonzero(langs[1:] != langs[:-1]) + 1]
-        rank = np.arange(len(langs)) - np.repeat(
-            starts, np.diff(np.r_[starts, len(langs)])
-        )
-        return t.filter(pa.array(rank < k))
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["rk", "doc_id"], kind="mergesort").head(k)
-        return g[["lang", "doc_id"]]
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("lang")
-        .map_groups(merge)
-    )
+    ranked = ds.map_batches(
+        lambda t: t.append_column("rk", _md5(t.column("doc_id"))),
+        batch_format="pyarrow", zero_copy_batch=True)
+    return _top_k(ranked, [("rk", "ascending"), ("doc_id", "ascending")], 50,
+                  by="lang", columns=["lang", "doc_id"])
 
 
 def q_users_per_event_type(sf_dir: str):
@@ -4407,8 +4354,8 @@ def q_top_terms_per_doc(sf_dir: str):
     topic inspection. EMBARRASSINGLY parallel: the entire ranking is
     local to each document, so this is a pure stateless map_batches with
     zero shuffle — the counter-example to reflexively reaching for a
-    groupby (the doc is the group and never spans batches)."""
-    k = 3
+    groupby (the doc is the group and never spans batches), so only the
+    batch kernel of _top_k runs."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def top_terms(batch: pa.Table) -> pa.Table:
@@ -4424,20 +4371,8 @@ def q_top_terms_per_doc(sf_dir: str):
             t.group_by(["doc_id", "word"]).aggregate([([], "count_all")])
             .rename_columns(["doc_id", "word", "n"])
         )
-        idx = pc.sort_indices(
-            counted, sort_keys=[("doc_id", "ascending"), ("n", "descending"),
-                                ("word", "ascending")],
-        )
-        counted = counted.take(idx)
-        dids = counted.column("doc_id").to_numpy()
-        starts = np.r_[0, np.flatnonzero(dids[1:] != dids[:-1]) + 1]
-        rank = np.arange(len(dids)) - np.repeat(
-            starts, np.diff(np.r_[starts, len(dids)])
-        )
-        out = counted.filter(pa.array(rank < k))
-        return out.append_column(
-            "rank", pa.array((rank[rank < k] + 1).astype(np.int64))
-        )
+        return _keep_top(counted, [("n", "descending"), ("word", "ascending")],
+                         3, by="doc_id", rank="rank")
 
     return ds.map_batches(top_terms, batch_format="pyarrow",
                           zero_copy_batch=True)
@@ -4538,15 +4473,6 @@ ORACLES["normalize_text"] = r"""
 """
 
 
-# little-endian uint64 of the first 8 md5 bytes, as DuckDB hex surgery
-# (shared by the importance-sample, simhash and fingerprint oracles)
-_MD5_LE64 = (
-    "('0x' || substr(md, 15, 2) || substr(md, 13, 2) || substr(md, 11, 2)"
-    " || substr(md, 9, 2) || substr(md, 7, 2) || substr(md, 5, 2)"
-    " || substr(md, 3, 2) || substr(md, 1, 2))::UBIGINT"
-)
-
-
 def q_importance_sample(sf_dir: str):
     """Deterministic WEIGHTED sampling: keep a doc with probability
     min(1, n_chars/2000) — longer docs oversampled (importance sampling
@@ -4560,12 +4486,7 @@ def q_importance_sample(sf_dir: str):
     ds = _read(sf_dir, "documents", columns=["doc_id", "n_chars"])
 
     def accept(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        u = np.array(
-            [int.from_bytes(hashlib.md5(str(d).encode()).digest()[:8],
-                            "little") for d in ids],
-            dtype=np.uint64,
-        )
+        u = _md5_u64(batch.column("doc_id"))
         n = batch.column("n_chars").to_numpy().astype(object)
         cut = np.array([min(int(x) * scale, lim) for x in n], dtype=np.uint64)
         return batch.filter(pa.array(u < cut))
@@ -5063,13 +4984,11 @@ def q_training_mix(sf_dir: str):
         fin = keep_idx[clean]
         if not len(fin):
             return _TRAINING_SLIM_SCHEMA.empty_table()
-        ft = texts.take(pa.array(fin))
-        hs = [hashlib.md5(t.encode()).hexdigest() for t in ft.to_pylist()]
         return pa.table(
             {
                 "doc_id": pa.array(ids[fin]),
                 "lang": batch.column("lang").take(pa.array(fin)),
-                "h": pa.array(hs, pa.string()),
+                "h": _md5_hex(texts.take(pa.array(fin))),
                 "nt": pa.array(nt[fin]),
             },
             schema=_TRAINING_SLIM_SCHEMA,
@@ -5858,7 +5777,6 @@ def q_ann_topk_int8(sf_dir: str):
     runs the same float64 matmul + per-batch top-k prune + tiny global
     sort. Not SQL-oracled (approximate by construction); the pytest
     gate asserts recall>=0.9 against the exact ann_topk oracle."""
-    k = 20
     emb = pq.read_table(_p(sf_dir, "embeddings"))
     qvec = np.array(emb.column("embedding")[0].as_py(), dtype=np.float64)
     ref = ray.put(qvec / np.linalg.norm(qvec))
@@ -5876,23 +5794,14 @@ def q_ann_topk_int8(sf_dir: str):
         mat = (codes * s / 127.0).reshape(len(ids), -1)
         norms = np.linalg.norm(mat, axis=1)
         cos = (mat @ q) / np.maximum(norms, 1e-12)
-        t = pa.table({
+        return pa.table({
             "vec_id": batch.column("vec_id"),
             "label": batch.column("label"),
             "cos": cos,
         }).filter(pc.not_equal(batch.column("vec_id"), 0))
-        idx = pc.select_k_unstable(
-            t, k=min(k, t.num_rows),
-            sort_keys=[("cos", "descending"), ("vec_id", "ascending")],
-        )
-        return t.take(idx)
 
-    return (
-        ds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["cos", "vec_id"], descending=[True, False])
-        .limit(k)
-        .select_columns(["vec_id", "label"])
-    )
+    return _ann_top(ds.map_batches(score, batch_format="pyarrow",
+                                   zero_copy_batch=True))
 
 
 QUERIES["ann_topk_int8"] = q_ann_topk_int8
@@ -5961,23 +5870,14 @@ def q_ann_pq(sf_dir: str):
         cand = np.argsort(-approx)
         cand = cand[ids[cand] != 0][:8 * k]  # PQ candidate pool
         cos = nmat[cand] @ q  # exact rerank of the pool only
-        t = pa.table({
+        return pa.table({
             "vec_id": pa.array(ids[cand], pa.int64()),
             "label": batch.column("label").take(pa.array(cand)),
             "cos": cos,
         })
-        idx = pc.select_k_unstable(
-            t, k=min(k, t.num_rows),
-            sort_keys=[("cos", "descending"), ("vec_id", "ascending")],
-        )
-        return t.take(idx)
 
-    return (
-        ds.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["cos", "vec_id"], descending=[True, False])
-        .limit(k)
-        .select_columns(["vec_id", "label"])
-    )
+    return _ann_top(ds.map_batches(probe, batch_format="pyarrow",
+                                   zero_copy_batch=True))
 
 
 QUERIES["ann_pq"] = q_ann_pq
@@ -6007,11 +5907,9 @@ def q_dataset_split(sf_dir: str):
     src = _read(sf_dir, "documents", columns=["doc_id"])
 
     def assign(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        buckets = np.fromiter(
-            (int(hashlib.md5(str(i).encode()).hexdigest()[:8], 16) % 100
-             for i in ids),
-            dtype=np.int64, count=len(ids))
+        # the first 32 digest bits, big-endian (the oracle's 8 hex chars)
+        buckets = np.frombuffer(
+            _md5(batch.column("doc_id")).buffers()[1], ">u4")[::4] % 100
         split = np.where(buckets < 80, "train",
                          np.where(buckets < 90, "val", "test"))
         return pa.table({
@@ -6041,36 +5939,15 @@ SOURCE_QUOTA_K = 50
 def q_source_quota(sf_dir: str):
     """Per-source quota cap — the domain-balancing pass of crawl
     curation (cap any one feed/domain at K docs, keeping the longest):
-    top-K docs per source by (n_chars DESC, doc_id ASC). Scale shape:
-    per-batch per-source top-K partials (so at most K x |sources| rows
-    per block cross the wire, whatever the corpus size), then one
-    small groupby(source) merge that re-selects the global top-K per
-    group — sources are a governance-scale dimension (dozens)."""
+    top-K docs per source by (n_chars DESC, doc_id ASC), a null source
+    being a source of its own. One per-stratum _top_k: per-batch
+    per-source top-K partials (so at most K x |sources| rows per block
+    cross the wire, whatever the corpus size), then a per-source merge
+    in the _shuffle bucket that holds the source's partials."""
     src = _read(sf_dir, "documents", columns=["doc_id", "source", "n_chars"])
-
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        out = []
-        for key in pc.unique(batch.column("source")).to_pylist():
-            g = batch.filter(pc.equal(batch.column("source"), key))
-            idx = pc.select_k_unstable(
-                g, k=min(SOURCE_QUOTA_K, g.num_rows),
-                sort_keys=[("n_chars", "descending"),
-                           ("doc_id", "ascending")])
-            out.append(g.take(idx))
-        return pa.concat_tables(out) if out else batch
-
-    def merge_topk(g: pa.Table) -> pa.Table:
-        idx = pc.select_k_unstable(
-            g, k=min(SOURCE_QUOTA_K, g.num_rows),
-            sort_keys=[("n_chars", "descending"), ("doc_id", "ascending")])
-        return g.take(idx)
-
-    return (
-        _widen(src, _p(sf_dir, "documents"))
-        .map_batches(partial_topk, batch_format="pyarrow",
-                     zero_copy_batch=True)
-        .groupby("source").map_groups(merge_topk, batch_format="pyarrow")
-    )
+    return _top_k(_widen(src, _p(sf_dir, "documents")),
+                  [("n_chars", "descending"), ("doc_id", "ascending")],
+                  SOURCE_QUOTA_K, by="source")
 
 
 QUERIES["source_quota"] = q_source_quota
@@ -6104,8 +5981,9 @@ def q_bm25_search(sf_dir: str):
     floating-point op order as the SQL oracle (idf via math.log — the
     libm call DuckDB's ln() makes — multiplies/divides are single
     correctly-rounded IEEE ops, and the final round-half-away-to-6
-    matches DuckDB round()), then per-batch top-K prune -> global sort
-    -> limit. No shuffle anywhere; driver traffic is O(batches)."""
+    matches DuckDB round()), then _top_k (per-batch top-K prune ->
+    global sort -> limit). No shuffle anywhere; driver traffic is
+    O(batches)."""
     src = _read(sf_dir, "documents", columns=["doc_id", "text"])
     terms = list(BM25_TERMS)
 
@@ -6148,20 +6026,14 @@ def q_bm25_search(sf_dir: str):
             tf = np.bincount(parents[hit],
                              minlength=batch.num_rows).astype(np.float64)
             total = total + idf[j] * (tf * (BM25_K1 + 1.0)) / (tf + norm)
-        t_out = pa.table({
+        return pa.table({
             "doc_id": batch.column("doc_id"),
             "score": pa.array(_round_half_away(total, 6)),
         })
-        idx = pc.select_k_unstable(
-            t_out, k=min(BM25_TOPK, t_out.num_rows),
-            sort_keys=[("score", "descending"), ("doc_id", "ascending")])
-        return t_out.take(idx)
 
-    return (
-        src.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["score", "doc_id"], descending=[True, False])
-        .limit(BM25_TOPK)
-    )
+    return _top_k(
+        src.map_batches(score, batch_format="pyarrow", zero_copy_batch=True),
+        [("score", "descending"), ("doc_id", "ascending")], BM25_TOPK)
 
 
 QUERIES["bm25_search"] = q_bm25_search
@@ -6322,19 +6194,12 @@ def q_bigram_pmi(sf_dir: str):
         # SAME left-assoc double op order as the SQL ratio expression
         ratio = (n_ab.astype(np.float64) * n_uni * n_uni) \
             / (float(n_bi) * n_a * n_b)
-        out = pa.table({"bigram": t.column("g"), "n_ab": t.column("n_ab"),
-                        "ratio": pa.array(ratio)})
-        sel = pc.select_k_unstable(
-            out, k=min(PMI_TOPK, out.num_rows),
-            sort_keys=[("ratio", "descending"), ("bigram", "ascending")])
-        return out.take(sel)
+        return pa.table({"bigram": t.column("g"), "n_ab": t.column("n_ab"),
+                         "ratio": pa.array(ratio)})
 
-    top = (
-        bi.map_batches(score, batch_format="pyarrow")
-        .sort(["ratio", "bigram"], descending=[True, False])
-        .limit(PMI_TOPK)
-        .take_all()
-    )
+    top = _top_k(bi.map_batches(score, batch_format="pyarrow"),
+                 [("ratio", "descending"), ("bigram", "ascending")],
+                 PMI_TOPK).take_all()
     return pa.table({
         "bigram": pa.array([r["bigram"] for r in top], pa.string()),
         "n_ab": pa.array([int(r["n_ab"]) for r in top], pa.int64()),
@@ -6430,7 +6295,7 @@ _ROWS_ONLY_PRIORITY = [
     "crawl_word_index", "crawl_corpus_export",
     "images_decode_stats", "images_phash_pairs",
     "images_thumbnails", "video_frame_sample", "audio_features",
-    "sample_fraction", "search_highlights",
+    "search_highlights",
     "ann_ivf", "ann_ivf_centroids", "ann_topk_int8", "ann_pq",
     "hll_distinct_orders", "cms_frequent_words", "events_hourly_users_hll",
 ]

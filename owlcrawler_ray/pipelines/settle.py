@@ -40,10 +40,10 @@ def host_rank(hosts: pa.Array | pa.ChunkedArray
     """Each entry's rank among the entries of its host (0 for a host's
     first), its host's code and the distinct hosts the codes index, in
     first-occurrence order: a dictionary encode, then one stable sort of
-    the codes."""
+    the codes. Null is a host of its own."""
     if isinstance(hosts, pa.ChunkedArray):
         hosts = hosts.combine_chunks()
-    enc = pc.dictionary_encode(hosts)
+    enc = pc.dictionary_encode(hosts, null_encoding="encode")
     code = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
     counts = np.bincount(code, minlength=len(enc.dictionary))
     rank = np.empty(len(code), dtype=np.int64)

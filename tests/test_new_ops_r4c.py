@@ -97,53 +97,6 @@ def test_source_overlap_matches_brute_force(ray_session, tmp_path):
         assert got.loc[key, "jaccard"] == pytest.approx(common / union)
 
 
-def test_dataset_split_properties(ray_session):
-    """Deterministic, content-independent, exhaustive and ~80/10/10."""
-    from owlcrawler_ray.pipelines.queries import q_dataset_split
-
-    a = q_dataset_split(SF).to_pandas().set_index("doc_id")["split"]
-    b = q_dataset_split(SF).to_pandas().set_index("doc_id")["split"]
-    assert a.sort_index().equals(b.sort_index())  # re-run stable
-    frac = a.value_counts(normalize=True)
-    assert 0.70 <= frac["train"] <= 0.90
-    assert set(a.unique()) <= {"train", "val", "test"}
-    assert len(a) == 500  # every doc assigned exactly once
-
-
-def test_source_quota_binds(ray_session, tmp_path):
-    """When one source exceeds the quota, exactly K longest docs
-    survive, ties broken by doc_id; small sources pass through."""
-    import owlcrawler_ray.pipelines.queries as Q
-
-    rows = [(i, "w " * (i % 7), "big") for i in range(120)]
-    rows += [(1000 + i, "x y z", "small") for i in range(3)]
-    sf = _write_docs_chars(tmp_path, rows)
-    got = Q.q_source_quota(sf).to_pandas()
-    big = got[got["source"] == "big"]
-    assert len(big) == Q.SOURCE_QUOTA_K
-    assert len(got[got["source"] == "small"]) == 3
-    # kept docs are the K with the largest n_chars (ties -> lowest id)
-    all_big = sorted(((len("w " * (i % 7)), -i) for i in range(120)),
-                     reverse=True)[:Q.SOURCE_QUOTA_K]
-    want_ids = sorted(-x[1] for x in all_big)
-    assert sorted(big["doc_id"]) == want_ids
-
-
-def _write_docs_chars(tmp_path, rows):
-    d = tmp_path / "corpus_q"
-    d.mkdir()
-    pq.write_table(
-        pa.table({
-            "doc_id": pa.array([r[0] for r in rows], pa.int64()),
-            "text": pa.array([r[1] for r in rows], pa.string()),
-            "source": pa.array([r[2] for r in rows], pa.string()),
-            "n_chars": pa.array([len(r[1]) for r in rows], pa.int64()),
-        }),
-        str(d / "documents.parquet"),
-    )
-    return str(d)
-
-
 def test_bm25_matches_naive_reference(ray_session):
     """BM25 scores equal an independent pure-Python implementation
     (idf/tf/length-norm assembled from scratch), not just the SQL."""

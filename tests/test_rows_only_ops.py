@@ -416,15 +416,6 @@ def test_ngram_jaccard_verify(ray_session):
     assert (df["jaccard"] >= 0.5).all()
 
 
-def test_sample_fraction(ray_session):
-    from owlcrawler_ray.pipelines.queries import q_sample_fraction
-    import pyarrow.parquet as _pq
-
-    n = _pq.read_metadata(f"{SF}/lineitem.parquet").num_rows
-    got = q_sample_fraction(SF).count()
-    assert 0.05 * n < got < 0.15 * n
-
-
 def test_highlight_sanitizer_and_stats_parser():
     from owlcrawler_ray.functions.textops import parse_stats_rows, sanitize_highlight
 
