@@ -7,7 +7,7 @@ crawled images Dataset in the BASELINE.json input_hint shape.
 queries(): one callable per implemented operator/pipeline (SURVEY.md §2 +
 the training-data graft ops); each takes sf_dir.
 
-oracle_sql(): DuckDB-equivalent SQL for every SQL-expressible query (66 of
+oracle_sql(): DuckDB-equivalent SQL for every SQL-expressible query (65 of
 86); the rest (crawl loop + its sites/stats views, LSH-ANN, highlight
 fragments, phash/simhash/fingerprint, multimodal decode) are rows-only
 checks backed by pytest parity/recall/golden tests instead. The registry

@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owlcrawler_ray.pipelines import queries as Q
-from test_new_ops_r4c import SF  # the family's tests moved from there
+
+
+SF = "/root/testdata/sf0.001"
 
 
 def _reference(rows: list[dict], keys, k: int, by: str | None) -> list[dict]:
@@ -152,6 +154,39 @@ def test_null_stratum_matches_oracle(ray_session, tmp_path, name):
     assert want[col].isna().sum() > 0  # the fixture has a null stratum
     got = norm(Q.QUERIES[name](sf).to_pandas())
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+@pytest.mark.parametrize(
+    "name", ["top_events_per_user", "source_quota", "stratified_sample"])
+def test_per_stratum_column_order(ray_session, name):
+    """The per-stratum queries rebuild their rows in the merge (the rank
+    column is appended there), so check the column order itself against
+    the oracle's SELECT list; the oracle suite compares sorted names."""
+    con = duckdb.connect()
+    con.execute("CREATE VIEW events AS SELECT * FROM "
+                f"read_parquet('{SF}/events.parquet')")
+    con.execute("CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{SF}/documents.parquet')")
+    want = [d[0] for d in con.execute(
+        f"SELECT * FROM ({Q.ORACLES[name]}) LIMIT 0").description]
+    assert Q.QUERIES[name](SF).limit(1).to_pandas().columns.tolist() == want
+
+
+def test_sample_fraction_matches_sql(ray_session):
+    """The hash-threshold sample keeps exactly the rows its DuckDB
+    replica (SAMPLE_FRACTION_SQL, _MD5_LE64 style) keeps."""
+    import pandas as pd
+
+    con = duckdb.connect()
+    con.execute("CREATE VIEW lineitem AS SELECT * FROM "
+                f"read_parquet('{SF}/lineitem.parquet')")
+    want = con.execute(Q.SAMPLE_FRACTION_SQL).df()
+    got = Q.q_sample_fraction(SF).to_pandas()
+    assert list(got.columns) == list(want.columns)
+    key = ["l_orderkey", "l_linenumber"]
+    pd.testing.assert_frame_equal(
+        got.sort_values(key, ignore_index=True),
+        want.sort_values(key, ignore_index=True), check_dtype=False)
 
 
 def test_dataset_split_properties(ray_session):
