@@ -40,7 +40,7 @@ import pyarrow.parquet as pq
 
 import ray
 import ray.data as rd
-from ray.data.aggregate import AggregateFn, Count, Max, Min, Sum
+from ray.data.aggregate import AggregateFn, Count, Max, Sum
 
 from ..functions.vecs import list_to_matrix
 from ..state import wire
@@ -260,18 +260,18 @@ def _hot_rows(counts, n_min: int = 2) -> list[dict]:
 
 _LOG = logging.getLogger("owlcrawler_ray.queries")
 
-# Skew guard for driver-side hot-bucket pair assembly: one pathological
-# bucket with 10^5 members is 5x10^9 materialized pairs. Module-level so
-# tests (and operators at other scales) can tune it.
+# Skew guard for _bucket_pairs: one pathological bucket with 10^5
+# members is 5x10^9 materialized pairs. Module-level so tests (and
+# operators at other scales) can tune it.
 MAX_BUCKET_MEMBERS = 1024
 
 
-def _log_dropped(dropped: list, ctx: str) -> None:
+def _log_dropped(dropped: list, ctx: str, cap: int | None = None) -> None:
     if dropped[0]:
         _LOG.warning(
             "%s: skew cap hit — %d bucket members beyond "
-            "MAX_BUCKET_MEMBERS=%d dropped from pair assembly",
-            ctx, dropped[0], MAX_BUCKET_MEMBERS,
+            "MAX_BUCKET_MEMBERS=%s dropped from pair assembly",
+            ctx, dropped[0], cap,
         )
 
 
@@ -325,10 +325,6 @@ def _table_rows(sf_dir: str, name: str) -> int:
 # one broadcast object comfortably shared by every worker; above this the
 # keep side must stay distributed
 BROADCAST_SEMI_BYTES = 64 << 20
-# driver union-find budget for _propagate_components: per-edge PYTHON
-# work, so the crossover to the distributed BSP loop sits far below the
-# vectorized is_in broadcast budget
-COMPONENTS_DRIVER_BYTES = 8 << 20
 
 
 def _hash_join(left, right, on: str, right_on: str, how: str,
@@ -472,6 +468,100 @@ def _top_k(ds, keys: list[tuple[str, str]], k: int, by: str | None = None,
         return t if columns is None else t.select(columns)
 
     return _shuffle([(parts, by)], merge)
+
+
+def _pair_kernel(t: pa.Table, id_col: str, cap: int, verify=None) -> pa.Table:
+    """The per-bucket half of _bucket_pairs: every pair (a, b), a < b, of
+    ids that share a ``bucket`` of ``t``, one row per (bucket, pair).
+    Each bucket keeps its ``cap`` smallest ids (the skew cap); ``verify``
+    maps the pairs' (left rows, right rows) to a keep mask."""
+    t = _keep_top(t, [("bucket", "ascending"), (id_col, "ascending")], cap,
+                  by="bucket", rank="_rank")
+    starts = np.flatnonzero(t.column("_rank").to_numpy() == 1)
+    sizes = np.diff(np.append(starts, t.num_rows))
+    tri = [(s, np.triu_indices(n, 1)) for s, n in zip(starts, sizes) if n > 1]
+    ai = np.concatenate([np.empty(0, np.int64)] + [s + i for s, (i, _) in tri])
+    bi = np.concatenate([np.empty(0, np.int64)] + [s + j for s, (_, j) in tri])
+    ids = t.column(id_col)
+    a, b = ids.take(ai), ids.take(bi)
+    keep = pc.less(a, b)
+    if verify is not None:
+        keep = pc.and_(keep, pa.array(verify(t.take(ai), t.take(bi))))
+    return pa.table({"a": a.filter(keep), "b": b.filter(keep)})
+
+
+def _bucket_pairs(rows, id_col: str, verify=None, ctx: str = "") -> pa.Table:
+    """The banded-LSH pair operator of the near-dup family. ``rows`` is a
+    materialized Dataset of (``bucket`` string, ``id_col``, whatever
+    ``verify`` reads); the result is a driver table (a, b, n_bands) of
+    every id pair, a < b, that shares at least one bucket and passes
+    ``verify``, with n_bands the number of buckets it shares, sorted by
+    (a, b).
+
+    Bucket sizes come from per-batch counts merged by _bucket_merge;
+    buckets of one member are the vast majority and never move again.
+    The >=2-member keys broadcast once and one is_in pass keeps their
+    rows, which the routed _shuffle groups by bucket for _pair_kernel.
+    No bucket assembles more than MAX_BUCKET_MEMBERS members (its
+    smallest ids); the exact number dropped is logged. The pairs reach
+    the driver, where one Arrow group_by counts each pair's buckets."""
+    schema = rows.schema()
+    id_type = schema.types[schema.names.index(id_col)]
+    out = pa.schema([("a", id_type), ("b", id_type), ("n_bands", pa.int64())])
+
+    def partial(t: pa.Table) -> pa.Table:
+        return (t.select(["bucket"]).group_by("bucket")
+                .aggregate([([], "count_all")])
+                .rename_columns(["bucket", "n_p"]))
+
+    hot = _hot_rows(_bucket_merge(
+        rows.map_batches(partial, batch_format="pyarrow"),
+        keys=["bucket"], aggs=[("n_p", "sum")], out=["n"]))
+    if not hot:
+        return out.empty_table()
+    cap = MAX_BUCKET_MEMBERS  # read per call: tests lower it
+    _log_dropped([sum(max(0, r["n"] - cap) for r in hot)], ctx, cap)
+    hot_ref = ray.put(pa.array([r["bucket"] for r in hot], pa.string()))
+
+    def in_hot(t: pa.Table) -> pa.Table:
+        return t.filter(pc.is_in(t.column("bucket"),
+                                 value_set=ray.get(hot_ref)))
+
+    pairs = _shuffle([(rows.map_batches(in_hot, batch_format="pyarrow"),
+                       "bucket")],
+                     lambda t: _pair_kernel(t, id_col, cap, verify))
+    # iter_batches, not to_arrow_refs: on a lazy Dataset to_arrow_refs
+    # runs the plan, then runs it again to fetch the schema (Ray 2.49;
+    # +0.16 s of images_phash_pairs' 0.45 s)
+    blocks = [t for t in pairs.iter_batches(batch_size=None,
+                                            batch_format="pyarrow")
+              if t.num_columns]
+    if not blocks:
+        return out.empty_table()
+    return (pa.concat_tables(blocks).group_by(["a", "b"])
+            .aggregate([([], "count_all")]).rename_columns(out.names)
+            .sort_by([("a", "ascending"), ("b", "ascending")]))
+
+
+def _components(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components of the graph with edges (a[i], b[i]): the
+    sorted distinct endpoints and each one's label, the least node of
+    its component. Shiloach-Vishkin over numpy: every round hooks each
+    edge's larger root under its smaller one (np.minimum.at, so f[x] <= x
+    and no cycle forms), then pointer-jumps (f = f[f]) until every tree
+    is a star; the round in which every edge lies inside one star is the
+    fixpoint. A star's root is its least index, so nodes[f] labels."""
+    nodes, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+    ia, ib = inv[:len(a)], inv[len(a):]
+    f = np.arange(len(nodes))
+    while True:
+        fa, fb = f[ia], f[ib]
+        cross = fa != fb
+        if not cross.any():
+            return nodes, nodes[f]
+        np.minimum.at(f, np.maximum(fa, fb)[cross], np.minimum(fa, fb)[cross])
+        while not np.array_equal(g := f[f], f):
+            f = g
 
 
 def _pool_size(frac: float = 0.5, lo: int = 1) -> tuple[int, int]:
@@ -1167,117 +1257,25 @@ def _near_clone_union(sf_dir: str):
 
 
 def _compute_lsh_pairs(sf_dir: str):
-    """shingle -> minhash (8 perms) -> 8 bands of 1 -> band-bucket groupby
-    -> candidate pairs. Signatures are computed per batch (stateless,
-    vectorized over docs); the shuffles are the tiny (band, hash) count
-    exchange plus a groupby over the (rare) hot-bucket rows only — pair
-    assembly itself runs task-side in map_groups, never on the driver."""
-    ds = _near_clone_union(sf_dir)
+    """shingle -> minhash (8 perms) -> 8 bands of 1 -> candidate pairs:
+    docs that share a (band, hash) bucket, via _bucket_pairs. Signatures
+    are computed per batch (stateless, vectorized over docs)."""
+    # materialized: _bucket_pairs reads the signature table twice (bucket
+    # counts, then hot filter) and recomputing it doubles the md5 shingle
+    # work — the dominant cost (measured). Signatures are ~100 B/doc vs
+    # multi-KB docs, so holding them in the (spillable) object store is
+    # the scale-correct trade even at 10^10 docs.
+    def signed(batch: pa.Table) -> pa.Table:
+        t = _sig_batch(batch)
+        return pa.table({"doc_id": t.column("doc_id"),
+                         "bucket": pc.binary_join_element_wise(
+                             pc.cast(t.column("band_id"), pa.string()),
+                             t.column("band_hash"), "|")})
 
-    # materialize the signature table: it is consumed twice (bucket counts,
-    # then hot filter) and recomputing it doubles the md5 shingle work —
-    # the dominant cost (measured). Signatures are ~100 B/doc vs multi-KB
-    # docs, so holding them in the (spillable) object store is the
-    # scale-correct trade even at 10^10 docs.
-    bands = ds.map_batches(_sig_batch, batch_format="pyarrow").materialize()
-
-    def bucket_partial(batch: pa.Table) -> pa.Table:
-        key = pc.binary_join_element_wise(
-            pc.cast(batch.column("band_id"), pa.string()),
-            batch.column("band_hash"), "|",
-        )
-        t = pa.table({"bucket": key})
-        return (
-            t.group_by("bucket").aggregate([([], "count_all")])
-            .rename_columns(["bucket", "n_p"])
-        )
-
-    # bucket sizes via a cheap count-aggregate (NOT map_groups over ~5k
-    # mostly-singleton groups — per-group task overhead swamps the work);
-    # buckets with >=2 members are rare, so they broadcast as a tiny set
-    # and candidate pairs are assembled from the filtered rows
-    counts = _bucket_merge(
-        bands.map_batches(bucket_partial, batch_format="pyarrow"),
-        keys=["bucket"], aggs=[("n_p", "sum")], out=["n"],
-    )
-    hot_counts = _hot_rows(counts)
-    hot = {r["bucket"] for r in hot_counts}
-    if not hot:
-        return pa.table(
-            {"doc_a": pa.array([], pa.int64()),
-             "doc_b": pa.array([], pa.int64()),
-             "n_bands": pa.array([], pa.int64())}
-        )
-    # snapshot the cap (ships by value into the map_groups closure) and
-    # account the drops HERE — the bucket-count aggregate already knows
-    # exactly how many members exceed the cap, so "no silent caps" stays a
-    # single driver-side log with the exact global number
-    cap = MAX_BUCKET_MEMBERS
-    _log_dropped([sum(max(0, r["n"] - cap) for r in hot_counts)],
-                 "minhash_lsh_pairs")
-    # broadcast the hot keys as an Arrow array: membership is the
-    # vectorized pc.is_in kernel, not a per-row Python loop (r2 verdict)
-    hot_ref = ray.put(pa.array(sorted(hot), pa.string()))
-
-    def in_hot(batch: pa.Table) -> pa.Table:
-        hset = ray.get(hot_ref)
-        key = pc.binary_join_element_wise(
-            pc.cast(batch.column("band_id"), pa.string()),
-            batch.column("band_hash"), "|",
-        )
-        return batch.append_column("bucket", key).filter(
-            pc.is_in(key, value_set=hset)
-        )
-
-    # pair assembly runs TASK-SIDE: groupby(bucket).map_groups over the
-    # is_in-filtered hot rows (every group has >=2 members by construction,
-    # so the per-group task overhead objection to map_groups no longer
-    # applies). The skew cap is enforced inside the task; the driver only
-    # ever holds (doc_a, doc_b) pair partials — the same order of bytes as
-    # the op's OUTPUT table — never the hot rows themselves.
-    def emit_pairs(g: pa.Table) -> pa.Table:
-        ms = sorted(set(g.column("doc_id").to_pylist()))[:cap]
-        arr = np.asarray(ms, dtype=np.int64)
-        ai, bi = np.triu_indices(len(arr), k=1)
-        return pa.table(
-            {"doc_a": pa.array(arr[ai], pa.int64()),
-             "doc_b": pa.array(arr[bi], pa.int64())}
-        )
-
-    # compact the filtered sliver before the group shuffle: the is_in
-    # filter leaves ~128 near-empty blocks whose per-block sort fan-out
-    # dominates at test scale (measured 2.4 s -> 1.4 s); width derives
-    # from the EXACT hot-row count the counts aggregate already knows
-    n_hot_rows = sum(r["n"] for r in hot_counts)
-    partials = [
-        t for t in ray.get(
-            bands.map_batches(in_hot, batch_format="pyarrow")
-            .repartition(_join_width(n_hot_rows * 64))
-            .groupby("bucket")
-            .map_groups(emit_pairs, batch_format="pyarrow")
-            .to_arrow_refs()
-        )
-        if t.num_rows  # map_groups empty blocks are schema-less
-    ]
-    # driver merge of the pair partials — bounded by the in-task cap at
-    # the op's OUTPUT order of bytes; n_bands = number of buckets the
-    # pair co-occurs in, via one vectorized Arrow group_by (not a
-    # per-row Python dict). A skew cap below every bucket's size leaves
-    # zero partials — still a valid (empty) result, not a crash.
-    if not partials:
-        return pa.table(
-            {"doc_a": pa.array([], pa.int64()),
-             "doc_b": pa.array([], pa.int64()),
-             "n_bands": pa.array([], pa.int64())}
-        )
-    merged = (
-        pa.concat_tables(partials)
-        .group_by(["doc_a", "doc_b"]).aggregate([([], "count_all")])
+    bands = _near_clone_union(sf_dir).map_batches(
+        signed, batch_format="pyarrow").materialize()
+    return _bucket_pairs(bands, "doc_id", ctx="minhash_lsh_pairs") \
         .rename_columns(["doc_a", "doc_b", "n_bands"])
-    )
-    return merged.sort_by(
-        [("doc_a", "ascending"), ("doc_b", "ascending")]
-    )
 
 
 def _lsh_pairs_cached(sf_dir: str):
@@ -1527,11 +1525,6 @@ ORACLES["anti_join_bloom"] = ORACLES["anti_join_unseen"]
 # embedding near-dup (graft; exact clones -> SQL-oracle-able)
 # ---------------------------------------------------------------------------
 
-_EMB_PAIR_SCHEMA = pa.schema(
-    [("vec_a", pa.int64()), ("vec_b", pa.int64())]
-)
-
-
 def _emb_clone_union(sf_dir: str, columns: list[str]):
     """embeddings plus exact clones of vec_id<20 shifted by +10000 — the
     embedding family's deterministic near-dup planting, shared by the
@@ -1554,14 +1547,13 @@ def _compute_embedding_near_dup(sf_dir: str):
     """Embedding-cosine near-dup pairs (threshold 0.999), LSH-bucketed —
     the 10^10-row shape. Seeded random-hyperplane codes (L=4 tables x 16
     bits, planes broadcast once) route each vector to L (table|code)
-    buckets; bucket sizes come from a cheap count-aggregate (the only
-    shuffle, over tiny (bucket, count) partials); >=2-member buckets are
-    rare (near-dups only — random 64-dim cosines stay < 0.9, far from a
-    16-bit code collision), so they broadcast as a tiny hot set and exact
-    cosine verification runs ONLY on the filtered hot-bucket rows. No
-    full-matrix broadcast, no N^2 scan, no whole-corpus driver read.
-    A cos>=0.999 pair (angle <= 2.6 deg; per-plane agreement ~0.986)
-    shares a full 16-bit code in >=1 of 4 tables with prob
+    buckets, and _bucket_pairs verifies the exact cosine of each pair
+    that shares one. >=2-member buckets are rare (near-dups only —
+    random 64-dim cosines stay < 0.9, far from a 16-bit code collision),
+    so verification runs ONLY on the hot-bucket rows. No full-matrix
+    broadcast, no N^2 scan, no whole-corpus driver read. A cos>=0.999
+    pair (angle <= 2.6 deg; per-plane agreement ~0.986) shares a full
+    16-bit code in >=1 of 4 tables with prob
     1-(1-0.986^16)^4 ~ 0.998; the planted clones are EXACT copies, so
     their codes agree in every table and recall is 1.0 (oracle-checked)."""
     L, bits, thresh = 4, 16, 0.999
@@ -1575,10 +1567,14 @@ def _compute_embedding_near_dup(sf_dir: str):
 
     ds = _emb_clone_union(sf_dir, ["vec_id", "embedding"])
 
+    def unit(col) -> np.ndarray:
+        mat = list_to_matrix(col)
+        return mat / np.maximum(
+            np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
+
     def code_rows(batch: pa.Table) -> pa.Table:
         pls = ray.get(pref)
-        mat = list_to_matrix(batch.column("embedding"))
-        mat = mat / np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
+        mat = unit(batch.column("embedding"))
         ids = batch.column("vec_id").to_numpy()
         weights = (np.uint64(1) << np.arange(bits, dtype=np.uint64))
         buckets = []
@@ -1594,75 +1590,19 @@ def _compute_embedding_near_dup(sf_dir: str):
             }
         )
 
-    # consumed twice (counts, hot filter); materialize so the embedding
-    # read + code matmul run once (code rows are small: key + id + vector)
+    # exact-cosine verification of each hot bucket's pairs, task-side:
+    # the float vectors never reach the driver
+    def verify(left: pa.Table, right: pa.Table) -> np.ndarray:
+        return np.einsum("ij,ij->i", unit(left.column("embedding")),
+                         unit(right.column("embedding"))) > thresh
+
+    # materialized: _bucket_pairs reads it twice, and the embedding read
+    # + code matmul should run once (code rows: key + id + vector)
     coded = ds.map_batches(
         code_rows, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
-
-    def bucket_partial(batch: pa.Table) -> pa.Table:
-        return (
-            pa.table({"bucket": batch.column("bucket")})
-            .group_by("bucket").aggregate([([], "count_all")])
-            .rename_columns(["bucket", "n_p"])
-        )
-
-    counts = _bucket_merge(
-        coded.map_batches(bucket_partial, batch_format="pyarrow"),
-        keys=["bucket"], aggs=[("n_p", "sum")], out=["n"],
-    )
-    hot_counts = _hot_rows(counts)
-    hot = {r["bucket"] for r in hot_counts}
-    if not hot:
-        return _EMB_PAIR_SCHEMA.empty_table()
-    # cap snapshot (by-value into tasks) + exact driver-side drop account
-    # from the bucket counts (see minhash_lsh_pairs)
-    cap = MAX_BUCKET_MEMBERS
-    _log_dropped([sum(max(0, r["n"] - cap) for r in hot_counts)],
-                 "embedding_near_dup")
-    hot_ref = ray.put(pa.array(sorted(hot), pa.string()))
-
-    def in_hot(batch: pa.Table) -> pa.Table:
-        hs = ray.get(hot_ref)  # vectorized is_in, not a per-row loop
-        return batch.filter(pc.is_in(batch.column("bucket"), value_set=hs))
-
-    # exact-cosine verification runs TASK-SIDE per hot bucket (groupby +
-    # map_groups; every group >=2 members). The float vectors never reach
-    # the driver — it only merges verified (vec_a, vec_b) id pairs, the
-    # same bytes as the op's output. The cap is enforced in the task.
-    def emit_pairs(g: pa.Table) -> pa.Table:
-        ids = g.column("vec_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(ids, kind="stable")[:cap]  # keep cap smallest ids
-        ids = ids[order]
-        mat = list_to_matrix(g.column("embedding"))[order]
-        mat = mat / np.maximum(
-            np.linalg.norm(mat, axis=1, keepdims=True), 1e-12
-        )
-        ai, bi = np.triu_indices(len(ids), k=1)
-        sims = np.einsum("ij,ij->i", mat[ai], mat[bi])
-        m = (sims > thresh) & (ids[ai] != ids[bi])
-        return pa.table(
-            {"vec_a": pa.array(ids[ai][m], pa.int64()),
-             "vec_b": pa.array(ids[bi][m], pa.int64())}
-        )
-
-    # compact the filtered sliver before the group shuffle (see
-    # minhash_lsh_pairs); embedding rows carry the vector (~600 B/row)
-    n_hot_rows = sum(r["n"] for r in hot_counts)
-    partials = (
-        coded.map_batches(in_hot, batch_format="pyarrow")
-        .repartition(_join_width(n_hot_rows * 600))
-        .groupby("bucket")
-        .map_groups(emit_pairs, batch_format="pyarrow")
-        .take_all()  # bounded: verified pairs only (multi-table dups merged)
-    )
-    items = sorted({(r["vec_a"], r["vec_b"]) for r in partials})
-    return pa.table(
-        {
-            "vec_a": pa.array([p[0] for p in items], pa.int64()),
-            "vec_b": pa.array([p[1] for p in items], pa.int64()),
-        }
-    )
+    return _bucket_pairs(coded, "vec_id", verify, "embedding_near_dup") \
+        .select(["a", "b"]).rename_columns(["vec_a", "vec_b"])
 
 
 def _emb_pairs_cached(sf_dir: str):
@@ -2028,14 +1968,9 @@ def q_images_decode_stats(sf_dir: str):
 
 def q_images_phash_pairs(sf_dir: str):
     """Perceptual near-dup detection: band the 64-bit phash into 4x16-bit
-    LSH keys, find >=2-member band-buckets via a cheap count-aggregate
-    (NOT map_groups over ~10^4 mostly-singleton groups — the per-group
-    task overhead swamps the work; same lesson as minhash_lsh_pairs),
-    broadcast the tiny hot set, then verify candidates by full hamming
-    <= 6 task-side: groupby(bucket).map_groups over the filtered hot rows
-    only (all groups >=2 members, so map_groups is cheap HERE). Shuffles
-    are the (band|key, count) partial exchange and the tiny hot-row
-    groupby — never pairwise over images, never a driver concat."""
+    LSH keys and let _bucket_pairs verify each pair that shares a band
+    by full hamming <= 6 — never pairwise over images, never a driver
+    concat of the images."""
     from ..functions.textops import hamming64_many
 
     ds = _images_input(sf_dir).select_columns(["image_id", "phash"])
@@ -2044,7 +1979,7 @@ def q_images_phash_pairs(sf_dir: str):
         ph = batch.column("phash").to_numpy().view(np.uint64)
         n = len(ph)
         # (n, 4) band keys in one shift, then "b|key" via the Arrow join
-        # kernel — row order (image, band) identical to the former loop
+        # kernel — row order (image, band)
         keys = ((ph[:, None] >> (np.uint64(16) * np.arange(4, dtype=np.uint64)))
                 & np.uint64(0xFFFF)).astype(np.int64)
         bucket = pc.binary_join_element_wise(
@@ -2062,86 +1997,17 @@ def q_images_phash_pairs(sf_dir: str):
             }
         )
 
+    def verify(left: pa.Table, right: pa.Table) -> np.ndarray:
+        return hamming64_many(left.column("phash").to_numpy(),
+                              right.column("phash").to_numpy()) <= 6
+
     # materialize the SLIM banded projection (id, bucket, phash — bytes
-    # already dropped): it is consumed twice (bucket counts, then hot-row
-    # filter); the images input itself is session-memoized upstream, so
-    # this only avoids re-running the banding pass. ~16 B/row — the
-    # "small result" case where materialize is the right call.
+    # already dropped): _bucket_pairs reads it twice, and the images
+    # input itself is session-memoized upstream, so this only avoids
+    # re-running the banding pass (~16 B/row)
     banded = ds.map_batches(bands, batch_format="pyarrow").materialize()
-
-    def bucket_partial(batch: pa.Table) -> pa.Table:
-        return (
-            pa.table({"bucket": batch.column("bucket")})
-            .group_by("bucket").aggregate([([], "count_all")])
-            .rename_columns(["bucket", "n_p"])
-        )
-
-    counts = _bucket_merge(
-        banded.map_batches(bucket_partial, batch_format="pyarrow"),
-        keys=["bucket"], aggs=[("n_p", "sum")], out=["n"],
-    )
-    empty = pa.table(
-        {"img_a": pa.array([], pa.string()),
-         "img_b": pa.array([], pa.string()),
-         "n_bands": pa.array([], pa.int64())}
-    )
-    hot_counts = _hot_rows(counts)
-    hot = {r["bucket"] for r in hot_counts}
-    if not hot:
-        return empty
-    # cap snapshot (by-value into tasks) + exact driver-side drop account
-    # from the bucket counts (see minhash_lsh_pairs)
-    cap = MAX_BUCKET_MEMBERS
-    _log_dropped([sum(max(0, r["n"] - cap) for r in hot_counts)],
-                 "images_phash_pairs")
-    hot_ref = ray.put(pa.array(sorted(hot), pa.string()))
-
-    def in_hot(batch: pa.Table) -> pa.Table:
-        hs = ray.get(hot_ref)  # vectorized is_in, not a per-row loop
-        return batch.filter(pc.is_in(batch.column("bucket"), value_set=hs))
-
-    # hamming verification runs TASK-SIDE per hot bucket (groupby +
-    # map_groups; every group >=2 members) — the driver merges only the
-    # verified (img_a, img_b) pair partials, the same order of bytes as
-    # the output. The cap is enforced in the task.
-    def emit_pairs(g: pa.Table) -> pa.Table:
-        items = sorted(zip(g.column("image_id").to_pylist(),
-                           g.column("phash").to_pylist()))[:cap]
-        ids_l = [p for p, _ in items]
-        ph = np.array([h for _, h in items], dtype=np.int64)
-        ai, bi = np.triu_indices(len(items), k=1)
-        m = hamming64_many(ph[ai], ph[bi]) <= 6
-        return pa.table(
-            {
-                "img_a": pa.array([ids_l[i] for i in ai[m]], pa.string()),
-                "img_b": pa.array([ids_l[i] for i in bi[m]], pa.string()),
-            }
-        )
-
-    # compact the filtered sliver before the group shuffle (see
-    # minhash_lsh_pairs)
-    n_hot_rows = sum(r["n"] for r in hot_counts)
-    partials = (
-        banded.map_batches(in_hot, batch_format="pyarrow")
-        .repartition(_join_width(n_hot_rows * 64))
-        .groupby("bucket")
-        .map_groups(emit_pairs, batch_format="pyarrow")
-        .take_all()  # bounded: verified pairs == output order
-    )
-    if not partials:
-        return empty
-    pair_bands: dict[tuple[str, str], int] = {}
-    for r in partials:  # n_bands = number of bands the pair collides in
-        p = (r["img_a"], r["img_b"])
-        pair_bands[p] = pair_bands.get(p, 0) + 1
-    items = sorted(pair_bands.items())
-    return pa.table(
-        {
-            "img_a": pa.array([p[0] for p, _ in items], pa.string()),
-            "img_b": pa.array([p[1] for p, _ in items], pa.string()),
-            "n_bands": pa.array([n for _, n in items], pa.int64()),
-        }
-    )
+    return _bucket_pairs(banded, "image_id", verify, "images_phash_pairs") \
+        .rename_columns(["img_a", "img_b", "n_bands"])
 
 
 def _crawl_cfg(tag: str):
@@ -2589,8 +2455,9 @@ def q_search_highlights(sf_dir: str):
     from ..functions.textops import es_fragments
 
     hits = q_search_es(sf_dir).to_pandas()
-    # broadcast the top-k id set ONCE as an Arrow array (the in_hot
-    # pattern) — workers pass the fetched array straight to pc.is_in
+    # broadcast the top-k id set ONCE as an Arrow array (as _bucket_pairs
+    # does its hot keys) — workers pass the fetched array straight to
+    # pc.is_in
     ids_ref = ray.put(pa.array([int(d) for d in hits["doc_id"]], pa.int64()))
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -3739,196 +3606,35 @@ ORACLES["partitioned_join"] = """
 
 
 # ---------------------------------------------------------------------------
-# near-dup clustering: connected components by BSP label propagation
+# near-dup clustering: connected components of the candidate graph
 # ---------------------------------------------------------------------------
 
 def q_near_dup_components(sf_dir: str):
     """Connected components over the MinHash-LSH candidate graph — the
     near-dup CLUSTERING step of a dedup pipeline (component id = min
-    doc_id of the cluster -> the canonical keeper).
-
-    The iterative-algorithm shape on Ray Data (briefing: "iterative
-    algorithms" are a legitimate non-SQL class — this one IS still
-    SQL-oracled via a recursive CTE): BSP min-label propagation, one
-    superstep =
-
-        edges ⋈ labels (hash join on src)  ->  (dst, src_label) proposals
-        ∪ current labels                   ->  groupby(node).min(label)
-
-    exchanged data O(E) per superstep, labels materialized each round
-    (O(V) — candidate nodes only, NOT the corpus) to truncate lineage.
-    The driver sees one scalar per superstep: sum(labels), which is
-    monotone non-increasing under min-propagation, so an unchanged sum is
-    the fixpoint.
-
-    Each superstep ends with POINTER JUMPING (label <- label(label), one
-    label-table self-join): plain propagation needs diameter supersteps
-    (measured: depth 9 on the sf0.001 candidate graph -> 10 Ray
-    executions), shortcutting converges in O(log diameter). Labels are
-    always existing node ids (mins over node ids), so the self-join is
-    total."""
+    doc_id of the cluster -> the canonical keeper). SQL-oracled via a
+    recursive CTE. The pair table is already on the driver (it is the
+    bounded output of the pair stage), so the components are one numpy
+    pass of _components over its columns."""
     pairs = _lsh_pairs_cached(sf_dir)
-    if pairs.num_rows == 0:
-        return pa.table(
-            {"doc_id": pa.array([], pa.int64()),
-             "component": pa.array([], pa.int64())}
-        )
-    labels = _propagate_components(
-        pairs.column("doc_a").to_numpy(), pairs.column("doc_b").to_numpy()
-    )
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {"doc_id": batch.column("node"), "component": batch.column("label")}
-        )
-
-    return labels.map_batches(rename, batch_format="pyarrow")
-
-
-def _propagate_components(a: np.ndarray, b: np.ndarray, force_bsp=False):
-    """The shared connected-components step over int64 edge endpoints.
-    Adaptive like _hash_join: the edge list is ALREADY driver-resident
-    (it is the bounded OUTPUT of the LSH pair pipeline), so when it fits
-    the broadcast budget a union-find walks it in-place — each BSP
-    superstep costs two hash joins + an aggregate + two materializations
-    of fixed Ray overhead, which dominates toy-scale graphs ~10x
-    (measured: near_dup_dedup 18.3 s -> ~4 s at sf0.1). Beyond the
-    budget (pair tables that should never sit on one machine) the BSP
-    min-label + pointer-jumping loop below is the scale path — see
-    q_near_dup_components for its algorithm notes. Path equality is
-    pinned by tests/test_rows_only_ops.py::test_component_paths_agree.
-    Returns a materialized Dataset of (node, label)."""
-    if len(a) == 0:
-        return rd.from_arrow(pa.table(
-            {"node": pa.array([], pa.int64()),
-             "label": pa.array([], pa.int64())}
-        )).materialize()
-    # the union-find walk is per-edge Python — cap it well below the
-    # vectorized-broadcast budget so the crossover to the distributed
-    # loop happens while the driver walk is still cheap (~512k edges)
-    if not force_bsp and (a.nbytes + b.nbytes) <= COMPONENTS_DRIVER_BYTES:
-        nodes = np.unique(np.concatenate([a, b]))
-        parent = np.arange(len(nodes), dtype=np.int64)
-        ia = np.searchsorted(nodes, a)
-        ib = np.searchsorted(nodes, b)
-
-        def find(x: int) -> int:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:  # path compression
-                parent[x], x = root, parent[x]
-            return root
-
-        for x, y in zip(ia.tolist(), ib.tolist()):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                # union by MIN root so labels match the BSP fixpoint
-                # (component id = min node id) without a second pass
-                lo, hi = (rx, ry) if rx < ry else (ry, rx)
-                parent[hi] = lo
-        labels = nodes[np.array([find(i) for i in range(len(nodes))],
-                                dtype=np.int64)]
-        return rd.from_arrow(
-            pa.table({"node": pa.array(nodes), "label": pa.array(labels)})
-        ).materialize()
-    edges_t = pa.concat_tables(
-        [pa.table({"a": pa.array(a), "b": pa.array(b)}),
-         pa.table({"a": pa.array(b), "b": pa.array(a)})]
-    )
-    nodes = np.unique(edges_t.column("a").to_numpy())
-    edges = rd.from_arrow(edges_t)
-    labels = rd.from_arrow(
-        pa.table({"node": pa.array(nodes), "label": pa.array(nodes)})
-    ).materialize()
-    prev_sum = int(nodes.sum())
-
-    def proposals(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {"node": batch.column("b"), "label": batch.column("label")}
-        )
-
-    def as_parent(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {"src": batch.column("node"), "parent": batch.column("label")}
-        )
-
-    def jumped(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {"node": batch.column("node"), "label": batch.column("parent")}
-        )
-
-    # per-superstep join width scales with the cluster, capped by the
-    # (in-memory Arrow) edge-table size — candidate graphs are far
-    # smaller than the corpus
-    width = _join_width(edges_t.nbytes, frac=0.5)
-
-    while True:
-        prop = _hash_join(edges, labels, "a", "node", "inner", B=width,
-                          then=proposals)
-        # each step's output is executed once and rebuilt over its block
-        # refs, not materialize()d: a materialized Dataset's stats link
-        # the datasets it came from, and with every step reading the
-        # previous one twice that chain doubled per step (superstep 12 of
-        # the test graph took 129 s, superstep 1 0.9 s)
-        stepped = rd.from_arrow_refs(  # consumed twice (probe + parents)
-            prop.union(labels).groupby("node")
-            .aggregate(Min("label", alias_name="label")).to_arrow_refs())
-        # pointer jump: label <- label(label) through a self-join
-        parents = stepped.map_batches(as_parent, batch_format="pyarrow")
-        labels = rd.from_arrow_refs(_hash_join(
-            stepped, parents, "label", "src", "inner", B=width,
-            then=jumped).to_arrow_refs())
-        cur_sum = int(labels.aggregate(Sum("label"))["sum(label)"])
-        if cur_sum == prev_sum:
-            break
-        prev_sum = cur_sum
-    return labels
+    nodes, labels = _components(pairs.column("doc_a").to_numpy(),
+                                pairs.column("doc_b").to_numpy())
+    return pa.table({"doc_id": pa.array(nodes, pa.int64()),
+                     "component": pa.array(labels, pa.int64())})
 
 
 def q_image_dup_clusters(sf_dir: str):
     """The IMAGE-side dedup clustering (the input_hint payload axis):
     connected components over the phash near-dup candidate graph, each
     cluster keyed by its lexicographically-smallest image_id — the
-    keep-one-per-cluster step of image-corpus dedup. String image ids are
-    densified to int64 on the driver (O(candidate nodes) — same bound as
-    the pair table itself) and propagated with the shared distributed BSP
-    loop. Rows-only: the images table is generated, not a SQL view;
-    cluster transitivity vs a union-find model is pytest-gated."""
+    keep-one-per-cluster step of image-corpus dedup, by _components over
+    the string ids. Rows-only: the images table is generated, not a SQL
+    view; cluster transitivity vs a union-find model is pytest-gated."""
     pairs = q_images_phash_pairs(sf_dir)
-    if pairs.num_rows == 0:
-        return pa.table(
-            {"image_id": pa.array([], pa.string()),
-             "cluster": pa.array([], pa.string())}
-        )
-    # dense string->int64 node ids via Arrow kernels (no per-row dict
-    # loops): unique + sort on the driver is O(candidate nodes) — the
-    # same bound as the pair table itself — and the sorted id array
-    # broadcasts once for the task-side dense->string rename
-    ia = pairs.column("img_a").combine_chunks()
-    ib = pairs.column("img_b").combine_chunks()
-    node_arr = pc.unique(pa.concat_arrays([ia, ib]))
-    node_arr = node_arr.take(pc.sort_indices(node_arr))
-    labels = _propagate_components(
-        pc.index_in(ia, value_set=node_arr).cast(pa.int64()).to_numpy(),
-        pc.index_in(ib, value_set=node_arr).cast(pa.int64()).to_numpy(),
-    )
-    back = ray.put(node_arr)  # sorted -> min dense index == min image_id
-
-    def rename(batch: pa.Table) -> pa.Table:
-        ids = ray.get(back)
-        return pa.table(
-            {
-                "image_id": ids.take(
-                    batch.column("node").combine_chunks().cast(pa.int64())
-                ).cast(pa.string()),
-                "cluster": ids.take(
-                    batch.column("label").combine_chunks().cast(pa.int64())
-                ).cast(pa.string()),
-            }
-        )
-
-    return labels.map_batches(rename, batch_format="pyarrow")
+    nodes, labels = _components(
+        pairs.column("img_a").to_numpy(), pairs.column("img_b").to_numpy())
+    return pa.table({"image_id": pa.array(nodes, pa.string()),
+                     "cluster": pa.array(labels, pa.string())})
 
 
 QUERIES["image_dup_clusters"] = q_image_dup_clusters
@@ -3976,31 +3682,13 @@ def q_near_dup_dedup(sf_dir: str):
 
     Scale shape: the drop set is the clustered candidate table filtered
     to non-representatives — O(near-dups), far smaller than the corpus —
-    so it broadcasts once and the clone-union stream takes one inverted
-    pc.is_in pass; the heavy lifting (banded LSH + BSP components)
-    already happened in distributed form upstream."""
-    comp = q_near_dup_components(sf_dir)  # Dataset (doc_id, component)
-    if isinstance(comp, pa.Table):  # empty-candidate fast path
-        drop_ids = pa.array([], pa.int64())
-    else:
-        drops_ds = comp.filter(expr="component < doc_id") \
-                       .select_columns(["doc_id"])
-        # empty Ray blocks carry an EMPTY schema (the repo-wide gotcha) —
-        # drop them before concat; all-empty degrades to an empty value set
-        blocks = [t for t in ray.get(drops_ds.to_arrow_refs())
-                  if t.num_columns]
-        drop_ids = (
-            pa.concat_tables(blocks).column("doc_id").combine_chunks()
-            if blocks else pa.array([], pa.int64())
-        )
-    ref = ray.put(drop_ids)
-
-    def keep(batch: pa.Table) -> pa.Table:
-        ds_ = ray.get(ref)
-        return batch.filter(
-            pc.invert(pc.is_in(batch.column("doc_id"), value_set=ds_)))
-
-    return _near_clone_union(sf_dir).map_batches(keep, batch_format="pyarrow")
+    and the clone-union stream takes one left anti _hash_join against
+    it (a broadcast at any size a driver holds)."""
+    comp = q_near_dup_components(sf_dir)
+    drops = comp.filter(pc.less(comp.column("component"),
+                                comp.column("doc_id"))).select(["doc_id"])
+    return _hash_join(_near_clone_union(sf_dir), drops, "doc_id", "doc_id",
+                      "left anti", est_right_bytes=drops.nbytes)
 
 
 QUERIES["near_dup_dedup"] = q_near_dup_dedup
@@ -5171,23 +4859,14 @@ def q_semantic_dedup(sf_dir: str):
     (i.e. it appears as vec_b in the LSH-verified pair table).
 
     Scale shape: the pair table is the bounded OUTPUT of the banded LSH
-    pipeline (O(near-dup pairs), not O(corpus)); its vec_b column
-    broadcasts once via ray.put and the clone-union stream is filtered
-    with one inverted pc.is_in pass — zero additional shuffle beyond
-    what the pair pipeline already paid. At 10^10 rows the drop set is
-    O(duplicates); if duplicates themselves outgrow a broadcast object
-    the shuffle branch of _hash_join that dedup_documents uses applies."""
+    pipeline (O(near-dup pairs), not O(corpus)); the clone-union stream
+    takes one left anti _hash_join against its distinct vec_b — a
+    broadcast while the drop set fits one, else the routed shuffle."""
     pairs = _emb_pairs_cached(sf_dir)  # pa.Table (vec_a < vec_b), bounded
-    drops = pc.unique(pairs.column("vec_b"))
-    drop_ref = ray.put(drops)
-
-    def keep(batch: pa.Table) -> pa.Table:
-        ds_ = ray.get(drop_ref)
-        mask = pc.invert(pc.is_in(batch.column("vec_id"), value_set=ds_))
-        return batch.filter(mask)
-
-    return _emb_clone_union(sf_dir, ["vec_id", "label"]).map_batches(
-        keep, batch_format="pyarrow")
+    drops = pa.table({"vec_id": pc.unique(pairs.column("vec_b"))})
+    return _hash_join(_emb_clone_union(sf_dir, ["vec_id", "label"]), drops,
+                      "vec_id", "vec_id", "left anti",
+                      est_right_bytes=drops.nbytes)
 
 
 QUERIES["semantic_dedup"] = q_semantic_dedup

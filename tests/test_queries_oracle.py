@@ -88,7 +88,8 @@ def test_all_queries_have_callable(ray_session):
 
 
 @pytest.mark.parametrize("name", ["customer_order_counts", "dedup_documents",
-                                  "broadcast_join", "anti_join_unseen"])
+                                  "broadcast_join", "anti_join_unseen",
+                                  "near_dup_dedup", "semantic_dedup"])
 def test_customer_order_counts_distributed_join_path(
     ray_session, con, monkeypatch, name
 ):

@@ -607,9 +607,9 @@ def test_count_min_sketch_deep_rows_salted():
 
 def test_hot_bucket_skew_cap_unit(caplog):
     """The skew-cap drop accounting is LOGGED (the 'no silent caps'
-    rule). The capping itself now happens task-side in each emit_pairs
-    (order[:cap]); the driver computes the drop count from the bucket
-    aggregate and funnels it through _log_dropped."""
+    rule). The capping itself happens task-side in _pair_kernel; the
+    driver computes the drop count from the bucket aggregate and funnels
+    it through _log_dropped."""
     from owlcrawler_ray.pipelines import queries as Q
 
     with caplog.at_level("WARNING", logger="owlcrawler_ray.queries"):
@@ -900,45 +900,16 @@ def test_greedy_bins_property_matches_naive():
     check()
 
 
-def test_component_paths_agree(ray_session):
-    """_propagate_components' two paths (driver union-find for
-    broadcast-size edge tables vs the distributed BSP min-label loop,
-    whose two joins per superstep are shuffled _hash_joins) must be
-    value-identical — the same guarantee test_semi_filter_paths_agree
-    pins for _hash_join's branches."""
+def test_components_empty_edges():
+    """The shared components kernel must degrade to empty (nodes,
+    labels) arrays on an empty edge list instead of crashing."""
     import numpy as np
 
-    from owlcrawler_ray.pipelines.queries import _propagate_components
+    from owlcrawler_ray.pipelines.queries import _components
 
-    rng = np.random.default_rng(7)
-    # chains + stars + singletons-by-absence over a sparse id space
-    a = rng.integers(0, 400, size=300).astype(np.int64)
-    b = rng.integers(0, 400, size=300).astype(np.int64)
-
-    def run(force_bsp):
-        ds = _propagate_components(a.copy(), b.copy(), force_bsp=force_bsp)
-        return sorted(
-            (r["node"], r["label"]) for r in ds.take_all()
-        )
-
-    uf, bsp = run(False), run(True)
-    assert uf == bsp
-    # label invariant: component id is the min node id of its cluster
-    lab = dict(uf)
-    for n, l in uf:
-        assert lab[l] == l and l <= n
-
-
-def test_components_empty_edges(ray_session):
-    """The shared components helper must degrade to an empty (node,
-    label) Dataset on an empty edge list instead of crashing."""
-    import numpy as np
-
-    from owlcrawler_ray.pipelines.queries import _propagate_components
-
-    ds = _propagate_components(
+    nodes, labels = _components(
         np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-    assert ds.take_all() == []
+    assert nodes.tolist() == [] and labels.tolist() == []
 
 
 def test_near_dup_dedup_no_candidates(ray_session, monkeypatch):
