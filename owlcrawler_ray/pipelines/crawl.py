@@ -383,16 +383,6 @@ def _join_stamps(wname: str, stamp_paths: tuple[str, ...], key: str,
     return out
 
 
-def _collect_arrow(ds) -> pa.Table:
-    """Materialize a small Dataset to one driver Arrow table. map_groups/
-    map_batches can emit SCHEMA-LESS empty blocks; concat would fail on
-    them, so row-free blocks are dropped first."""
-    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-    if not tables:
-        return pa.table({})
-    return pa.concat_tables(tables, promote_options="default")
-
-
 def _round_blocks(n: int, conc: int) -> int:
     """Heavy-pass task count for a round of ``n`` distinct pages at
     ``conc`` parallel tasks: ~128 pages per task, at least one task per
@@ -1246,12 +1236,12 @@ class Crawler:
     def pages_table(self) -> pa.Table:
         """Driver-side materialization of pages_dataset() — parity/test
         use over bounded corpora only."""
-        return _collect_arrow(self.pages_dataset())
+        return table_store.collect(self.pages_dataset())
 
     def images_table(self) -> pa.Table:
         """Driver-side materialization of images_dataset() — parity/test
         use over bounded corpora only."""
-        return _collect_arrow(self.images_dataset())
+        return table_store.collect(self.images_dataset())
 
     def attempts_table(self) -> pa.Table:
         return table_store.read_all_arrow(self.cfg.out_dir, "attempts")

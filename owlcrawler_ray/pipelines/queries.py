@@ -40,9 +40,10 @@ import pyarrow.parquet as pq
 
 import ray
 import ray.data as rd
-from ray.data.aggregate import AggregateFn, Count, Max, Sum
+from ray.data.aggregate import AggregateFn, Count, Sum
 
 from ..functions.vecs import list_to_matrix
+from ..sinks import table_store
 from ..state import wire
 from .settle import host_rank
 
@@ -243,19 +244,16 @@ def _bucket_merge(ds, keys: list[str], aggs: list[tuple[str, str]],
     return _shuffle([(ds, keys[0])], merge, B)
 
 
-def _hot_rows(counts, n_min: int = 2) -> list[dict]:
-    """take_all of the ``n >= n_min`` slice of a (key, n) count Dataset.
-    The filter runs TASK-side (only the hot slice reaches the driver,
-    as before) but via map_batches, tolerant of the schema-less EMPTY
-    blocks a map_groups stage emits for row-free sort partitions
-    (Dataset.filter(expr=...) would raise on them; a _bucket_merge
-    output at small sf always has some)."""
-    def hot(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        return t.filter(pc.greater_equal(t.column("n"), n_min))
-
-    return counts.map_batches(hot, batch_format="pyarrow").take_all()
+def _sum_by(parts, key: str, cols: list[str], out: list[str]) -> pa.Table:
+    """Merge a Dataset of small per-batch partials on the driver: collect
+    it and sum ``cols`` per ``key`` with one Arrow group_by, one row per
+    key sorted by it, the sums named ``out``. For partials that are few
+    (O(keys x batches)) and end on the driver anyway: Ray's Aggregate
+    adds an all-to-all stage with ~2.3 s of fixed barrier cost even at
+    3 keys; past ~10^6 partial rows, _bucket_merge them first."""
+    t = table_store.collect(parts)
+    return (t.group_by(key).aggregate([(c, "sum") for c in cols])
+            .rename_columns([key] + out).sort_by(key))
 
 
 _LOG = logging.getLogger("owlcrawler_ray.queries")
@@ -340,13 +338,14 @@ def _hash_join(left, right, on: str, right_on: str, how: str,
 
     Small side: when the caller's estimate of ``right`` — one that
     cannot under-count (footer row counts x key width, file sizes) —
-    fits BROADCAST_SEMI_BYTES, collect ``right`` once (a pa.Table is
-    already collected), ray.put it, and join each left batch against it
-    in ONE streaming pass with no shuffle. Otherwise, or with no
-    estimate, both sides take the routed _shuffle into B buckets (default
-    _join_width()) and each bucket runs one Table.join; the right side
-    never reaches the driver. Both branches give the same rows: pinned
-    by tests/test_queries_oracle.py (forced shuffle) and
+    fits BROADCAST_SEMI_BYTES, collect ``right`` once (table_store.
+    collect; a pa.Table is already collected), ray.put it, and join each
+    left batch against it in ONE streaming pass with no shuffle.
+    Otherwise, or with no estimate, both sides take the routed _shuffle
+    into B buckets (default _join_width()) and each bucket runs one
+    Table.join; the right side never reaches the driver. Both branches
+    give the same rows: pinned by tests/test_queries_oracle.py (forced
+    shuffle) and
     tests/test_rows_only_ops.py::test_semi_filter_paths_agree."""
     def join(lt, rt):
         if lt is None:
@@ -359,9 +358,9 @@ def _hash_join(left, right, on: str, right_on: str, how: str,
 
     if est_right_bytes is not None and est_right_bytes <= BROADCAST_SEMI_BYTES:
         if not isinstance(right, pa.Table):
-            blocks = [t for t in ray.get(right.to_arrow_refs())
-                      if t.num_columns]
-            right = pa.concat_tables(blocks) if blocks else None
+            right = table_store.collect(right)
+            if not right.num_rows:
+                right = None
         ref = ray.put(right)
 
         def probe(batch: pa.Table) -> pa.Table:
@@ -498,10 +497,11 @@ def _bucket_pairs(rows, id_col: str, verify=None, ctx: str = "") -> pa.Table:
     ``verify``, with n_bands the number of buckets it shares, sorted by
     (a, b).
 
-    Bucket sizes come from per-batch counts merged by _bucket_merge;
-    buckets of one member are the vast majority and never move again.
-    The >=2-member keys broadcast once and one is_in pass keeps their
-    rows, which the routed _shuffle groups by bucket for _pair_kernel.
+    Bucket sizes come from per-batch counts merged by _bucket_merge and
+    collected on the driver; buckets of one member are the vast majority
+    and their rows never move. The >=2-member keys broadcast once and
+    one is_in pass keeps their rows, which the routed _shuffle groups by
+    bucket for _pair_kernel.
     No bucket assembles more than MAX_BUCKET_MEMBERS members (its
     smallest ids); the exact number dropped is logged. The pairs reach
     the driver, where one Arrow group_by counts each pair's buckets."""
@@ -514,31 +514,28 @@ def _bucket_pairs(rows, id_col: str, verify=None, ctx: str = "") -> pa.Table:
                 .aggregate([([], "count_all")])
                 .rename_columns(["bucket", "n_p"]))
 
-    hot = _hot_rows(_bucket_merge(
+    counts = table_store.collect(_bucket_merge(
         rows.map_batches(partial, batch_format="pyarrow"),
         keys=["bucket"], aggs=[("n_p", "sum")], out=["n"]))
-    if not hot:
+    hot = (counts.filter(pc.greater_equal(counts.column("n"), 2))
+           if counts.num_rows else counts)
+    if not hot.num_rows:
         return out.empty_table()
     cap = MAX_BUCKET_MEMBERS  # read per call: tests lower it
-    _log_dropped([sum(max(0, r["n"] - cap) for r in hot)], ctx, cap)
-    hot_ref = ray.put(pa.array([r["bucket"] for r in hot], pa.string()))
+    n = hot.column("n").to_numpy()
+    _log_dropped([int(np.maximum(n - cap, 0).sum())], ctx, cap)
+    hot_ref = ray.put(hot.column("bucket").combine_chunks())
 
     def in_hot(t: pa.Table) -> pa.Table:
         return t.filter(pc.is_in(t.column("bucket"),
                                  value_set=ray.get(hot_ref)))
 
-    pairs = _shuffle([(rows.map_batches(in_hot, batch_format="pyarrow"),
-                       "bucket")],
-                     lambda t: _pair_kernel(t, id_col, cap, verify))
-    # iter_batches, not to_arrow_refs: on a lazy Dataset to_arrow_refs
-    # runs the plan, then runs it again to fetch the schema (Ray 2.49;
-    # +0.16 s of images_phash_pairs' 0.45 s)
-    blocks = [t for t in pairs.iter_batches(batch_size=None,
-                                            batch_format="pyarrow")
-              if t.num_columns]
-    if not blocks:
+    pairs = table_store.collect(_shuffle(
+        [(rows.map_batches(in_hot, batch_format="pyarrow"), "bucket")],
+        lambda t: _pair_kernel(t, id_col, cap, verify)))
+    if not pairs.num_rows:
         return out.empty_table()
-    return (pa.concat_tables(blocks).group_by(["a", "b"])
+    return (pairs.group_by(["a", "b"])
             .aggregate([([], "count_all")]).rename_columns(out.names)
             .sort_by([("a", "ascending"), ("b", "ascending")]))
 
@@ -616,7 +613,8 @@ def q_word_index(sf_dir: str):
 
 def q_stats_counts(sf_dir: str):
     """Single-row fetched/parsed counts — mirrors the CouchDB reduce view
-    (_count with group_level=1). Streaming aggregate, no materialization."""
+    (_count with group_level=1). One streaming pass of per-batch
+    partials, summed on the driver."""
     ds = _read(sf_dir, "documents", columns=["n_chars"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -625,10 +623,10 @@ def q_stats_counts(sf_dir: str):
                                     pa.int64())).as_py() or 0)
         return pa.table({"fetched_p": [n], "parsed_p": [parsed]})
 
-    agg = ds.map_batches(partial, batch_format="pyarrow").aggregate(
-        Sum("fetched_p", alias_name="fetched"), Sum("parsed_p", alias_name="parsed")
-    )
-    return pa.table({"fetched": [agg["fetched"]], "parsed": [agg["parsed"]]})
+    parts = table_store.collect(
+        ds.map_batches(partial, batch_format="pyarrow"))
+    return pa.table({"fetched": [pc.sum(parts.column("fetched_p")).as_py()],
+                     "parsed": [pc.sum(parts.column("parsed_p")).as_py()]})
 
 
 # ---------------------------------------------------------------------------
@@ -780,16 +778,15 @@ def q_anti_join_bloom(sf_dir: str):
              "words": pa.array([words.tobytes()], pa.binary())}
         )
 
-    slices = (
+    slices = table_store.collect(
         li.map_batches(bit_partial, batch_format="pyarrow")
         .groupby("shard")
         .map_groups(shard_or, batch_format="pyarrow")
-    )
-    for row in slices.take_all():  # S rows, total bytes = one filter
-        s = int(row["shard"])
-        merged.bits[s * (span // 64):(s + 1) * (span // 64)] = np.frombuffer(
-            row["words"], dtype=np.uint64
-        )
+    )  # S rows, total bytes = one filter
+    merged.bits.reshape(n_shards, span // 64)[
+        slices.column("shard").to_numpy()] = np.frombuffer(
+            b"".join(slices.column("words").to_pylist()), np.uint64
+        ).reshape(-1, span // 64)
     bloom_ref = ray.put((merged.m, merged.k, merged.bits))
 
     def flag(batch: pa.Table) -> pa.Table:
@@ -864,7 +861,7 @@ def q_fifo_order(sf_dir: str):
     the (small) result."""
     ds = _read(sf_dir, "events", columns=["event_id", "ts", "user_id"])
     head = _top_k(ds, [("ts", "ascending"), ("event_id", "ascending")], 1000)
-    t = pa.concat_tables([ray.get(r) for r in head.to_arrow_refs()])
+    t = table_store.collect(head)
     return t.add_column(
         0, "seq", pa.array(np.arange(1, t.num_rows + 1, dtype=np.int64))
     )
@@ -1897,13 +1894,11 @@ def q_images_decode_stats(sf_dir: str):
     dimension sums, phash-recompute agreement. Binary payloads stay in
     Arrow large_binary; decode batches are small (actor-pool shape).
 
-    Driver traffic is O(fmts x batches) partial rows (the take_all
-    below) — linear in batch count, chosen because it skips Ray
-    Aggregate's ~2.3 s fixed barrier at this key cardinality. At a batch
-    count where that product stops being governance-tiny (~10^6 rows),
-    route the partials through _bucket_merge instead (same shape as
-    customer_order_counts) — the per-fmt partial schema is already
-    merge-ready."""
+    Driver traffic is O(fmts x batches) partial rows, merged by _sum_by
+    — linear in batch count. At a batch count where that product stops
+    being governance-tiny (~10^6 rows), route the partials through
+    _bucket_merge first (same shape as customer_order_counts) — the
+    per-fmt partial schema is already merge-ready."""
     from ..functions import codec as _codec
 
     ds = _images_input(sf_dir)
@@ -1946,24 +1941,11 @@ def q_images_decode_stats(sf_dir: str):
                 .rename_columns(["fmt", "ok_p", "dims_p", "ph_p", "n_p"])
             )
 
-    # final merge on the DRIVER: the partials are O(fmts x batches) tiny
-    # rows, and Ray's Aggregate operator costs ~2.3 s of fixed barrier
-    # overhead even at 3 keys (ds.stats: 2.48 s operator, 0.24 s remote)
-    acc: dict[str, list] = {}
-    for r in ds.map_batches(DecodeValidate, batch_format="pyarrow",
-                            batch_size=64,
-                            concurrency=_pool_size()).take_all():
-        a = acc.setdefault(r["fmt"], [0, 0, 0, 0])
-        a[0] += r["n_p"]; a[1] += r["ok_p"]
-        a[2] += r["dims_p"]; a[3] += r["ph_p"]
-    fmts = sorted(acc)
-    return pa.table({
-        "fmt": pa.array(fmts, pa.string()),
-        "n_images": pa.array([acc[f][0] for f in fmts], pa.int64()),
-        "n_decoded": pa.array([acc[f][1] for f in fmts], pa.int64()),
-        "n_dims_ok": pa.array([acc[f][2] for f in fmts], pa.int64()),
-        "n_phash_ok": pa.array([acc[f][3] for f in fmts], pa.int64()),
-    })
+    return _sum_by(
+        ds.map_batches(DecodeValidate, batch_format="pyarrow", batch_size=64,
+                       concurrency=_pool_size()),
+        "fmt", ["n_p", "ok_p", "dims_p", "ph_p"],
+        ["n_images", "n_decoded", "n_dims_ok", "n_phash_ok"])
 
 
 def q_images_phash_pairs(sf_dir: str):
@@ -2454,11 +2436,12 @@ def q_search_highlights(sf_dir: str):
     tests/test_parse.py-style pytest against es_fragments directly."""
     from ..functions.textops import es_fragments
 
-    hits = q_search_es(sf_dir).to_pandas()
+    hits = table_store.collect(q_search_es(sf_dir))
     # broadcast the top-k id set ONCE as an Arrow array (as _bucket_pairs
     # does its hot keys) — workers pass the fetched array straight to
     # pc.is_in
-    ids_ref = ray.put(pa.array([int(d) for d in hits["doc_id"]], pa.int64()))
+    ids_ref = ray.put(hits.column("doc_id").combine_chunks()
+                      if hits.num_rows else pa.array([], pa.int64()))
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def frags(batch: pa.Table) -> pa.Table:
@@ -2708,14 +2691,10 @@ def q_hll_distinct_orders(sf_dir: str):
             batch.column("l_orderkey").to_numpy(zero_copy_only=False)))
         return pa.table({"regs": pa.array([h.regs.tobytes()], pa.binary())})
 
-    parts = ray.get(
-        ds.map_batches(partial, batch_format="pyarrow").to_arrow_refs()
-    )
-    merged = HyperLogLog(12)
-    for t in parts:
-        for buf in t.column("regs").to_pylist():
-            merged.merge(HyperLogLog.from_registers(
-                np.frombuffer(buf, dtype=np.uint8)))
+    parts = table_store.collect(
+        ds.map_batches(partial, batch_format="pyarrow"))
+    regs = np.frombuffer(b"".join(parts.column("regs").to_pylist()), np.uint8)
+    merged = HyperLogLog.from_registers(regs.reshape(-1, 1 << 12).max(axis=0))
     return pa.table({"n_distinct_est": pa.array([merged.estimate()], pa.int64())})
 
 
@@ -2963,9 +2942,10 @@ def q_quantiles_price(sf_dir: str):
     """Approximate quantiles of l_extendedprice via a log-bucket
     histogram: bucket = floor(ln(x)/ln(1+eps)) with eps=1% bounds the
     per-value relative error at eps/2; per-batch (bucket, count) partials
-    feed a tiny groupby (the exchange is O(batches x occupied buckets),
-    never the values — the same mergeable-sketch family as HLL/CMS, which
-    is how a 100-TB engine answers quantiles without a global sort).
+    merge on the driver (_sum_by; the exchange is O(batches x occupied
+    buckets), never the values — the same mergeable-sketch family as
+    HLL/CMS, which is how a 100-TB engine answers quantiles without a
+    global sort).
     Estimates are pytest-gated within 2% of DuckDB's exact
     quantile_cont AND SQL-oracled bit-exactly: the whole estimator
     (floor-log bucket, cumulative pick, midpoint exp, 6-digit round) is
@@ -2987,20 +2967,18 @@ def q_quantiles_price(sf_dir: str):
             .rename_columns(["bucket", "n_p"])
         )
 
-    hist = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket").aggregate(Sum("n_p", alias_name="n"))
-        .to_pandas()  # occupied buckets only: O(log range / eps) rows
-        .sort_values("bucket")
-    )
-    counts = hist["n"].to_numpy()
-    cum = np.cumsum(counts)
+    # occupied buckets only: O(log range / eps) rows
+    hist = _sum_by(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "bucket", ["n_p"], ["n"])
+    buckets = hist.column("bucket").to_numpy()
+    cum = np.cumsum(hist.column("n").to_numpy())
     total = int(cum[-1])
     out_q, out_v = [], []
     for q in qs:
         target = q * total
         i = int(np.searchsorted(cum, target))
-        b = int(hist["bucket"].iloc[min(i, len(hist) - 1)])
+        b = int(buckets[min(i, len(buckets) - 1)])
         # bucket midpoint in log space
         out_q.append(q)
         out_v.append(float(np.exp((b + 0.5) * log_base)))
@@ -3103,29 +3081,16 @@ def q_cms_frequent_words(sf_dir: str):
             }
         )
 
-    parts = ray.get(
-        ds.map_batches(partial, batch_format="pyarrow").to_arrow_refs()
-    )
+    parts = table_store.collect(
+        ds.map_batches(partial, batch_format="pyarrow"))
     merged = CountMinSketch()
-    cands: set[str] = set()
-    for t in parts:
-        for buf, cl in zip(t.column("counts").to_pylist(),
-                           t.column("cands").to_pylist()):
-            other = CountMinSketch()
-            other.counts = np.frombuffer(buf, dtype=np.int64).reshape(
-                merged.d, merged.w
-            ).copy()
-            merged.merge(other)
-            cands.update(cl)
-    cl = sorted(cands)
-    est = merged.estimate(cl)
-    order = sorted(zip(cl, est), key=lambda x: (-x[1], x[0]))[:k]
-    return pa.table(
-        {
-            "word": pa.array([w for w, _ in order], pa.string()),
-            "n_est": pa.array([int(n) for _, n in order], pa.int64()),
-        }
-    )
+    merged.counts = np.frombuffer(
+        b"".join(parts.column("counts").to_pylist()), np.int64
+    ).reshape(-1, merged.d, merged.w).sum(axis=0)
+    cands = pc.unique(pc.list_flatten(parts.column("cands")))
+    est = merged.estimate(cands.to_pylist())
+    return pa.table({"word": cands, "n_est": pa.array(est, pa.int64())}) \
+        .sort_by([("n_est", "descending"), ("word", "ascending")]).slice(0, k)
 
 
 QUERIES["cms_frequent_words"] = q_cms_frequent_words
@@ -3205,10 +3170,10 @@ SAMPLE_FRACTION_SQL = f"""
 # ---------------------------------------------------------------------------
 
 def q_images_thumbnails(sf_dir: str):
-    """Driver traffic is O(fmts x batches) partial rows — linear in batch
-    count (see q_images_decode_stats: the bound, why it beats Ray
-    Aggregate's fixed barrier here, and the _bucket_merge route to take
-    once batch counts grow past governance-tiny).
+    """Driver traffic is O(fmts x batches) partial rows, merged by _sum_by
+    — linear in batch count (see q_images_decode_stats for the
+    _bucket_merge route to take once batch counts grow past
+    governance-tiny).
 
     Resize stage over the input_hint table: decode -> 32x32 nearest ->
     re-encode + thumb phash. Returns per-fmt thumbnail stats."""
@@ -3239,19 +3204,9 @@ def q_images_thumbnails(sf_dir: str):
             .rename_columns(["fmt", "ok_p", "dims_p", "n_p"])
         )
 
-    # driver-side merge of the O(fmts x batches) partials — same rule as
-    # images_decode_stats (Ray Aggregate's fixed barrier dwarfs the work)
-    acc: dict[str, list] = {}
-    for r in thumbs.map_batches(stats, batch_format="pyarrow").take_all():
-        a = acc.setdefault(r["fmt"], [0, 0, 0])
-        a[0] += r["n_p"]; a[1] += r["ok_p"]; a[2] += r["dims_p"]
-    fmts = sorted(acc)
-    return pa.table({
-        "fmt": pa.array(fmts, pa.string()),
-        "n_images": pa.array([acc[f][0] for f in fmts], pa.int64()),
-        "n_thumbs": pa.array([acc[f][1] for f in fmts], pa.int64()),
-        "n_dims_ok": pa.array([acc[f][2] for f in fmts], pa.int64()),
-    })
+    return _sum_by(thumbs.map_batches(stats, batch_format="pyarrow"), "fmt",
+                   ["n_p", "ok_p", "dims_p"],
+                   ["n_images", "n_thumbs", "n_dims_ok"])
 
 
 def _videos_input(sf_dir: str):
@@ -3405,15 +3360,9 @@ def q_ngram_jaccard_verify(sf_dir: str):
             {"doc_id": kept.column("doc_id"), "shingles": lists}
         )
 
-    sh_blocks = [
-        t for t in ray.get(
-            _near_clone_union(sf_dir)
-            .map_batches(shingle_rows, batch_format="pyarrow", zero_copy_batch=True)
-            .to_arrow_refs()
-        )
-        if t.num_rows > 0
-    ]
-    sh = pa.concat_tables(sh_blocks)  # O(candidate docs) only
+    sh = table_store.collect(  # O(candidate docs) only
+        _near_clone_union(sf_dir).map_batches(
+            shingle_rows, batch_format="pyarrow", zero_copy_batch=True))
 
     # dictionary-encode the shingle vocabulary ONCE (driver-side, over the
     # bounded candidate-doc shingle table) so the verify stage ships three
@@ -3920,13 +3869,13 @@ def q_search_es_envelope(sf_dir: str):
                  [pc.max(hits).as_py() if len(hits) else 0], pa.int64())}
         )
 
-    agg = ds.map_batches(partial, batch_format="pyarrow").aggregate(
-        Sum("total_p", alias_name="total_hits"),
-        Max("max_p", alias_name="max_score"),
-    )
+    parts = table_store.collect(
+        ds.map_batches(partial, batch_format="pyarrow"))
     return pa.table(
-        {"total_hits": pa.array([agg["total_hits"]], pa.int64()),
-         "max_score": pa.array([agg["max_score"]], pa.int64())}
+        {"total_hits": pa.array([pc.sum(parts.column("total_p")).as_py()],
+                                pa.int64()),
+         "max_score": pa.array([pc.max(parts.column("max_p")).as_py()],
+                               pa.int64())}
     )
 
 
@@ -3959,7 +3908,7 @@ def search_es_result(sf_dir: str) -> dict:
     import time
 
     t0 = time.perf_counter()
-    rows = q_search_es(sf_dir).to_pandas().to_dict("records")
+    rows = table_store.collect(q_search_es(sf_dir)).to_pylist()
     env = q_search_es_envelope(sf_dir)
     took_ms = int((time.perf_counter() - t0) * 1000)
     return {
@@ -4001,8 +3950,8 @@ def q_users_per_event_type(sf_dir: str):
     Scale shape: per-batch unique (type, user) pairs FIRST (map-side
     dedup bounds the exchange at distinct-pairs-per-batch, not events),
     one hash groupby dedups globally, then a tiny per-type count.
-    Driver traffic is O(types x route-buckets) partial rows (the
-    take_all below) — bounded by the route width, NOT the input size;
+    Driver traffic is O(types x route-buckets) partial rows (merged by
+    _sum_by) — bounded by the route width, NOT the input size;
     it grows only if a caller widens _route_width for a bigger cluster,
     and even a 4096-bucket cluster stays governance-tiny."""
     ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
@@ -4023,15 +3972,8 @@ def q_users_per_event_type(sf_dir: str):
     pairs = _widen(ds, _p(sf_dir, "events")).map_batches(
         uniq_pairs, batch_format="pyarrow", zero_copy_batch=True)
     # O(types x buckets) partial rows — governance-tiny
-    parts = _shuffle([(pairs, "user_id")], bucket_distinct).take_all()
-    acc: dict[str, int] = {}
-    for r in parts:
-        acc[r["event_type"]] = acc.get(r["event_type"], 0) + r["n_p"]
-    types = sorted(acc)
-    return pa.table({
-        "event_type": pa.array(types, pa.string()),
-        "n_users": pa.array([acc[t] for t in types], pa.int64()),
-    })
+    return _sum_by(_shuffle([(pairs, "user_id")], bucket_distinct),
+                   "event_type", ["n_p"], ["n_users"])
 
 
 QUERIES["users_per_event_type"] = q_users_per_event_type
@@ -4401,19 +4343,17 @@ def q_length_outliers(sf_dir: str):
             .rename_columns(["v", "n_p"])
         )
 
-    hist = (
+    hist = table_store.collect(  # distinct length values only
         _bucket_merge(
             hist_src.map_batches(partial, batch_format="pyarrow",
                                  zero_copy_batch=True),
             keys=["v"], aggs=[("n_p", "sum")], out=["n"],
         )
-        .to_pandas()  # distinct length values only
-        .sort_values("v")
-    )
-    cum = hist["n"].to_numpy().cumsum()
+    ).sort_by("v")
+    cum = hist.column("n").to_numpy().cumsum()
     n = int(cum[-1])
     target = (num * n + den - 1) // den  # ceil(q*n)
-    thr = int(hist["v"].to_numpy()[int(np.searchsorted(cum, target))])
+    thr = int(hist.column("v").to_numpy()[int(np.searchsorted(cum, target))])
     return _read(
         sf_dir, "documents", columns=["doc_id", "n_chars", "lang"]
     ).filter(expr=f"n_chars > {thr}")
@@ -4503,22 +4443,21 @@ def _bench_shingles_batch(batch: pa.Table) -> pa.Table:
 
 def _bench_shingle_ref(src):
     """Build + broadcast the benchmark shingle set from a (doc_id, text)
-    Dataset: distinct-per-batch partials, tiny driver union, one
-    ray.put.
+    Dataset: distinct-per-batch partials, one driver-side Arrow unique,
+    one ray.put.
 
-    Scale ceiling: the union is a driver-side Python set of every
-    distinct holdout shingle, and the distinct 3-gram vocabulary grows
+    Scale ceiling: the union is a driver-side array of every distinct
+    holdout shingle, and the distinct 3-gram vocabulary grows
     roughly linearly with the holdout's token count, not with its row
     count. ~100 B per shingle puts a 10^8-token holdout at ~10 GB of
     driver heap plus an equally large broadcast. Past a few million
     shingles this wants a shingle-hash-partitioned semi-join (or a
     broadcast Bloom filter with an exact second pass) instead."""
-    bench: set = set()
-    for row in src.map_batches(
-        _bench_shingles_batch, batch_format="pyarrow"
-    ).take_all():  # bounded by the benchmark's shingle vocabulary
-        bench.add(row["shingle"])
-    return ray.put(pa.array(sorted(bench), pa.string()))
+    bench = table_store.collect(  # bounded by the benchmark's vocabulary
+        src.map_batches(_bench_shingles_batch, batch_format="pyarrow"))
+    if not bench.num_rows:
+        return ray.put(pa.array([], pa.string()))
+    return ray.put(pc.unique(bench.column("shingle")).sort())
 
 
 def q_decontaminate(sf_dir: str):
@@ -4704,18 +4643,16 @@ def q_training_mix(sf_dir: str):
         keys=["h"], aggs=[("keep_p", "min"), ("n_p", "sum")],
         out=["keep_id", "n"],
     )
-    # only hashes with >1 survivor copy reach the driver (the dup groups),
-    # then broadcast back. The sort is for DETERMINISM of the broadcast
-    # payload only — index_in does not need a sorted value_set; dk is
-    # aligned to dh from the same rows list either way.
-    rows = _hot_rows(dup_groups, 2)
-    dup_ref = None
-    if rows:
-        rows.sort(key=lambda r: r["h"])
-        dup_ref = ray.put((
-            pa.array([r["h"] for r in rows], pa.string()),
-            np.array([r["keep_id"] for r in rows], dtype=np.int64),
-        ))
+    # the hashes with >1 survivor copy (the dup groups) broadcast back.
+    # The sort is for DETERMINISM of the broadcast payload only —
+    # index_in does not need a sorted value_set; dk is aligned to dh
+    # from the same rows either way.
+    groups = table_store.collect(dup_groups)
+    dups = (groups.filter(pc.greater_equal(groups.column("n"), 2))
+            .sort_by("h") if groups.num_rows else groups)
+    dup_ref = (ray.put((dups.column("h").combine_chunks(),
+                        dups.column("keep_id").to_numpy()))
+               if dups.num_rows else None)
 
     def finalize(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -5085,17 +5022,15 @@ def q_unigram_rarity(sf_dir: str):
             .rename_columns(["word", "n_p"])
         )
 
-    vocab = (
+    vocab = table_store.collect(  # O(vocabulary), not O(rows)
         _bucket_merge(
             src.map_batches(count_partial, batch_format="pyarrow",
                             zero_copy_batch=True),
             keys=["word"], aggs=[("n_p", "sum")], out=["n"],
         )
-        .to_pandas()  # O(vocabulary), not O(rows)
-        .sort_values("word")
-    )
-    vwords = pa.array(vocab["word"].to_numpy(), pa.string())
-    vcounts = vocab["n"].to_numpy().astype(np.int64)
+    ).sort_by("word")
+    vwords = vocab.column("word").combine_chunks()
+    vcounts = vocab.column("n").to_numpy()
     total_tokens = int(vcounts.sum())
     sum_sq = int((vcounts * vcounts).sum())
     vref = ray.put((vwords, vcounts))
@@ -5184,7 +5119,7 @@ def q_dup_ngram_fraction(sf_dir: str):
             .rename_columns(["g", "nd_p"])
         )
 
-    dup = (
+    dup = table_store.collect(
         _bucket_merge(
             _widen(src, _p(sf_dir, "documents"))
             .map_batches(gram_doc_partial, batch_format="pyarrow",
@@ -5196,12 +5131,12 @@ def q_dup_ngram_fraction(sf_dir: str):
             # _bucket_merge) have no "g" column — pass them through
             lambda t: pa.table(
                 {"g": t.column("g").filter(pc.greater(t.column("nd"), 1))})
-            if t.num_rows else pa.table({"g": pa.array([], pa.string())}),
+            if t.num_rows else t,
             batch_format="pyarrow",
         )
-        .to_pandas()  # O(duplicated grams), not O(rows)
-    )
-    dref = ray.put(pa.array(dup["g"].to_numpy(), pa.string()))
+    )  # O(duplicated grams), not O(rows)
+    dref = ray.put(dup.column("g").combine_chunks() if dup.num_rows
+                   else pa.array([], pa.string()))
 
     def score(batch: pa.Table) -> pa.Table:
         dset = ray.get(dref)
@@ -5320,17 +5255,16 @@ def q_source_overlap(sf_dir: str):
 
     partials = _widen(src, _p(sf_dir, "documents")).map_batches(
         shingle_partial, batch_format="pyarrow", zero_copy_batch=True)
-    hist: dict[str, int] = {}
-    for part in _shuffle([(partials, "g")], union_hist).take_all():
-        # O(buckets * 2^|sources|), not O(vocabulary)
-        hist[part["srcs"]] = hist.get(part["srcs"], 0) + part["n_p"]
-
-    names = sorted({s for key in hist for s in key.split(_SRC_SEP)})
+    # O(buckets * 2^|sources|) partial rows, not O(vocabulary)
+    hist = _sum_by(_shuffle([(partials, "g")], union_hist), "srcs",
+                   ["n_p"], ["n"])
+    keys = hist.column("srcs").to_pylist()
+    names = sorted({s for key in keys for s in key.split(_SRC_SEP)})
     bit = {s: i for i, s in enumerate(names)}
     masks = np.array(
-        [sum(1 << bit[s] for s in key.split(_SRC_SEP)) for key in hist],
+        [sum(1 << bit[s] for s in key.split(_SRC_SEP)) for key in keys],
         np.int64)
-    cnts = np.array(list(hist.values()), np.int64)
+    cnts = hist.column("n").to_numpy()
     sizes = {s: int(cnts @ ((masks >> bit[s]) & 1)) for s in names}
     rows = []
     for i, a in enumerate(names):
@@ -5684,16 +5618,17 @@ def q_bm25_search(sf_dir: str):
             cols[f"df{j}_p"] = [int(len(docs_with))]
         return pa.table(cols)
 
-    parts = src.map_batches(corpus_partial, batch_format="pyarrow",
-                            zero_copy_batch=True).take_all()
-    n_docs = sum(p["n_p"] for p in parts)
+    parts = table_store.collect(src.map_batches(
+        corpus_partial, batch_format="pyarrow", zero_copy_batch=True))
+    tot = {c: pc.sum(parts.column(c)).as_py() for c in parts.column_names}
+    n_docs = tot.get("n_p", 0)
     if n_docs == 0:
         return pa.table({"doc_id": pa.array([], pa.int64()),
                          "score": pa.array([], pa.float64())})
-    avgdl = sum(p["tw_p"] for p in parts) / n_docs
+    avgdl = tot["tw_p"] / n_docs
     import math
-    idf = [math.log((n_docs - sum(p[f"df{j}_p"] for p in parts) + 0.5)
-                    / (sum(p[f"df{j}_p"] for p in parts) + 0.5) + 1.0)
+    idf = [math.log((n_docs - tot[f"df{j}_p"] + 0.5)
+                    / (tot[f"df{j}_p"] + 0.5) + 1.0)
            for j in range(len(terms))]
 
     def score(batch: pa.Table) -> pa.Table:
@@ -5826,36 +5761,27 @@ def q_bigram_pmi(sf_dir: str):
                     .drop_columns(["kind"]).rename_columns(names))
         return f
 
-    uni_blocks = [
-        t for t in ray.get(
-            counts.map_batches(pick("u", ["w", "n"]),
-                               batch_format="pyarrow").to_arrow_refs())
-        if t.num_rows
-    ]
-    if not uni_blocks:
-        return pa.table({"bigram": pa.array([], pa.string()),
-                         "n_ab": pa.array([], pa.int64()),
-                         "pmi": pa.array([], pa.float64())})
-    uni = pa.concat_tables(uni_blocks)  # O(vocabulary), not O(rows)
+    empty = pa.table({"bigram": pa.array([], pa.string()),
+                      "n_ab": pa.array([], pa.int64()),
+                      "pmi": pa.array([], pa.float64())})
+    uni = table_store.collect(  # O(vocabulary), not O(rows)
+        counts.map_batches(pick("u", ["w", "n"]), batch_format="pyarrow"))
+    if not uni.num_rows:
+        return empty
     uwords = uni.column("w").combine_chunks()
-    ucounts = uni.column("n").to_numpy().astype(np.int64)
+    ucounts = uni.column("n").to_numpy()
     n_uni = int(ucounts.sum())
     uref = ray.put((uwords, ucounts))
 
     bi = counts.map_batches(pick("b", ["g", "n_ab"]), batch_format="pyarrow")
-    # N_bi = total bigram instances = sum over the count table (tiny
-    # extra pass over O(vocab) rows, no extra corpus read)
-    n_bi = sum(
-        r["s"] for r in bi.map_batches(
-            lambda t: pa.table(
-                {"s": [int(pc.sum(t.column("n_ab")).as_py() or 0)]})
-            if t.num_rows else pa.table({"s": pa.array([], pa.int64())}),
-            batch_format="pyarrow").take_all()
-    )
+    # N_bi = total bigram instances = sum over the count table (per-block
+    # sums over O(vocab) rows, no extra corpus read)
+    sums = table_store.collect(bi.map_batches(
+        lambda t: pa.table({"s": [pc.sum(t.column("n_ab")).as_py() or 0]})
+        if t.num_rows else t, batch_format="pyarrow"))
+    n_bi = int(pc.sum(sums.column("s")).as_py()) if sums.num_rows else 0
     if n_bi == 0:
-        return pa.table({"bigram": pa.array([], pa.string()),
-                         "n_ab": pa.array([], pa.int64()),
-                         "pmi": pa.array([], pa.float64())})
+        return empty
 
     def score(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -5881,16 +5807,16 @@ def q_bigram_pmi(sf_dir: str):
         return pa.table({"bigram": t.column("g"), "n_ab": t.column("n_ab"),
                          "ratio": pa.array(ratio)})
 
-    top = _top_k(bi.map_batches(score, batch_format="pyarrow"),
-                 [("ratio", "descending"), ("bigram", "ascending")],
-                 PMI_TOPK).take_all()
-    return pa.table({
-        "bigram": pa.array([r["bigram"] for r in top], pa.string()),
-        "n_ab": pa.array([int(r["n_ab"]) for r in top], pa.int64()),
-        "pmi": pa.array(
-            [float(_round_half_away(np.array([math.log(r["ratio"])]), 6)[0])
-             for r in top], pa.float64()),
-    })
+    top = table_store.collect(_top_k(
+        bi.map_batches(score, batch_format="pyarrow"),
+        [("ratio", "descending"), ("bigram", "ascending")], PMI_TOPK))
+    if not top.num_rows:
+        return empty
+    # math.log per value: libm's log, the one DuckDB's ln() calls
+    ln = np.array([math.log(r) for r in top.column("ratio").to_pylist()])
+    return pa.table({"bigram": top.column("bigram").cast(pa.string()),
+                     "n_ab": top.column("n_ab"),
+                     "pmi": _round_half_away(ln, 6)})
 
 
 QUERIES["bigram_pmi"] = q_bigram_pmi

@@ -403,3 +403,18 @@ def read_all_arrow(root: str, name: str,
     if not tables:
         return pa.table({})
     return _concat_parts(tables)
+
+
+def collect(ds) -> pa.Table:
+    """The package's one driver collect: the rows of Dataset ``ds`` as
+    one Arrow table, its plan run once (``to_arrow_refs`` runs a lazy
+    plan twice in Ray 2.49, the second time to fetch the schema).
+    Row-free blocks are dropped, as routed and grouped stages emit
+    schema-less empty ones; with no rows at all the result is
+    ``pa.table({})``."""
+    tables = [t for t in ds.iter_batches(batch_size=None,
+                                         batch_format="pyarrow")
+              if t.num_rows]
+    if not tables:
+        return pa.table({})
+    return pa.concat_tables(tables, promote_options="default")
