@@ -38,9 +38,9 @@ frontier shard i (host hash) — max(ns, nf) processes, not ns + nf
      the seen set (the advisory link filter: ONE batched probe per round
      vs the reference's per-link HTTP HEAD), insert the round's
      successes, drop every queued occurrence of them (the dedup: a url's
-     queued copies all sit on its host's frontier shard), peek the next
-     window. Probe, add, drop and push each take their share of a
-     round's rows through one routing helper, ``shard_groups``.
+     queued copies all sit on its host's frontier shard). Probe, add,
+     drop and push each take their share of a round's rows through one
+     routing helper, ``shard_groups``.
   5. ``settle_links`` (pure) filters the candidates as of each page's
      extraction and numbers the new links in (tick, doc-order) = NATS
      publish order; the driver writes the stamps sidecar parquet
@@ -50,24 +50,24 @@ frontier shard i (host hash) — max(ns, nf) processes, not ns + nf
      (none that is seen or was fetched this round), checkpoint when due
      (each actor writes its frontier snapshot and seen delta into the
      round's tmp dir and returns the file names; the driver checks they
-     are visible and commits the manifest with the counters after).
-     The driver builds the next window exactly: per frontier shard, the
-     first W by (priority, seq) of the step-4 peek plus that shard's new
-     links, which equals a peek(W) taken after the push. In polite mode
-     both peek and window take at most ceil(burst) entries per host — no
-     more than a host can spend in a round — so while a shard holds at
-     most W / ceil(burst) hosts its window reaches every host with queued
-     work, not just the few hosts with the longest runs at the queue
-     head.
+     are visible and commits the manifest with the counters after), and
+     peek the first W entries by (priority, seq): the next round's
+     window, the queue rule of state/frontier.py applied by the shard
+     itself. In polite mode the peek takes at most ceil(burst) entries
+     per host — no more than a host can spend in a round — so while a
+     shard holds at most W / ceil(burst) hosts its window reaches every
+     host with queued work, not just the few hosts with the longest runs
+     at the queue head.
 
 ``_process_round`` is the executor of steps 2-6. It runs their effects
 in this order, one named step each: (1) the heavy pass, then the pages
-and images ``commit_round``; (2) the COMMIT calls sent, the frontier
-generation captured under the lock; (3) the attempts write; (4) the
-COMMIT replies gathered; (5) the stamps round begun, written and
-committed; (6) the images round's row count; (7) the ADVANCE calls
-(push, then checkpoint). ``run()`` then appends the round's metrics and,
-after them, commits the checkpoint manifest and prunes old rounds.
+and images ``commit_round``; (2) the COMMIT calls sent under the
+frontier lock; (3) the attempts write; (4) the COMMIT replies gathered;
+(5) the stamps round begun, written and committed; (6) the images
+round's row count; (7) the ADVANCE calls (push, checkpoint, peek) sent
+under the lock, the frontier generation captured there, and their peeks
+kept as the next window. ``run()`` then appends the round's metrics
+and, after them, commits the checkpoint manifest and prunes old rounds.
 
 Why raw Ray tasks for the heavy pass instead of Dataset.map_batches: the
 pass is a driver-coordinated scatter-gather with a HARD BARRIER (tick
@@ -124,12 +124,12 @@ from ..sources.corpus import SyntheticWeb, WebConfig
 from ..stages.extract import extract_batch
 from ..stages.fetch import CorpusFetcher, cached_fetcher
 from ..stages.images import ImageDecoder, ImageFetcher
-from ..state.frontier import entries_table
+from ..state.frontier import entries_table, queue_sorted
 from ..state.politeness import PolitenessConfig, PolitenessGate
 from ..state.shard import StateShard
 from ..state.wire import pack, unpack
 from .settle import (
-    first_occurrences, host_rank, settle_admit, settle_fetch, settle_links,
+    first_occurrences, settle_admit, settle_fetch, settle_links,
 )
 
 
@@ -405,47 +405,19 @@ def _slice_tables(tbl: pa.Table, n_blocks: int) -> list[pa.Table]:
     return [tbl.slice(i, step) for i in range(0, n, step)] or [tbl]
 
 
-_QUEUE_ORDER = [("priority", "ascending"), ("discovered_seq", "ascending")]
-
-
-def _queue_sorted(t: pa.Table) -> pa.Table:
-    """Frontier entries in dequeue order, (priority, seq) — a total
-    order, seqs are unique."""
-    return t.take(pc.sort_indices(t, sort_keys=_QUEUE_ORDER))
-
-
-def _cap_per_host(t: pa.Table, per_host: int) -> pa.Table:
-    """The entries of a dequeue-ordered table whose host has fewer than
-    ``per_host`` entries before them (0: all)."""
-    if not per_host or t.num_rows <= per_host:
-        return t
-    return t.filter(pa.array(host_rank(t.column("host"))[0] < per_host))
-
-
-def next_window(peek: pa.Table, new: pa.Table | None, w: int,
-                per_host: int = 0) -> pa.Table:
-    """A frontier shard's ``peek(w, per_host)`` after ``new`` is pushed,
-    from the ``peek(w, per_host)`` taken before the push. An entry the
-    pre-push peek left out is either past its host's cap (and so it stays
-    past it) or has w capped entries ahead of it; a new entry can only
-    replace an old one of its host by sorting ahead of it. So the first
-    ``w`` capped entries of (peek ∪ new) are exact."""
-    if new is None or not new.num_rows:
-        return peek
-    return _cap_per_host(_queue_sorted(pa.concat_tables([peek, new])),
-                         per_host).slice(0, w)
-
-
 @dataclass
 class _Window:
-    """The next admission's input, built at the end of the previous
-    round: per-shard peeks and their entries merged into dequeue order.
-    Valid only for the frontier generation and window size it was built
-    for."""
+    """The next admission's input: per-shard peeks (the previous round's
+    ``advance`` calls, or the fallback's ``frontier_peek`` calls) and
+    their entries merged into dequeue order. Valid only for the frontier
+    generation and window size it was built for."""
     gen: int
     w: int
     peeks: list[pa.Table]
-    ent: pa.Table
+    ent: pa.Table = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.ent = queue_sorted(pa.concat_tables(self.peeks))
 
 
 def shard_groups(shards: np.ndarray, n: int) -> list[np.ndarray]:
@@ -700,10 +672,11 @@ class Crawler:
         may run on another thread than the loop: takes the next seqs,
         pushes only the urls the seen set does not hold, and bumps the
         frontier generation, which drops any next-round window. All of it
-        happens under the frontier lock, like the loop's seq allocation
-        and commit: a commit sent first inserts its successes before the
-        probe reads them, and one sent after drops them from the queue
-        after the push."""
+        happens under the frontier lock, like the loop's seq allocation,
+        commit and advance: a commit sent first inserts its successes
+        before the probe reads them, and one sent after drops them from
+        the queue after the push; an advance sent first peeks a window
+        the new generation drops, and one sent after peeks the push."""
         if not len(urls):
             return
         with self._frontier_lock:
@@ -774,7 +747,7 @@ class Crawler:
         ack = ack and self._ack_pending
         ns = self.cfg.num_seen_shards
         futs = [
-            a.commit.remote(ack, self._removes.get(i), None, None, None, 0)
+            a.commit.remote(ack, self._removes.get(i), None, None, None)
             for i, a in enumerate(self.state)
             if self._removes.get(i) or (ack and i < ns)
         ]
@@ -816,8 +789,7 @@ class Crawler:
             peeks = [unpack(b) for b in ray.get([
                 self.state[s].frontier_peek.remote(w, self._per_host())
                 for s in range(self.cfg.num_frontier_shards)])]
-            win = _Window(self._frontier_gen, w, peeks,
-                          _queue_sorted(pa.concat_tables(peeks)))
+            win = _Window(self._frontier_gen, w, peeks)
         return win
 
     def _window_size(self) -> int:
@@ -890,13 +862,10 @@ class Crawler:
         add, _ = self._seen_split(urls)
         drop = [urls.take(g).to_pylist() or None for g in
                 self._frontier_groups(succ.column("host").combine_chunks())]
-        w_next = max(0, self._window_size())
-        cap = self._per_host()
         with self._frontier_lock:
-            gen = self._frontier_gen
             commits = [
                 a.commit.remote(self._ack_pending, self._removes.get(i),
-                                probe[i], add[i], drop[i], w_next, cap)
+                                probe[i], add[i], drop[i])
                 for i, a in enumerate(self.state)
             ]
         self._ack_pending, self._removes = False, {}
@@ -904,13 +873,13 @@ class Crawler:
         # 3. the attempts write
         table_store.write_round(attempts, cfg.out_dir, "attempts", rid)
         lap("attempts_write")
-        # 4. COMMIT replies: the candidates' seen masks, the pre-push peeks
-        got = [(m, unpack(p)) for m, p in ray.get(commits)]
+        # 4. COMMIT replies: the candidates' seen masks
+        masks = ray.get(commits)
         lap("seen_commit")
         with self._frontier_lock:  # add_sites takes seqs too
             seq0 = self.next_seq
             stamps, new, self.next_seq = settle_links(
-                succ, cand_seen([m for m, _ in got]), seq0, cfg.tick_seconds)
+                succ, cand_seen(masks), seq0, cfg.tick_seconds)
         # 5. the stamps sidecar (joined back into the views on read)
         tmp = table_store.begin_round(cfg.out_dir, "stamps", rid)
         table_store.write_part(tmp, stamps, key=f"r{rid}")
@@ -921,23 +890,27 @@ class Crawler:
         n_images = (table_store.round_num_rows(cfg.out_dir, "images", rid)
                     if cfg.write_images else 0)
         lap("images")
-        # the next admission's window: per frontier shard, the first
-        # w_next of the pre-push peek plus the shard's new links
         pushes = self._route_entries(new)
-        if w_next:
-            wpeeks = [next_window(p, t, w_next, cap) for (_, p), t in
-                      zip(got[:cfg.num_frontier_shards], pushes)]
-            self._window = _Window(gen, w_next, wpeeks,
-                                   _queue_sorted(pa.concat_tables(wpeeks)))
         lap("links_push")
-        # 7. ADVANCE, one call per actor: push, then checkpoint when due
+        # 7. ADVANCE, one call per actor: push, checkpoint when due, then
+        # peek the next window. Sent under the lock with the generation
+        # it is valid for: a push from outside the loop either lands
+        # before it (inside the peek) or bumps the generation after it
+        w_next = max(0, self._window_size())
         ckpt = (self.ckpt.begin(rid)
                 if rid % cfg.checkpoint_every == 0 else None)
-        outs = ray.get([
-            a.advance.remote(pack(pushes[i]),
-                             self._ckpt_args(ckpt, i) if ckpt else None)
-            for i, a in enumerate(self.state)
-        ])
+        with self._frontier_lock:
+            gen = self._frontier_gen
+            advances = [
+                a.advance.remote(pack(pushes[i]),
+                                 self._ckpt_args(ckpt, i) if ckpt else None,
+                                 w_next, self._per_host())
+                for i, a in enumerate(self.state)
+            ]
+        outs, peeks = zip(*ray.get(advances))
+        if w_next:
+            self._window = _Window(gen, w_next, [
+                unpack(p) for p in peeks[:cfg.num_frontier_shards]])
         lap("checkpoint" if ckpt else "links_push")
         m = {
             "round": rid,

@@ -45,7 +45,7 @@ from ray.data.aggregate import AggregateFn, Count, Sum
 from ..functions.vecs import list_to_matrix
 from ..sinks import table_store
 from ..state import wire
-from .settle import host_rank
+from ..state.frontier import host_rank
 
 
 def _p(sf_dir: str, table: str) -> str:
@@ -429,7 +429,7 @@ def _keep_top(t: pa.Table, keys: list[tuple[str, str]], k: int,
     select_k_unstable, rows unordered. Otherwise every distinct ``by``
     value is a stratum (null is one of its own, as in SQL's PARTITION
     BY): one sort on ``keys``, each row's rank within its stratum from
-    settle.host_rank, and the rows ranked below ``k`` kept in ``keys``
+    frontier.host_rank, and the rows ranked below ``k`` kept in ``keys``
     order; ``rank`` appends that 1-based rank as an int64 column. A
     row-free table, a router's schema-less empty block included, passes
     through unchanged."""

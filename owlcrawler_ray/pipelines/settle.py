@@ -23,7 +23,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions import ids
-from ..state.frontier import entries_table
+from ..state.frontier import entries_table, host_rank
 
 EPOCH_US = 1420070400000000  # 2015-01-01T00:00:00 (virtual-clock origin)
 
@@ -33,23 +33,6 @@ def first_occurrences(urls: pa.Array) -> pa.Array:
     occurrence order (``pc.unique`` keeps that order, and ``index_in``
     finds the first match)."""
     return pc.index_in(pc.unique(urls), value_set=urls)
-
-
-def host_rank(hosts: pa.Array | pa.ChunkedArray
-              ) -> tuple[np.ndarray, np.ndarray, pa.Array]:
-    """Each entry's rank among the entries of its host (0 for a host's
-    first), its host's code and the distinct hosts the codes index, in
-    first-occurrence order: a dictionary encode, then one stable sort of
-    the codes. Null is a host of its own."""
-    if isinstance(hosts, pa.ChunkedArray):
-        hosts = hosts.combine_chunks()
-    enc = pc.dictionary_encode(hosts, null_encoding="encode")
-    code = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    counts = np.bincount(code, minlength=len(enc.dictionary))
-    rank = np.empty(len(code), dtype=np.int64)
-    rank[np.argsort(code, kind="stable")] = (
-        np.arange(len(code)) - np.repeat(np.cumsum(counts) - counts, counts))
-    return rank, code, enc.dictionary
 
 
 def settle_admit(window: pa.Table, cap: int | None,

@@ -13,8 +13,8 @@ Here every round commits a consistent snapshot:
         manifest.json                     <- written LAST = the commit point
 
 manifest.json carries ``format`` (= ``FORMAT``), counters (next_seq, tick,
-fetch_seq), per-round metrics (attempts, successes, new links, per-host
-fetch counts), config fingerprint, the politeness buckets, ``seen_chain``
+fetch_seq), the last round's metrics (attempts, successes, new links,
+phase timings), config fingerprint, the politeness buckets, ``seen_chain``
 (per seen shard, the files whose union is its seen set; chain files of
 earlier rounds are hardlinked forward, so every round dir is
 self-contained) and lineage (first, last and count of the pages/images

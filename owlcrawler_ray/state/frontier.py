@@ -1,8 +1,8 @@
-"""Sharded URL frontier: one lazy-deletion heap per shard, held in actors.
+"""Sharded URL frontier: one sorted Arrow table per shard, held in actors.
 
 Replaces the reference's NATS ``fetch_url`` queue (fetcher.go:90,
 extractor.go:57-59; broker-held FIFO, queue-group round-robin). Entries are
-(priority, discovered_seq, url, host, depth); ``discovered_seq`` is the
+(url, host, depth, priority, discovered_seq); ``discovered_seq`` is the
 global FIFO position that reproduces NATS publish order (SURVEY.md §1.2),
 assigned at link emission. Shard = hash(host) % num_shards so one host's
 queue lives on one shard (politeness needs per-host ordering); parity mode
@@ -11,23 +11,23 @@ uses priority=0 everywhere, making (seq) the total order.
 No queued entry is in the seen set. The reference keeps duplicates in its
 queue and discards seen ones at dequeue (SURVEY.md §2.3 F1); here the
 crawl's state actors drop every queued occurrence of a URL when a fetch of
-it commits (``drop_urls``, through the url -> seqs index), and the crawl
-loop pushes only unseen URLs (pipelines/crawl.py). Queue order among
-unseen entries is the reference's, so dequeue order is unchanged; a
-duplicate of an UNSEEN url stays queued and resolves at tick assignment.
+it commits (``drop_urls``), and the crawl loop pushes only unseen URLs
+(pipelines/crawl.py). Queue order among unseen entries is the
+reference's, so dequeue order is unchanged; a duplicate of an UNSEEN url
+stays queued and resolves at tick assignment.
 
-A shard is one lazy-deletion heap plus the url -> seqs index. A small
-uncapped peek (parity admission) costs O(k log k); a per-host capped peek
-(polite admission) sorts the shard's live entries (``FrontierShard.peek``).
+This module holds the queue rule once: dequeue order (``queue_sorted``)
+and the per-host cap of a polite peek (``first_k`` over ``host_rank``).
+A shard keeps its queue as one table in that order, so a peek is a
+slice, a snapshot is the table itself, and every update is one Arrow
+call over the whole queue (a re-sort per push, a filter per remove).
 """
 
 from __future__ import annotations
 
-import heapq
-from itertools import islice
-
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 ENTRY_SCHEMA = pa.schema(
     [
@@ -39,135 +39,86 @@ ENTRY_SCHEMA = pa.schema(
     ]
 )
 
-Entry = tuple[float, int, str, str, int]  # (priority, seq, url, host, depth)
+_QUEUE_ORDER = [("priority", "ascending"), ("discovered_seq", "ascending")]
 
 
-def _ascending(heap: list):
-    """The items of a heap in ascending order, lazily and without
-    changing it: the smallest m cost O(m log m)."""
-    if not heap:
-        return
-    todo = [(heap[0], 0)]
-    n = len(heap)
-    while todo:
-        item, i = heapq.heappop(todo)
-        yield item
-        for j in (2 * i + 1, 2 * i + 2):
-            if j < n:
-                heapq.heappush(todo, (heap[j], j))
+def queue_sorted(t: pa.Table) -> pa.Table:
+    """Frontier entries in dequeue order, (priority, seq) — a total
+    order, seqs are unique."""
+    return t.take(pc.sort_indices(t, sort_keys=_QUEUE_ORDER))
 
 
-def _table(entries: list[Entry]) -> pa.Table:
-    return pa.table(
-        {
-            "url": [e[2] for e in entries],
-            "host": [e[3] for e in entries],
-            "depth": pa.array([e[4] for e in entries], type=pa.int32()),
-            "priority": pa.array([e[0] for e in entries], type=pa.float32()),
-            "discovered_seq": pa.array([e[1] for e in entries],
-                                       type=pa.int64()),
-        },
-        schema=ENTRY_SCHEMA,
-    )
+def host_rank(hosts: pa.Array | pa.ChunkedArray
+              ) -> tuple[np.ndarray, np.ndarray, pa.Array]:
+    """Each entry's rank among the entries of its host (0 for a host's
+    first), its host's code and the distinct hosts the codes index, in
+    first-occurrence order: a dictionary encode, then one stable sort of
+    the codes. Null is a host of its own."""
+    if isinstance(hosts, pa.ChunkedArray):
+        hosts = hosts.combine_chunks()
+    enc = pc.dictionary_encode(hosts, null_encoding="encode")
+    code = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    counts = np.bincount(code, minlength=len(enc.dictionary))
+    rank = np.empty(len(code), dtype=np.int64)
+    rank[np.argsort(code, kind="stable")] = (
+        np.arange(len(code)) - np.repeat(np.cumsum(counts) - counts, counts))
+    return rank, code, enc.dictionary
+
+
+def first_k(t: pa.Table, k: int, per_host: int = 0) -> pa.Table:
+    """The first ``k`` rows of a dequeue-ordered table, taking at most
+    ``per_host`` from any host (0: no cap)."""
+    if per_host and t.num_rows > per_host:
+        t = t.filter(pa.array(host_rank(t.column("host"))[0] < per_host))
+    return t.slice(0, max(k, 0))
 
 
 class FrontierShard:
-    """One frontier shard (run inside a crawl state actor)."""
+    """One frontier shard (run inside a crawl state actor): its queue is
+    ``q``, an ENTRY_SCHEMA table in dequeue order."""
 
     def __init__(self, shard_id: int):
         self.shard_id = shard_id
-        self._reset()
-
-    def _reset(self) -> None:
-        # lazy-deletion heap: a heap item is live iff by_seq maps its seq
-        # to that very tuple; removed ones stay until they reach the root
-        self.heap: list[Entry] = []
-        self.by_seq: dict[int, Entry] = {}  # every live entry
-        self.by_url: dict[str, list[int]] = {}  # url -> its live seqs
+        self.q = ENTRY_SCHEMA.empty_table()
 
     def push_table(self, table: pa.Table) -> int:
-        by_seq, by_url, heap = self.by_seq, self.by_url, self.heap
-        cols = [table.column(c).to_pylist() for c in
-                ("priority", "discovered_seq", "url", "host", "depth")]
-        for e in zip(*cols):
-            if e[1] not in by_seq:
-                by_seq[e[1]] = e
-                by_url.setdefault(e[2], []).append(e[1])
-                heapq.heappush(heap, e)
-        return len(by_seq)
+        """Queue these entries; a seq already queued here is ignored, so
+        a replayed push is a no-op."""
+        new = table.filter(pc.invert(pc.is_in(
+            table.column("discovered_seq"),
+            value_set=self.q.column("discovered_seq").combine_chunks())))
+        self.q = queue_sorted(pa.concat_tables([self.q, new])).combine_chunks()
+        return self.q.num_rows
 
-    def _kill(self, seq: int) -> None:
-        url = self.by_seq.pop(seq)[2]
-        seqs = self.by_url[url]
-        seqs.remove(seq)
-        if not seqs:
-            del self.by_url[url]
-
-    def _compact(self) -> int:
-        heap, by_seq = self.heap, self.by_seq
-        if len(heap) > 2 * len(by_seq) + 64:
-            self.heap = list(by_seq.values())
-            heapq.heapify(self.heap)
-        else:
-            while heap and by_seq.get(heap[0][1]) is not heap[0]:
-                heapq.heappop(heap)
-        return len(by_seq)
+    def _drop(self, col: str, values: pa.Array) -> int:
+        self.q = self.q.filter(pc.invert(pc.is_in(self.q.column(col),
+                                                  value_set=values)))
+        return self.q.num_rows
 
     def remove_seqs(self, seqs: list[int]) -> int:
-        """Remove the entries with these seqs; seqs not live here (already
-        removed, or another shard's) are ignored, so a replayed remove is
-        a no-op."""
-        for s in seqs:
-            s = int(s)
-            if s in self.by_seq:
-                self._kill(s)
-        return self._compact()
+        """Remove the entries with these seqs; seqs not queued here
+        (already removed, or another shard's) are ignored, so a replayed
+        remove is a no-op."""
+        return self._drop("discovered_seq", pa.array(seqs, pa.int64()))
 
     def drop_urls(self, urls: list[str]) -> int:
         """Remove every queued occurrence of these urls (they were just
         fetched: the seen set holds them now)."""
-        for u in urls:
-            for s in self.by_url.get(u, ())[:]:
-                self._kill(s)
-        return self._compact()
+        return self._drop("url", pa.array(urls, pa.string()))
 
     def peek(self, k: int, per_host: int = 0) -> pa.Table:
-        """The first k live entries by (priority, seq), without removing
-        them, taking at most ``per_host`` from any host (0: no cap).
-
-        A small uncapped peek walks the heap in ascending order and stops
-        at its k-th live entry. A capped peek passes every entry of a
-        host already at its cap (with fewer than k / per_host hosts, the
-        whole queue), and a large peek takes most of the queue: both scan
-        one sort of the live entries, which runs in C and beats the
-        Python heap walk there."""
-        by_seq = self.by_seq
-        if per_host or 8 * k >= len(by_seq):
-            ordered = iter(sorted(by_seq.values()))
-        else:
-            ordered = (e for e in _ascending(self.heap)
-                       if by_seq.get(e[1]) is e)
-        if not per_host:
-            return _table(list(islice(ordered, max(k, 0))))
-        out: list[Entry] = []
-        taken: dict[str, int] = {}
-        for e in ordered if k > 0 else ():
-            n = taken.get(e[3], 0)
-            if n < per_host:
-                taken[e[3]] = n + 1
-                out.append(e)
-                if len(out) >= k:
-                    break
-        return _table(out)
+        """The first k entries by (priority, seq), without removing them,
+        taking at most ``per_host`` from any host (0: no cap)."""
+        return first_k(self.q, k, per_host)
 
     def size(self) -> int:
-        return len(self.by_seq)
+        return self.q.num_rows
 
     def snapshot(self) -> pa.Table:
-        return _table(sorted(self.by_seq.values()))
+        return self.q
 
     def restore(self, table: pa.Table) -> int:
-        self._reset()
+        self.q = ENTRY_SCHEMA.empty_table()
         return self.push_table(table)
 
 

@@ -17,15 +17,17 @@ touch both roles (checkpoint, restore, sizes) into one call.
 
 The crawl loop talks to each actor twice per round, through ``commit``
 and ``advance``; each runs its steps in a fixed order so the driver can
-reason about the state every step sees. Outside those two calls the
-crawl uses three per-operation methods: ``frontier_peek`` for the
-loop's fallback peek (first round after construction or resume, a
-polite re-peek), and ``seen_contains`` and ``frontier_push`` for pushes
-from outside the loop (seeds, ``add_sites``).
+reason about the state every step sees. ``advance`` ends with the peek
+of the queue it has just pushed to, which is the next round's window.
+Outside those two calls the crawl uses three per-operation methods:
+``frontier_peek`` for the loop's fallback peek (first round after
+construction or resume, a polite re-peek), and ``seen_contains`` and
+``frontier_push`` for pushes from outside the loop (seeds,
+``add_sites``).
 
 Every table crosses the actor boundary packed (state/wire.py):
 ``frontier_push``, ``advance`` and ``restore`` take Arrow IPC stream
-buffers, and ``commit`` and ``frontier_peek`` return one. A checkpoint
+buffers, and ``advance`` and ``frontier_peek`` return one. A checkpoint
 ships no table at all: the actor writes its frontier snapshot into the
 round's tmp dir itself, as its seen shard writes its delta, and returns
 only the file names. So no ``pa.Table`` passes through Ray's Arrow
@@ -36,12 +38,12 @@ is paid when the actor starts, not in the crawl's first peek.
 
 The actors keep one invariant between the two roles: no queued frontier
 entry is in the seen set. ``commit`` drops the queued occurrences of the
-urls it inserts into the seen set, before its peek; the loop, seeds and
-``add_sites`` push only urls the seen set does not hold
-(pipelines/crawl.py); and a checkpoint holds the invariant, so a restore
-keeps it (sinks/checkpoint.py). A url's host fixes its frontier shard, so
-every queued occurrence of a url sits on one shard and the drop is local
-to it.
+urls it inserts into the seen set; the loop, seeds and ``add_sites`` push
+only urls the seen set does not hold (pipelines/crawl.py); and a
+checkpoint holds the invariant, so a restore keeps it
+(sinks/checkpoint.py). A url's host fixes its frontier shard, so every
+queued occurrence of a url sits on one shard and the drop is local to
+it.
 """
 
 from __future__ import annotations
@@ -108,18 +110,14 @@ class StateShard:
     # -- the crawl loop's two calls per round ------------------------------
     def commit(self, ack: bool, removes: list[int] | None,
                probe: list[str] | None, add: list[str] | None,
-               drop: list[str] | None, peek_k: int,
-               per_host: int = 0) -> tuple[np.ndarray | None, pa.Buffer | None]:
+               drop: list[str] | None) -> np.ndarray | None:
         """Close a round, in this order: acknowledge the previous
         checkpoint (its manifest has committed since), remove this round's
-        admitted and robots-discarded frontier entries, probe the round's link candidates
-        against the seen set BEFORE its successes are inserted, insert the
-        successes (``add``, this seen shard's share), drop every queued
-        occurrence of the successes (``drop``, this frontier shard's
-        share), and peek the first ``peek_k`` frontier entries, at most
-        ``per_host`` per host, before any new link is pushed. Returns
-        (probe mask, packed peek); None for a step with no input or no
-        role."""
+        admitted and robots-discarded frontier entries, probe the round's
+        link candidates against the seen set BEFORE its successes are
+        inserted, insert the successes (``add``, this seen shard's share)
+        and drop every queued occurrence of them (``drop``, this frontier
+        shard's share). Returns the probe mask (None: no probe)."""
         if ack:
             self.ckpt_ack()
         if removes and self.frontier:
@@ -129,19 +127,24 @@ class StateShard:
             self.seen.add_many(add)
         if drop:
             self.frontier.drop_urls(drop)
-        peek = (self.frontier.peek(peek_k, per_host)
-                if peek_k and self.frontier else None)
-        return mask, pack(peek)
+        return mask
 
-    def advance(self, push: pa.Buffer | None,
-                ckpt: tuple | None) -> tuple | None:
+    def advance(self, push: pa.Buffer | None, ckpt: tuple | None,
+                peek_k: int = 0,
+                per_host: int = 0) -> tuple[tuple | None, pa.Buffer | None]:
         """Open the next round, in this order: push the round's new links
-        (packed), and write the checkpoint when one is due (``ckpt`` = the
-        arguments of ``checkpoint``). Returns the checkpoint output."""
+        (packed), write the checkpoint when one is due (``ckpt`` = the
+        arguments of ``checkpoint``), and peek the first ``peek_k``
+        frontier entries, at most ``per_host`` per host: the next
+        round's window. Returns (checkpoint output, packed peek); None
+        for a step with no input or no role."""
         push = unpack(push)
         if push is not None and push.num_rows:
             self.frontier.push_table(push)
-        return self.checkpoint(*ckpt) if ckpt is not None else None
+        out = self.checkpoint(*ckpt) if ckpt is not None else None
+        peek = (self.frontier.peek(peek_k, per_host)
+                if peek_k and self.frontier else None)
+        return out, pack(peek)
 
     def ckpt_ack(self) -> None:
         if self.seen:

@@ -548,7 +548,7 @@ def test_push_frontier_skips_seen_urls(ray_session, tmp_path):
             us = [u for u, sh in zip(dup_urls, shards) if sh == s]
             if us:
                 futs.append(c.state[s].commit.remote(
-                    False, None, None, us, None, 0))
+                    False, None, None, us, None))
         ray.get(futs)
         before = c._sizes()[0]
         c._push_frontier(dup_urls, [1] * 12, [-1.0] * 12)

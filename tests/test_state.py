@@ -88,16 +88,15 @@ def test_state_shard_hosts_either_role(tmp_path):
 
     ent = entries_table(["a", "b"], ["h", "h"], [0, 0], [0.0, 0.0], [1, 2])
     assert both.frontier_push(pack(ent)) == 2
-    mask, peek = both.commit(False, None, ["a"], ["a", "x"], None, 0)
-    assert list(mask) == [False] and peek is None
+    mask = both.commit(False, None, ["a"], ["a", "x"], None)
+    assert list(mask) == [False]
     assert list(both.seen_contains(["a", "b"])) == [True, False]
     assert unpack(both.frontier_peek(1)).column("url").to_pylist() == ["a"]
-    mask, peek = both.commit(False, [1], None, None, None, 5)
-    assert isinstance(peek, pa.Buffer)
-    assert mask is None and unpack(peek).column("url").to_pylist() == ["b"]
+    assert both.commit(False, [1], None, None, None) is None
+    assert unpack(both.frontier_peek(5)).column("url").to_pylist() == ["b"]
     assert both.sizes() == (1, 2)
     frontier_only.frontier_push(pack(ent))
-    seen_only.commit(False, None, None, ["y"], None, 0)
+    seen_only.commit(False, None, None, ["y"], None)
     assert frontier_only.sizes() == (2, 0)
     assert seen_only.sizes() == (0, 1)
 
@@ -116,8 +115,23 @@ def test_state_shard_hosts_either_role(tmp_path):
     back.restore(pack(both.frontier.snapshot()), pack(both.seen.snapshot()))
     assert back.sizes() == (1, 2)
     assert list(back.seen_contains(["x", "y"])) == [True, False]
-    back.advance(pack(entries_table(["c"], ["h"], [1], [0.0], [3])), None)
-    assert back.sizes() == (2, 2)
+    assert back.advance(None, None) == (None, None)
+    # advance: push, then the checkpoint of the pushed queue, then the
+    # capped peek of that same queue (the next round's window)
+    push = entries_table(["c", "d", "e"], ["h", "h2", "h"], [1, 1, 1],
+                         [0.0, 0.0, 0.0], [3, 4, 5])
+    ref = FrontierShard(1)
+    ref.restore(back.frontier.snapshot())
+    ref.push_table(push)
+    adv = tmp_path / "adv"
+    adv.mkdir()
+    (fr, rec), peek = back.advance(pack(push), (str(adv), 1), 2, 1)
+    assert back.sizes() == (4, 2)
+    assert pq.read_table(adv / fr).to_pydict() == ref.snapshot().to_pydict()
+    assert [r["url"] for r in pq.read_table(adv / fr).to_pylist()] == [
+        "b", "c", "d", "e"]
+    assert unpack(peek).to_pydict() == ref.peek(2, 1).to_pydict()
+    assert unpack(peek).column("url").to_pylist() == ["b", "d"]
     lone = StateShard(3, False, True)
     lone.restore(pack(frontier_only.frontier.snapshot()), None)
     assert lone.sizes() == (2, 0)
@@ -390,50 +404,6 @@ def test_frontier_model_based_property():
     run()
 
 
-def test_next_window_equals_peek_after_push():
-    """The crawl's next-round window (crawl.next_window): the first W by
-    (priority, seq) of a peek(W) taken BEFORE a push, merged with the
-    pushed entries, equals peek(W) taken AFTER the push — for any
-    priorities (negative ones included), duplicate urls, removes before
-    the peek (foreign seqs too), seqs interleaved across the two parts,
-    any W >= 1 and empty shards or pushes."""
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    from owlcrawler_ray.pipelines.crawl import next_window
-
-    prio = st.sampled_from([-2.5, -1.0, 0.0, 0.0, 0.0, 0.5, 3.0])
-    item = st.tuples(prio, st.integers(0, 4))  # (priority, url id)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        before=st.lists(item, max_size=20),
-        new=st.lists(item, max_size=20),
-        removes=st.lists(st.integers(0, 60), max_size=12),
-        seqs=st.permutations(list(range(40))),
-        w=st.integers(1, 25),
-    )
-    def run(before, new, removes, seqs, w):
-        it = iter(seqs)
-
-        def table(items):
-            return entries_table(
-                [f"http://h.test/p{u}" for _, u in items],
-                ["h.test"] * len(items), [1] * len(items),
-                [p for p, _ in items], [next(it) for _ in items],
-            )
-
-        f = FrontierShard(0)
-        f.push_table(table(before))
-        f.remove_seqs(removes)
-        pre = f.peek(w)
-        pushed = table(new)
-        f.push_table(pushed)
-        assert next_window(pre, pushed, w).to_pydict() == f.peek(w).to_pydict()
-
-    run()
-
-
 def _capped_scan(entries, k, per_host):
     """The first k of ``entries`` by (priority, seq), at most
     ``per_host`` per host (0: no cap) — the brute-force peek."""
@@ -512,11 +482,9 @@ def test_frontier_capped_peek_matches_sorted_scan():
 
 
 def test_frontier_long_queue_peek_paths_match_sorted_scan():
-    """On a queue far longer than the peek: a small uncapped peek walks
-    the heap (8k < size), capped and large peeks scan a sort, and
-    removing most entries from below the root rebuilds the heap, which
-    keeps the dead items it holds bounded. Every peek equals the
-    brute-force scan."""
+    """On a queue far longer than the peek, after removes from deep in
+    the queue and url drops: small and large peeks, capped and uncapped,
+    each equal the brute-force scan."""
     import random
 
     rng = random.Random(7)
@@ -540,56 +508,11 @@ def test_frontier_long_queue_peek_paths_match_sorted_scan():
         for q in [q for q, e in model.items() if e[2] in urls]:
             del model[q]
         assert f.size() == len(model)
-        assert len(f.heap) <= 2 * len(model) + 64
         for k, cap in [(1, 0), (7, 0), (40, 0), (len(model) // 2, 0),
                        (5, 1), (40, 2), (300, 4), (len(model), 3)]:
             got = f.peek(k, cap).column("discovered_seq").to_pylist()
             assert got == [e[1] for e in
                            _capped_scan(model.values(), k, cap)], (k, cap)
-
-
-def test_next_window_capped_equals_capped_peek_after_push():
-    """The polite next-round window: next_window(peek, new, w, per_host)
-    over a peek(w, per_host) taken BEFORE a push equals peek(w, per_host)
-    taken AFTER it — several hosts, any cap, any priorities, seqs
-    interleaved across the two parts, removes before the peek."""
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    from owlcrawler_ray.pipelines.crawl import next_window
-
-    prio = st.sampled_from([-1.0, 0.0, 0.0, 0.0, 3.0])
-    item = st.tuples(prio, st.integers(0, 3), st.integers(0, 4))
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        before=st.lists(item, max_size=24),
-        new=st.lists(item, max_size=24),
-        removes=st.lists(st.integers(0, 60), max_size=10),
-        seqs=st.permutations(list(range(48))),
-        w=st.integers(1, 20),
-        cap=st.integers(0, 4),
-    )
-    def run(before, new, removes, seqs, w, cap):
-        it = iter(seqs)
-
-        def table(items):
-            return entries_table(
-                [f"http://h{h}.test/p{u}" for _, h, u in items],
-                [f"h{h}.test" for _, h, _ in items], [1] * len(items),
-                [p for p, _, _ in items], [next(it) for _ in items],
-            )
-
-        f = FrontierShard(0)
-        f.push_table(table(before))
-        f.remove_seqs(removes)
-        pre = f.peek(w, cap)
-        pushed = table(new)
-        f.push_table(pushed)
-        assert next_window(pre, pushed, w, cap).to_pydict() \
-            == f.peek(w, cap).to_pydict()
-
-    run()
 
 
 def test_politeness_token_bucket_property():

@@ -64,7 +64,7 @@ def test_state_shard_checkpoint_loads_back(tmp_path):
         sh.frontier_push(pack(entries_table(
             urls, [f"h{i}.test"] * 3, [1, 2, 3], [0.0] * 3,
             [10 * i + j for j in range(3)])))
-        sh.commit(False, None, None, [f"http://seen{i}.test/"], None, 0)
+        sh.commit(False, None, None, [f"http://seen{i}.test/"], None)
     tmp = mgr.begin(5)
     outs = [sh.checkpoint(tmp, 5) for sh in shards]
     assert [fr for fr, _ in outs] == [frontier_file(0), frontier_file(1)]
