@@ -382,6 +382,24 @@ def phrase_pattern(t0: str, t1: str) -> str:
     return re.escape(t0) + r"( [a-z]+)? " + re.escape(t1)
 
 
+def es_score(texts, terms: tuple[str, ...]):
+    """The ES relevance model as one vectorized int64 expression: the sum
+    of each term's tf, plus 10 x slop-1 phrase matches of the first two
+    terms when there are at least two (RE2, the engine of the DuckDB
+    oracles). The one scorer of the search queries and the webapp."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    score = pc.cast(pc.count_substring(texts, terms[0]), pa.int64())
+    for t in terms[1:]:
+        score = pc.add(score, pc.count_substring(texts, t))
+    if len(terms) >= 2:
+        phrase = phrase_pattern(terms[0], terms[1])
+        score = pc.add(score, pc.multiply(
+            pc.count_substring_regex(texts, phrase), 10))
+    return score
+
+
 def es_fragments(
     text: str,
     terms: tuple[str, ...],

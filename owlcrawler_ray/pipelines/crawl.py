@@ -171,9 +171,9 @@ class CrawlConfig:
     # or fetch log; read attempts_table()/pages_table()) and is not part
     # of fingerprint()
     keep_logs: bool = False
-    # polite-mode robots: fetch /robots.txt from the (corpus) web on first
-    # contact with a host, parse + cache in the gate (St6). The reference
-    # has no robots handling, so parity mode leaves this off.
+    # polite-mode robots: fetch /robots.txt through the page fetcher on
+    # first contact with a host, parse + cache in the gate (St6). The
+    # reference has no robots handling, so parity mode leaves this off.
     fetch_robots: bool = False
     # optional zero-arg factory returning a Fetcher (e.g.
     # functools.partial(HttpFetcher, rewrite_base=...)) — None = the
@@ -237,6 +237,28 @@ class CrawlConfig:
 _SLIM = ["url", "depth", "status", "fetch_candidates"]
 
 
+def _page_fetcher(factory, web_cfg):
+    """The process's page fetcher: ``factory``'s, or the corpus fetcher
+    of ``web_cfg``, built once per configuration per process."""
+    return cached_fetcher(factory if factory is not None
+                          else partial(CorpusFetcher, web_cfg))
+
+
+def _robots_fetcher(cfg: CrawlConfig) -> Callable[[str], str]:
+    """The politeness gate's robots.txt source: one GET per host through
+    the crawl's own page fetcher, so a real-web crawl asks the real
+    server. A non-200 answer reads as an empty robots.txt (allow all)."""
+    fetch = _page_fetcher(cfg.fetcher_factory, cfg.web)
+
+    def robots(host: str) -> str:
+        got = fetch(pa.table({"url": [f"http://{host}/robots.txt"]}))
+        if got.column("status")[0].as_py() != 200:
+            return ""
+        return got.column("html")[0].as_py().decode("utf-8", errors="replace")
+
+    return robots
+
+
 def _fetch_extract(buf: pa.Buffer, web_cfg, raw_tmp, imgs_tmp,
                    fetcher_factory=None) -> pa.Buffer:
     """The round's ONE heavy distributed pass: fetch + single-pass extract
@@ -260,10 +282,7 @@ def _fetch_extract(buf: pa.Buffer, web_cfg, raw_tmp, imgs_tmp,
     per-process ``cached_fetcher``: a real HttpFetcher holds sockets + a
     thread pool, cannot be pickled, and is worth building once per
     configuration per worker process, not per task."""
-    f = cached_fetcher(
-        fetcher_factory if fetcher_factory is not None
-        else partial(CorpusFetcher, web_cfg))
-    batch = f(unpack(buf))
+    batch = _page_fetcher(fetcher_factory, web_cfg)(unpack(buf))
     ext = extract_batch(batch)
     ok = ext.filter(pc.equal(ext.column("status"), 200))
     raw = ok.drop_columns(["fetch_candidates", "img_urls", "img_captions"])
@@ -496,15 +515,9 @@ class Crawler:
                                 max_mem_urls=cfg.seen_max_mem_urls)
             for i in range(max(ns, nf))
         ]
-        web_for_robots = self.web
-
-        def _robots_fetcher(host: str) -> str:
-            status, body = web_for_robots.fetch(f"http://{host}/robots.txt")
-            return body.decode("utf-8", errors="replace") if status == 200 else ""
-
         self.gate = PolitenessGate(
             cfg.politeness,
-            robots_fetcher=_robots_fetcher if cfg.fetch_robots else None,
+            robots_fetcher=_robots_fetcher(cfg) if cfg.fetch_robots else None,
         )
         self.next_seq = 0
         self.tick = 0

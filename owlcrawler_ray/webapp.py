@@ -50,8 +50,7 @@ from urllib.parse import parse_qs, urlsplit
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .functions.textops import (es_fragments, phrase_pattern,
-                                sanitize_highlight)
+from .functions.textops import es_fragments, es_score, sanitize_highlight
 from .sinks import table_store
 
 # ---- templates ----------------------------------------------------------
@@ -277,21 +276,7 @@ class CrawlWebApp:
         pages, joined = self._pages_with_body()
         if pages.num_rows == 0:
             return []
-        score = pc.cast(pc.count_substring(joined, terms[0]), pa.int64())
-        for t in terms[1:]:
-            score = pc.add(score, pc.count_substring(joined, t))
-        if len(terms) >= 2:
-            # shared slop-1 phrase model (textops.phrase_pattern): the
-            # ranking and highlighting sides compile the SAME pattern
-            phrase = phrase_pattern(terms[0], terms[1])
-            score = pc.add(
-                score,
-                pc.multiply(
-                    pc.cast(pc.count_substring_regex(joined, phrase),
-                            pa.int64()),
-                    10,
-                ),
-            )
+        score = es_score(joined, terms)
         t = pa.table(
             {
                 "doc_id": pages.column("doc_id"),

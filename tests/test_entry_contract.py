@@ -85,3 +85,23 @@ def test_registry_scoreboard_prefix():
     assert "token_stats" in demoted_oracled  # subsumed by training_mix
     # and every prefix entry exists & oracled entries dominate the window
     assert sum(1 for n in names[:50] if n in osql) == 48
+
+
+def test_registry_pin():
+    """The traced benchmark run walks the registry in a seed-shuffled
+    order of ``list(QUERIES)`` and times the oracled queries, so the
+    query names, their order and every oracle string are part of the
+    benchmark. This pins them by hash."""
+    import hashlib
+    import json
+
+    from owlcrawler_ray.pipelines.queries import ORACLES, QUERIES
+
+    digest = hashlib.sha256(json.dumps(
+        [list(QUERIES), list(ORACLES), ORACLES]).encode()).hexdigest()
+    assert (len(QUERIES), len(ORACLES)) == (86, 65)
+    assert digest.startswith("d831840154c1e756"), (
+        f"registry hash {digest[:16]}: a change to QUERIES' names or order "
+        "or to an ORACLES string is a benchmark change (it reorders or "
+        "re-times the traced run's queries); land it with the next "
+        "benchmark change (ROADMAP item 15), not in a query refactor")

@@ -226,3 +226,52 @@ def test_cached_fetcher_dedupes_equal_factories():
     finally:
         f1.close()
         f3.close()
+
+
+class _RobotsHandler(_CorpusHandler):
+    """The corpus server, except every host's robots.txt disallows
+    /page-1 (SMALL_WEB's own robots allow all); logs each robots GET's
+    host."""
+    robots_hosts: list = []
+
+    def do_GET(self):
+        if self.path != "/robots.txt":
+            return super().do_GET()
+        self.robots_hosts.append((self.headers.get("Host") or "").split(":")[0])
+        body = b"User-agent: *\nDisallow: /page-1\n"
+        self.send_response(200)
+        self.send_header("Content-Type", "text/plain")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+def test_polite_http_crawl_reads_robots_from_the_server(ray_session, tmp_path):
+    """With a network fetcher, the politeness gate fetches robots.txt
+    from the real server through that fetcher, once per host, and obeys
+    it: no attempted url is under the disallowed prefix."""
+    from collections import Counter
+    from urllib.parse import urlsplit
+
+    from owlcrawler_ray.pipelines.crawl import run_crawl
+    from owlcrawler_ray.state.politeness import PolitenessConfig
+
+    srv = _QuietServer(("127.0.0.1", 0), _RobotsHandler)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    base = str(tmp_path / "robots")
+    try:
+        c, _ = run_crawl(_http_cfg(
+            base, f"http://127.0.0.1:{srv.server_port}", mode="polite",
+            budget_per_round=16, fetch_robots=True,
+            politeness=PolitenessConfig(mode="polite", rate_per_s=1.0,
+                                        burst=2.0)))
+        try:
+            urls = c.attempts_table().column("url").to_pylist()
+        finally:
+            c.shutdown()
+    finally:
+        srv.shutdown()
+    robots = Counter(_RobotsHandler.robots_hosts)
+    assert urls and set(robots.values()) == {1}
+    assert {urlsplit(u).netloc for u in urls} <= set(robots)
+    assert not [u for u in urls if urlsplit(u).path.startswith("/page-1")]

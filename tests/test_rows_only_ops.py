@@ -202,6 +202,35 @@ def test_ann_pq_recall_vs_brute(ray_session):
     assert recall >= 0.6, f"PQ recall {recall} too low"
 
 
+def test_ann_queries_typed_empty_on_empty_embeddings(ray_session, tmp_path):
+    """An embeddings table with no rows (schema kept) gives every ANN
+    query zero rows of the columns and types it returns on sf0.001, and
+    ann_topk's result equals its DuckDB oracle's."""
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from owlcrawler_ray.pipelines import queries as q
+    from owlcrawler_ray.sinks import table_store
+
+    def run(name, sf):
+        got = q.QUERIES[name](sf)
+        return got if isinstance(got, pa.Table) else table_store.collect(got)
+
+    pq.write_table(pq.read_table(f"{SF}/embeddings.parquet").slice(0, 0),
+                   tmp_path / "embeddings.parquet")
+    want = run("ann_topk", SF).schema
+    for name in ("ann_topk", "ann_ivf", "ann_ivf_centroids", "ann_topk_int8",
+                 "ann_pq"):
+        got = run(name, str(tmp_path))
+        assert got.num_rows == 0 and got.schema == want, (name, got.schema)
+    con = duckdb.connect()
+    con.execute("CREATE VIEW embeddings AS SELECT * FROM "
+                f"read_parquet('{tmp_path}/embeddings.parquet')")
+    oracle = con.execute(q.ORACLES["ann_topk"]).arrow()
+    assert oracle.schema == want and oracle.num_rows == 0
+
+
 def test_images_decode_stats(ray_session):
     from owlcrawler_ray.pipelines.queries import q_images_decode_stats
 
@@ -240,48 +269,6 @@ def test_media_input_memo_is_session_scoped(ray_session):
     assert set(a.schema().names) == {
         "image_id", "bytes", "w", "h", "fmt", "caption", "phash"
     }
-
-
-def test_lsh_pair_cache_shares_but_standalone_stays_fresh(ray_session):
-    """The candidate stage is shared across the dedup DAG: the cached
-    accessor memoizes per session, while the standalone query entry
-    always computes fresh (its bench time is the true operator cost)
-    and REFRESHES the cache with its result."""
-    from owlcrawler_ray.pipelines import queries as Q
-
-    a = Q._lsh_pairs_cached(SF)
-    assert Q._lsh_pairs_cached(SF) is a  # memo hit
-    fresh = Q.q_minhash_lsh_pairs(SF)  # recompute + refresh
-    assert fresh is not a and fresh.equals(a)
-    assert Q._lsh_pairs_cached(SF) is fresh  # downstream sees the refresh
-    emb = Q._emb_pairs_cached(SF)
-    assert Q._emb_pairs_cached(SF) is emb
-    fresh_e = Q.q_embedding_near_dup(SF)
-    assert fresh_e is not emb and fresh_e.equals(emb)
-    assert Q._emb_pairs_cached(SF) is fresh_e
-
-
-def test_pair_cache_invalidates_on_regenerated_parquet(ray_session, tmp_path):
-    """The pair caches key on a content stamp of the input parquet —
-    regenerating the file at the SAME path within one session must yield
-    a recompute, never a stale table (review finding r5 cont. 2)."""
-    import os
-    import shutil
-
-    from owlcrawler_ray.pipelines import queries as Q
-
-    sf = "/root/testdata/sf0.001"
-    for t in ("documents", "embeddings"):
-        shutil.copy(f"{sf}/{t}.parquet", tmp_path / f"{t}.parquet")
-    d = str(tmp_path)
-    a = Q._lsh_pairs_cached(d)
-    assert Q._lsh_pairs_cached(d) is a  # memo hit on unchanged file
-    # simulate a regenerated file: same path, new mtime
-    st = os.stat(tmp_path / "documents.parquet")
-    os.utime(tmp_path / "documents.parquet", ns=(st.st_atime_ns,
-                                                 st.st_mtime_ns + 1))
-    b = Q._lsh_pairs_cached(d)
-    assert b is not a and b.equals(a)  # recomputed, same content
 
 
 def test_images_rows_for_indices_matches_driver_table():
@@ -921,12 +908,12 @@ def test_near_dup_dedup_no_candidates(ray_session, monkeypatch):
     from owlcrawler_ray.pipelines import queries as q
 
     monkeypatch.setattr(
-        q, "_lsh_pairs_cached",
+        q, "_compute_lsh_pairs",
         lambda sf_dir: pa.table({"doc_a": pa.array([], pa.int64()),
                                  "doc_b": pa.array([], pa.int64())}))
     sf = "/root/testdata/sf0.001"
     kept = q.q_near_dup_dedup(sf).count()
-    want = q._near_clone_union(sf).count()
+    want = q._with_clones(sf, "near").count()
     assert kept == want
 
 
