@@ -35,7 +35,6 @@ MAGIC = b"OWLC"
 _FMT_CODE = {"png": 0, "jpeg": 1, "webp": 2}
 _FMT_NAME = {v: k for k, v in _FMT_CODE.items()}
 _FMT_SHIFT = {"png": 0, "jpeg": 2, "webp": 1}
-LOSSY_FMTS = ("jpeg", "webp")
 
 # decode() refuses headers claiming more pixels than this (67M px ≈
 # 201 MB raw): the 2-byte w/h fields allow 65535² ≈ 12.9 GB, so without

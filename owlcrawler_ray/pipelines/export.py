@@ -146,9 +146,8 @@ def _bucket_counts(root: str, n_buckets: int) -> pa.Table:
 def export_corpus(sf_dir: str, out_root: str, n_buckets: int = 16) -> pa.Table:
     """Run (or resume) the export; returns (bucket, n_docs) read back from
     the committed output — the on-disk truth, not in-flight counters."""
-    import ray.data as rd
-
-    from .queries import _md5_hex, _read
+    from .queries import (_group_agg, _hash_join, _join_width, _md5_hex,
+                          _read, _table_bytes, _table_rows)
 
     done = {
         b for b in range(n_buckets)
@@ -159,29 +158,17 @@ def export_corpus(sf_dir: str, out_root: str, n_buckets: int = 16) -> pa.Table:
         ds = _read(sf_dir, "documents",
                    columns=["doc_id", "text", "n_chars"])
 
-        # keep-id set: per-batch (hash -> min doc_id) partials, tiny global
-        # groupby, broadcast — same family as q_exact_dedup
-        def keep_partial(batch: pa.Table) -> pa.Table:
-            t = pa.table({"h": _md5_hex(batch.column("text")),
-                          "doc_id": batch.column("doc_id")})
-            return (
-                t.group_by("h").aggregate([("doc_id", "min")])
-                .rename_columns(["h", "keep_p"])
-            )
-
-        from ray.data.aggregate import Min
-
-        keep_tbl = (
-            ds.map_batches(keep_partial, batch_format="pyarrow")
-            .groupby("h").aggregate(Min("keep_p", alias_name="keep_id"))
-        )
+        # keep-id set: min doc_id per content hash — the same aggregate
+        # as q_exact_dedup
+        keep_tbl = _group_agg(
+            ds, ["h"], [("doc_id", "min")], ["keep_id"],
+            rows=lambda b: pa.table({"h": _md5_hex(b.column("text")),
+                                     "doc_id": b.column("doc_id")}))
         # LEFT SEMI join on the keep ids (see queries._hash_join): they
         # are unique (one min doc_id per content hash) and number at most
         # the footer row count, so small corpora take the broadcast branch
         # and 10^10-doc corpora the shuffle — the keep side never lands on
         # the driver there
-        from .queries import _hash_join, _join_width, _table_bytes, _table_rows
-
         ds = _hash_join(
             ds, keep_tbl.select_columns(["keep_id"]), "doc_id", "keep_id",
             "left semi",

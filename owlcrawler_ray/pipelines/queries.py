@@ -21,7 +21,10 @@ Coverage map to SURVEY.md §2 (reference: /root/reference):
 
 Scale stance: every pipeline streams (read_parquet with column pruning ->
 map_batches partial aggregation -> small groupby), no driver-side loops
-over full tables, broadcast for small sides; see each docstring.
+over full tables, broadcast for small sides; see each docstring. The
+partial-then-merge aggregate is one operator, _group_agg: a query states
+its keys and Arrow aggregates once, and picks the routed (wide keys) or
+the driver (few keys) merge.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ import pyarrow.parquet as pq
 
 import ray
 import ray.data as rd
-from ray.data.aggregate import AggregateFn, Count, Sum
 
 from ..functions.textops import es_score
 from ..functions.vecs import list_to_matrix
@@ -225,36 +227,64 @@ def _shuffle(sides: list, fn, B: int | None = None):
     return ds.groupby("_route_b").map_groups(run, batch_format="pyarrow")
 
 
-def _bucket_merge(ds, keys: list[str], aggs: list[tuple[str, str]],
-                  out: list[str], B: int | None = None):
-    """Drop-in for ``ds.groupby(keys).aggregate(...)`` over a WIDE key
-    space when ``ds`` already holds per-batch combined partials: route
-    each partial row to one of B run-local hash buckets of keys[0], then
-    merge every bucket with ONE vectorized Arrow group_by. Ray's
-    Aggregate walks the key space in per-key Python — measured 3.5 s vs
-    0.7 s for a 15k-key partial-count sum at sf0.1/32cpu — while the
-    all-to-all volume is identical (the partials are what shuffles
-    either way). B ~ 2*cpus bounds per-bucket memory at ~keys/B rows;
-    at cluster scale pass a larger B (buckets are the shuffle width).
+# how a partial of each Arrow aggregate merges with the others
+_MERGE = {"count_all": "sum", "sum": "sum", "min": "min", "max": "max"}
 
-    ``aggs`` are Arrow group_by specs over the partial columns, e.g.
-    [("n_p", "sum")]; ``out`` names the aggregated columns in order."""
+
+def _merged(t: pa.Table, keys: list[str], aggs: list, out: list[str],
+            merge: bool = False) -> pa.Table:
+    """One Arrow group_by of ``t`` by ``keys`` under ``aggs``, the
+    aggregates named ``out``; with ``merge``, the group_by that merges
+    partials already named ``out`` (count_all partials sum)."""
+    if merge:
+        aggs = [(name, _MERGE[fn]) for (_, fn), name in zip(aggs, out)]
+    return t.group_by(keys).aggregate(aggs).rename_columns(keys + out)
+
+
+def _partials(ds, keys: list[str], aggs: list, out: list[str], rows=None):
+    """The combiner half of _group_agg: each batch of ``ds``, projected by
+    ``rows`` (a function of the batch), aggregated by one Arrow group_by
+    and named ``out``. A schema-less empty block (as a map_groups emits)
+    passes through: collect and _to_buckets drop it."""
+    return ds.map_batches(
+        lambda t: (_merged(rows(t) if rows else t, keys, aggs, out)
+                   if t.num_columns else t),
+        batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _group_agg(ds, keys: list[str], aggs: list, out: list[str], rows=None,
+               *, driver: bool = False, then=None, B: int | None = None):
+    """The module's one grouped aggregate, ``SELECT keys, aggs GROUP BY
+    keys`` over Dataset ``ds``: ``aggs`` are Arrow (column, fn) specs with
+    fn count_all, sum, min or max (none: the distinct keys), named
+    ``out``, over the rows that ``rows`` projects from each batch. Every
+    batch combines first (_partials); only the partials move, and they
+    merge by the spec derived from ``aggs`` at one of two ends:
+
+    - routed (the default), for wide key spaces: a Dataset. Each partial
+      goes to run-local bucket hash(keys[0]) % B through _shuffle and
+      every bucket merges with one group_by, then ``then(table)`` if
+      given. Ray's Aggregate walks keys in per-key Python: 3.5 s vs
+      0.7 s for a 15k-key partial-count sum at sf0.1/32cpu. B ~ 2*cpus
+      bounds a bucket at ~keys/B rows; at cluster scale pass a larger B.
+    - ``driver=True``, for partials that are few (O(keys x batches)) and
+      end on the driver anyway: a pa.Table merged there, sorted by
+      ``keys``. Ray's Aggregate pays a ~2.3 s fixed barrier even at 3
+      keys. With no rows the result has the ``keys + out`` columns, of
+      null type."""
+    parts = _partials(ds, keys, aggs, out, rows)
+    if driver:
+        t = table_store.collect(parts)
+        if not t.num_rows:
+            return pa.table({name: pa.nulls(0) for name in keys + out})
+        return (_merged(t, keys, aggs, out, merge=True)
+                .sort_by([(k, "ascending") for k in keys]))
+
     def merge(t: pa.Table) -> pa.Table:
-        return t.group_by(keys).aggregate(aggs).rename_columns(keys + out)
+        t = _merged(t, keys, aggs, out, merge=True)
+        return then(t) if then else t
 
-    return _shuffle([(ds, keys[0])], merge, B)
-
-
-def _sum_by(parts, key: str, cols: list[str], out: list[str]) -> pa.Table:
-    """Merge a Dataset of small per-batch partials on the driver: collect
-    it and sum ``cols`` per ``key`` with one Arrow group_by, one row per
-    key sorted by it, the sums named ``out``. For partials that are few
-    (O(keys x batches)) and end on the driver anyway: Ray's Aggregate
-    adds an all-to-all stage with ~2.3 s of fixed barrier cost even at
-    3 keys; past ~10^6 partial rows, _bucket_merge them first."""
-    t = table_store.collect(parts)
-    return (t.group_by(key).aggregate([(c, "sum") for c in cols])
-            .rename_columns([key] + out).sort_by(key))
+    return _shuffle([(parts, keys[0])], merge, B)
 
 
 _LOG = logging.getLogger("owlcrawler_ray.queries")
@@ -498,8 +528,8 @@ def _bucket_pairs(rows, id_col: str, verify=None, ctx: str = "") -> pa.Table:
     ``verify``, with n_bands the number of buckets it shares, sorted by
     (a, b).
 
-    Bucket sizes come from per-batch counts merged by _bucket_merge and
-    collected on the driver; buckets of one member are the vast majority
+    Bucket sizes come from a routed _group_agg count collected on the
+    driver; buckets of one member are the vast majority
     and their rows never move. The >=2-member keys broadcast once and
     one is_in pass keeps their rows, which the routed _shuffle groups by
     bucket for _pair_kernel.
@@ -510,14 +540,8 @@ def _bucket_pairs(rows, id_col: str, verify=None, ctx: str = "") -> pa.Table:
     id_type = schema.types[schema.names.index(id_col)]
     out = pa.schema([("a", id_type), ("b", id_type), ("n_bands", pa.int64())])
 
-    def partial(t: pa.Table) -> pa.Table:
-        return (t.select(["bucket"]).group_by("bucket")
-                .aggregate([([], "count_all")])
-                .rename_columns(["bucket", "n_p"]))
-
-    counts = table_store.collect(_bucket_merge(
-        rows.map_batches(partial, batch_format="pyarrow"),
-        keys=["bucket"], aggs=[("n_p", "sum")], out=["n"]))
+    counts = table_store.collect(
+        _group_agg(rows, ["bucket"], [([], "count_all")], ["n"]))
     hot = (counts.filter(pc.greater_equal(counts.column("n"), 2))
            if counts.num_rows else counts)
     if not hot.num_rows:
@@ -589,23 +613,17 @@ def _word_pairs(batch: pa.Table) -> pa.Table:
     doc_ids = batch.column("doc_id").take(parents)
     keep = pc.greater(pc.utf8_length(flat), 2)  # F4: len(word) > 2
     t = pa.table({"word": flat.filter(keep), "doc_id": doc_ids.filter(keep)})
-    return t.group_by(["word", "doc_id"]).aggregate([([], "count_all")]).rename_columns(
-        ["word", "doc_id", "n"]
-    )
+    return _merged(t, ["word", "doc_id"], [([], "count_all")], ["n"])
 
 
 def q_word_index(sf_dir: str):
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    pairs = _widen(
-        ds, _p(sf_dir, "documents")
-    ).map_batches(_word_pairs, batch_format="pyarrow", zero_copy_batch=True)
     # (word, doc) rows are globally unique (a doc never spans batches),
-    # so count_all per word == distinct docs; vocabulary-wide key space
-    # -> _bucket_merge, not Ray's per-key Aggregate
-    return _bucket_merge(
-        pairs, keys=["word"], aggs=[("n", "sum"), ([], "count_all")],
-        out=["n_postings", "n_docs"],
-    )
+    # so count_all per word == distinct docs
+    return _group_agg(
+        _widen(ds, _p(sf_dir, "documents")), ["word"],
+        [("n", "sum"), ([], "count_all")], ["n_postings", "n_docs"],
+        rows=_word_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +653,8 @@ def q_stats_counts(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 def q_sites(sf_dir: str):
-    ds = _read(sf_dir, "documents", columns=["source"])
-    return ds.groupby("source").aggregate(Count(alias_name="n_docs"))
+    return _group_agg(_read(sf_dir, "documents", columns=["source"]),
+                      ["source"], [([], "count_all")], ["n_docs"], driver=True)
 
 
 # ---------------------------------------------------------------------------
@@ -680,23 +698,11 @@ def q_exact_dedup(sf_dir: str):
     The scale pattern for exact dedup: content hash in a vectorized
     map_batches, per-batch partial (min, count), then a SMALL groupby over
     partials instead of shuffling full rows."""
-    ds = _with_clones(sf_dir, "exact")
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"content_hash": _md5_hex(batch.column("text")),
-                      "doc_id": batch.column("doc_id")})
-        return (
-            t.group_by("content_hash")
-            .aggregate([("doc_id", "min"), ([], "count_all")])
-            .rename_columns(["content_hash", "keep_p", "n_p"])
-        )
-
-    return _bucket_merge(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        keys=["content_hash"],
-        aggs=[("keep_p", "min"), ("n_p", "sum")],
-        out=["keep_id", "n_copies"],
-    )
+    return _group_agg(
+        _with_clones(sf_dir, "exact"), ["content_hash"],
+        [("doc_id", "min"), ([], "count_all")], ["keep_id", "n_copies"],
+        rows=lambda b: pa.table({"content_hash": _md5_hex(b.column("text")),
+                                 "doc_id": b.column("doc_id")}))
 
 
 # ---------------------------------------------------------------------------
@@ -904,13 +910,13 @@ def q_pricing_summary(sf_dir: str):
             (np.sign(x) * np.floor(np.abs(x) * factor + 0.5)).astype(np.int64)
         )
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.less_equal(batch.column("l_shipdate"), cutoff))
         disc_price = pc.multiply(
             batch.column("l_extendedprice"),
             pc.subtract(pa.scalar(1.0), batch.column("l_discount")),
         )
-        t = pa.table(
+        return pa.table(
             {
                 "l_returnflag": batch.column("l_returnflag"),
                 "l_linestatus": batch.column("l_linestatus"),
@@ -920,46 +926,30 @@ def q_pricing_summary(sf_dir: str):
                 "disc": _units(batch.column("l_discount"), 1e6),
             }
         )
-        return (
-            t.group_by(["l_returnflag", "l_linestatus"])
-            .aggregate([("qty", "sum"), ("base", "sum"), ("disc_price", "sum"),
-                        ("disc", "sum"), ([], "count_all")])
-            .rename_columns(["l_returnflag", "l_linestatus", "qty_p", "base_p",
-                             "dp_p", "disc_p", "n_p"])
-        )
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("qty_p", alias_name="sum_qty_raw"),
-            Sum("base_p", alias_name="sum_base_raw"),
-            Sum("dp_p", alias_name="sum_dp_raw"),
-            Sum("disc_p", alias_name="sum_disc_raw"),
-            Sum("n_p", alias_name="count_order"),
-        )
+    agg = _group_agg(
+        ds, ["l_returnflag", "l_linestatus"],
+        [("qty", "sum"), ("base", "sum"), ("disc_price", "sum"),
+         ("disc", "sum"), ([], "count_all")],
+        ["sum_qty_raw", "sum_base_raw", "sum_dp_raw", "sum_disc_raw",
+         "count_order"], rows=rows, driver=True)
+    n = agg.column("count_order").to_numpy().astype(np.float64)
+    qty_u = agg.column("sum_qty_raw").to_numpy().astype(np.float64)
+    base_u = agg.column("sum_base_raw").to_numpy().astype(np.float64)
+    dp_u = agg.column("sum_dp_raw").to_numpy().astype(np.float64)
+    disc_u = agg.column("sum_disc_raw").to_numpy().astype(np.float64)
+    return pa.table(
+        {
+            "l_returnflag": agg.column("l_returnflag"),
+            "l_linestatus": agg.column("l_linestatus"),
+            "sum_qty": qty_u / 100.0,
+            "sum_base_price": base_u / 100.0,
+            "sum_disc_price": dp_u / 100.0,
+            "avg_qty": _round_half_away(qty_u / n / 100.0, 4),
+            "avg_disc": _round_half_away(disc_u / n / 1e6, 6),
+            "count_order": agg.column("count_order"),
+        }
     )
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        n = batch.column("count_order").to_numpy().astype(np.float64)
-        qty_u = batch.column("sum_qty_raw").to_numpy().astype(np.float64)
-        base_u = batch.column("sum_base_raw").to_numpy().astype(np.float64)
-        dp_u = batch.column("sum_dp_raw").to_numpy().astype(np.float64)
-        disc_u = batch.column("sum_disc_raw").to_numpy().astype(np.float64)
-        return pa.table(
-            {
-                "l_returnflag": batch.column("l_returnflag"),
-                "l_linestatus": batch.column("l_linestatus"),
-                "sum_qty": qty_u / 100.0,
-                "sum_base_price": base_u / 100.0,
-                "sum_disc_price": dp_u / 100.0,
-                "avg_qty": _round_half_away(qty_u / n / 100.0, 4),
-                "avg_disc": _round_half_away(disc_u / n / 1e6, 6),
-                "count_order": batch.column("count_order"),
-            }
-        )
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -1022,23 +1012,12 @@ def q_customer_order_counts(sf_dir: str):
     silently drop. The fact side pre-aggregates to per-key partial
     counts inside map_batches before the shuffle (the combiner rule), so
     the outer join moves O(distinct custkeys), not O(orders); the partial
-    merge is a _bucket_merge (measured 4.2 s -> 0.7 s vs Ray's per-key
-    Aggregate at sf0.1); null fill is one vectorized coalesce fused into
-    the join."""
+    merge is _group_agg's routed end (measured 4.2 s -> 0.7 s vs Ray's
+    per-key Aggregate at sf0.1); null fill is one vectorized coalesce
+    fused into the join."""
     orders = _read(sf_dir, "orders", columns=["o_custkey"])
-
-    def count_partial(batch: pa.Table) -> pa.Table:
-        return (
-            batch.group_by("o_custkey").aggregate([([], "count_all")])
-            .rename_columns(["o_custkey", "n_p"])
-        )
-
-    counts = _bucket_merge(
-        _widen(orders, _p(sf_dir, "orders"))
-        .map_batches(count_partial, batch_format="pyarrow",
-                     zero_copy_batch=True),
-        keys=["o_custkey"], aggs=[("n_p", "sum")], out=["n"],
-    )
+    counts = _group_agg(_widen(orders, _p(sf_dir, "orders")), ["o_custkey"],
+                        [([], "count_all")], ["n"])
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
 
     def fill(t: pa.Table) -> pa.Table:
@@ -1067,34 +1046,20 @@ def q_customer_order_counts(sf_dir: str):
 # streaming-shaped: hourly windowed aggregate
 # ---------------------------------------------------------------------------
 
+def _milli_hours(batch: pa.Table) -> pa.Table:
+    """(user_id, hour, value) per event, the value in integer milli-units:
+    exact, order-independent int sums (see pricing_summary)."""
+    v = batch.column("value").to_numpy(zero_copy_only=False)
+    return pa.table({
+        "user_id": batch.column("user_id"),
+        "hour": pc.floor_temporal(batch.column("ts"), unit="hour"),
+        "value": pa.array(
+            (np.sign(v) * np.floor(np.abs(v) * 1000.0 + 0.5)).astype(np.int64)),
+    })
+
+
 def q_events_hourly(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        hour = pc.floor_temporal(batch.column("ts"), unit="hour")
-        # milli-units: exact, order-independent int sums (see pricing_summary)
-        v = batch.column("value").to_numpy(zero_copy_only=False)
-        milli = (np.sign(v) * np.floor(np.abs(v) * 1000.0 + 0.5)).astype(np.int64)
-        t = pa.table(
-            {"user_id": batch.column("user_id"), "hour": hour,
-             "value": pa.array(milli)}
-        )
-        return (
-            t.group_by(["user_id", "hour"])
-            .aggregate([("value", "sum"), ([], "count_all")])
-            .rename_columns(["user_id", "hour", "v_p", "n_p"])
-        )
-
-    agg = _bucket_merge(
-        # wide-key aggregate ((user, hour) is near-unique, partials don't
-        # reduce) — bucket on user_id, merge (user, hour) groups with one
-        # vectorized Arrow group_by per bucket; re-split ahead of the
-        # partials so the route map fuses with them
-        _widen(ds, _p(sf_dir, "events")).map_batches(
-            partial, batch_format="pyarrow", zero_copy_batch=True),
-        keys=["user_id", "hour"],
-        aggs=[("v_p", "sum"), ("n_p", "sum")], out=["sum_v", "n_events"],
-    )
 
     def finalize(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -1107,7 +1072,13 @@ def q_events_hourly(sf_dir: str):
             }
         )
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    # wide-key aggregate ((user, hour) is near-unique, partials don't
+    # reduce): routed on user_id; re-split ahead of the partials so the
+    # route map fuses with them
+    return _group_agg(
+        _widen(ds, _p(sf_dir, "events")), ["user_id", "hour"],
+        [("value", "sum"), ([], "count_all")], ["sum_v", "n_events"],
+        rows=_milli_hours, then=finalize)
 
 
 # ---------------------------------------------------------------------------
@@ -1166,8 +1137,8 @@ def q_quality_scores(sf_dir: str):
 
 
 def q_lang_distribution(sf_dir: str):
-    ds = _read(sf_dir, "documents", columns=["lang"])
-    return ds.groupby("lang").aggregate(Count(alias_name="n_docs"))
+    return _group_agg(_read(sf_dir, "documents", columns=["lang"]),
+                      ["lang"], [([], "count_all")], ["n_docs"], driver=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1774,11 +1745,10 @@ def q_images_decode_stats(sf_dir: str):
     dimension sums, phash-recompute agreement. Binary payloads stay in
     Arrow large_binary; decode batches are small (actor-pool shape).
 
-    Driver traffic is O(fmts x batches) partial rows, merged by _sum_by
-    — linear in batch count. At a batch count where that product stops
-    being governance-tiny (~10^6 rows), route the partials through
-    _bucket_merge first (same shape as customer_order_counts) — the
-    per-fmt partial schema is already merge-ready."""
+    Driver traffic is O(fmts x batches) partial rows, merged at
+    _group_agg's driver end — linear in batch count. At a batch count
+    where that product stops being governance-tiny (~10^6 rows), take
+    the routed end (as customer_order_counts does)."""
     from ..functions import codec as _codec
 
     ds = _images_input(sf_dir)
@@ -1806,7 +1776,7 @@ def q_images_decode_stats(sf_dir: str):
                     oks.append(False)
                     pix_ok.append(False)
                     ph_ok.append(False)
-            t = pa.table(
+            return pa.table(
                 {
                     "fmt": pa.array(fmts, pa.string()),
                     "ok": pa.array(np.asarray(oks, np.int64)),
@@ -1814,18 +1784,13 @@ def q_images_decode_stats(sf_dir: str):
                     "phash_ok": pa.array(np.asarray(ph_ok, np.int64)),
                 }
             )
-            return (
-                t.group_by("fmt")
-                .aggregate([("ok", "sum"), ("dims_ok", "sum"), ("phash_ok", "sum"),
-                            ([], "count_all")])
-                .rename_columns(["fmt", "ok_p", "dims_p", "ph_p", "n_p"])
-            )
 
-    return _sum_by(
+    return _group_agg(
         ds.map_batches(DecodeValidate, batch_format="pyarrow", batch_size=64,
-                       concurrency=_pool_size()),
-        "fmt", ["n_p", "ok_p", "dims_p", "ph_p"],
-        ["n_images", "n_decoded", "n_dims_ok", "n_phash_ok"])
+                       concurrency=_pool_size()), ["fmt"],
+        [([], "count_all"), ("ok", "sum"), ("dims_ok", "sum"),
+         ("phash_ok", "sum")],
+        ["n_images", "n_decoded", "n_dims_ok", "n_phash_ok"], driver=True)
 
 
 def q_images_phash_pairs(sf_dir: str):
@@ -2329,7 +2294,7 @@ def q_sessionization(sf_dir: str):
     def sessions_bucket(t: pa.Table) -> pa.Table:
         # every event of a user co-locates: one vectorized sort + run-
         # boundary session count for the whole bucket (vs a per-user
-        # pandas map_groups walk — the _bucket_merge rationale)
+        # pandas map_groups walk — the _group_agg rationale)
         idx = pc.sort_indices(
             t, sort_keys=[("user_id", "ascending"), ("ts", "ascending"),
                           ("event_id", "ascending")])
@@ -2386,35 +2351,16 @@ def q_events_sliding_3h(sf_dir: str):
     is O(distinct hours), never O(events)."""
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        hour = pc.floor_temporal(batch.column("ts"), unit="hour")
-        v = batch.column("value").to_numpy(zero_copy_only=False)
-        milli = (np.sign(v) * np.floor(np.abs(v) * 1000.0 + 0.5)).astype(np.int64)
-        t = pa.table(
-            {"user_id": batch.column("user_id"), "hour": hour,
-             "v": pa.array(milli)}
-        )
-        return (
-            t.group_by(["user_id", "hour"])
-            .aggregate([("v", "sum"), ([], "count_all")])
-            .rename_columns(["user_id", "hour", "v_p", "n_p"])
-        )
-
-    def merge_slide(t: pa.Table) -> pa.Table:
-        # one bucket holds every partial of each of its users: merge the
-        # tumbling partials AND compute every user's slide in ONE
-        # vectorized pass — users separated on a RUN-RELATIVE int64 hour
-        # axis (seconds since each user's first hour) with a run stride
-        # of max_span + window + 1, so a single searchsorted never
-        # crosses users. The stride is data-derived: overflow needs
-        # runs x stride >= 2^63 (e.g. ~3e11 users per bucket at a
-        # 30-year span) — and a monotonicity check hard-fails rather
-        # than ever returning silently wrong windows.
-        m = (
-            t.group_by(["user_id", "hour"])
-            .aggregate([("v_p", "sum"), ("n_p", "sum")])
-            .rename_columns(["user_id", "hour", "v_h", "n_h"])
-        )
+    def slide(m: pa.Table) -> pa.Table:
+        # one bucket holds every tumbling (user, hour) of each of its
+        # users: compute every user's slide in ONE vectorized pass —
+        # users separated on a RUN-RELATIVE int64 hour axis (seconds
+        # since each user's first hour) with a run stride of max_span +
+        # window + 1, so a single searchsorted never crosses users. The
+        # stride is data-derived: overflow needs runs x stride >= 2^63
+        # (e.g. ~3e11 users per bucket at a 30-year span) — and a
+        # monotonicity check hard-fails rather than ever returning
+        # silently wrong windows.
         idx = pc.sort_indices(m, sort_keys=[("user_id", "ascending"),
                                             ("hour", "ascending")])
         m = m.take(idx)
@@ -2442,9 +2388,10 @@ def q_events_sliding_3h(sf_dir: str):
                 (cv[hi] - cv[lo]).astype(np.float64) / 1000.0),
         })
 
-    parts = _widen(ds, _p(sf_dir, "events")).map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True)
-    return _shuffle([(parts, "user_id")], merge_slide)
+    return _group_agg(
+        _widen(ds, _p(sf_dir, "events")), ["user_id", "hour"],
+        [("value", "sum"), ([], "count_all")], ["v_h", "n_h"],
+        rows=_milli_hours, then=slide)
 
 
 QUERIES["events_sliding_3h"] = q_events_sliding_3h
@@ -2519,9 +2466,9 @@ def q_events_hourly_users_hll(sf_dir: str):
     (functions/sketch.py grouped_hll_registers — no per-group Python
     loop) fed by the splitmix64 numeric-key hash (ids.int_hash64_many;
     like hll_distinct_orders, the md5 loop was the only per-row Python
-    walk here), one hour-keyed groupby whose custom AggregateFn merges
-    register rows with elementwise max in accumulate_block, and a
-    stateless estimate map."""
+    walk here), one _shuffle on hour whose buckets max each hour's
+    register rows with numpy and estimate, and a driver sort of the
+    O(hours) result."""
     from ..functions.ids import int_hash64_many
     from ..functions.sketch import HyperLogLog, grouped_hll_registers
 
@@ -2544,36 +2491,23 @@ def q_events_hourly_users_hll(sf_dir: str):
             "regs_p": pa.array([r.tobytes() for r in regs], pa.binary()),
         })
 
-    zero = bytes(1 << P)
-    merge_regs = AggregateFn(
-        init=lambda k: zero,
-        accumulate_block=lambda a, blk: np.maximum.reduce(
-            [np.frombuffer(a, np.uint8)]
-            + [np.frombuffer(b, np.uint8)
-               for b in blk.column("regs_p").to_pylist()]).tobytes(),
-        merge=lambda a, b: np.maximum(
-            np.frombuffer(a, np.uint8), np.frombuffer(b, np.uint8)
-        ).tobytes(),
-        name="regs",
-    )
-
-    def estimate(batch: pa.Table) -> pa.Table:
-        ests = [
-            HyperLogLog.from_registers(np.frombuffer(b, np.uint8),
-                                       p=P).estimate()
-            for b in batch.column("regs").to_pylist()
-        ]  # O(windows in block), each a 256-register numpy reduction
+    def merge_estimate(t: pa.Table) -> pa.Table:
+        t = t.sort_by("hour")
+        regs = np.frombuffer(b"".join(t.column("regs_p").to_pylist()),
+                             np.uint8).reshape(-1, 1 << P)
+        h = t.column("hour").to_numpy()
+        starts = np.flatnonzero(np.r_[True, h[1:] != h[:-1]])
         return pa.table({
-            "hour": batch.column("hour"),
-            "n_users_hll": pa.array(ests, pa.int64()),
+            "hour": t.column("hour").take(starts).cast(pa.timestamp("s")),
+            "n_users_hll": pa.array(
+                [HyperLogLog.from_registers(r, p=P).estimate()
+                 for r in np.maximum.reduceat(regs, starts)], pa.int64()),
         })
 
-    return (
-        _widen(src.map_batches(partial, batch_format="pyarrow",
-                               zero_copy_batch=True), _p(sf_dir, "events"))
-        .groupby("hour").aggregate(merge_regs)
-        .map_batches(estimate, batch_format="pyarrow")
-    )
+    est = table_store.collect(_shuffle(
+        [(src.map_batches(partial, batch_format="pyarrow",
+                          zero_copy_batch=True), "hour")], merge_estimate))
+    return est.sort_by("hour") if est.num_rows else est
 
 
 QUERIES["events_hourly_users_hll"] = q_events_hourly_users_hll
@@ -2582,38 +2516,6 @@ QUERIES["events_hourly_users_hll"] = q_events_hourly_users_hll
 # ---------------------------------------------------------------------------
 # §2.8 set ops: INTERSECT / EXCEPT over derived sets (one shared shape)
 # ---------------------------------------------------------------------------
-
-def _bigram_halves(sf_dir: str):
-    """Per-bigram (seen-in-lower-half, seen-in-upper-half) flags: per-
-    batch distinct (bigram, min_flag, max_flag) partials, tiny global
-    groupby. The exchange carries one row per (batch, distinct bigram) —
-    the set semantics never shuffle the corpus. (Bigrams, not unigrams:
-    the word-salad vocabulary is shared across halves, so unigram EXCEPT
-    would be empty.)"""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        # shared Arrow n-gram kernel (split_pattern keeps empty words,
-        # identical to the former per-row text.split(" ") loop)
-        pos, grams, _ = _word_ngrams(batch.column("text"), 2)
-        ids = batch.column("doc_id").to_numpy()
-        t = pa.table(
-            {"bigram": grams,
-             "half": pa.array((ids[pos] >= 250).astype(np.int64))}
-        )
-        return (
-            t.group_by("bigram").aggregate([("half", "min"), ("half", "max")])
-            .rename_columns(["bigram", "lo_p", "hi_p"])
-        )
-
-    # bigram key space is WIDER than the unigram vocab that motivated
-    # _bucket_merge — Ray's per-key Aggregate walk is the wrong merge here
-    return _bucket_merge(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        keys=["bigram"], aggs=[("lo_p", "min"), ("hi_p", "max")],
-        out=["lo", "hi"],
-    )
-
 
 def q_bigram_setops(sf_dir: str):
     """Set operations in ONE pass (the round-4 verdict's registry
@@ -2624,13 +2526,21 @@ def q_bigram_setops(sf_dir: str):
       op='intersect' — bigrams present in BOTH halves
       op='except'    — bigrams present ONLY in the lower half
 
-    One shared halves aggregate feeds both ops via a tag map — no second
-    corpus pass, no extra shuffle."""
-    def tag(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:  # schema-less _bucket_merge empty block
-            return pa.table({"bigram": pa.array([], pa.string()),
-                             "op": pa.array([], pa.string())})
-        keep = batch.filter(pc.equal(batch.column("lo"), 0))
+    One aggregate, per bigram the (min, max) of its docs' half flags,
+    feeds both ops: the exchange carries one row per (batch, distinct
+    bigram), so the set semantics never shuffle the corpus. (Bigrams,
+    not unigrams: the word-salad vocabulary is shared across halves, so
+    unigram EXCEPT would be empty.)"""
+    def halves(batch: pa.Table) -> pa.Table:
+        # shared Arrow n-gram kernel (split_pattern keeps empty words,
+        # identical to the former per-row text.split(" ") loop)
+        pos, grams, _ = _word_ngrams(batch.column("text"), 2)
+        ids = batch.column("doc_id").to_numpy()
+        return pa.table({"bigram": grams,
+                         "half": pa.array((ids[pos] >= 250).astype(np.int64))})
+
+    def tag(t: pa.Table) -> pa.Table:
+        keep = t.filter(pc.equal(t.column("lo"), 0))
         op = pc.if_else(
             pc.equal(keep.column("hi"), 1),
             pa.scalar("intersect", pa.string()),
@@ -2638,9 +2548,10 @@ def q_bigram_setops(sf_dir: str):
         )
         return pa.table({"bigram": keep.column("bigram"), "op": op})
 
-    return _bigram_halves(sf_dir).map_batches(
-        tag, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return _group_agg(
+        _read(sf_dir, "documents", columns=["doc_id", "text"]), ["bigram"],
+        [("half", "min"), ("half", "max")], ["lo", "hi"], rows=halves,
+        then=tag)
 
 
 _BIGRAM_CTE = """
@@ -2675,52 +2586,34 @@ ORACLES["bigram_setops"] = _BIGRAM_CTE + """
 def q_label_centroids(sf_dir: str):
     """Per-label embedding centroid — the vector groupby a training
     pipeline needs for class prototypes / nearest-class-mean. Per batch:
-    one (labels x dim) partial SUM (vectorized np.add.at) in integer
+    the vectors exploded to (label, dim, value) rows in integer
     nano-units (order-independent exact — the float-sum-order trap of
-    pricing_summary applies to vectors too), exploded to (label, dim)
-    rows; a tiny groupby merges partials; the final map divides. The
-    exchange is O(batches x labels x dim), never the vectors."""
-    meta = pq.ParquetFile(_p(sf_dir, "embeddings"))
-    dim = len(meta.read_row_group(0, columns=["embedding"]).column("embedding")[0])
-    ds = _read(sf_dir, "embeddings", columns=["label", "embedding"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        labels = batch.column("label").to_numpy()
+    pricing_summary applies to vectors too), summed and counted per
+    (label, dim) by _group_agg's combiner; the driver merges the
+    partials and divides. The exchange is O(batches x labels x dim),
+    never the vectors."""
+    def rows(batch: pa.Table) -> pa.Table:
         mat = list_to_matrix(batch.column("embedding"))
+        n, dim = mat.shape
         nano = (np.sign(mat) * np.floor(np.abs(mat) * 1e9 + 0.5)).astype(np.int64)
-        uniq, inv = np.unique(labels, return_inverse=True)
-        sums = np.zeros((len(uniq), dim), dtype=np.int64)
-        np.add.at(sums, inv, nano)
-        counts = np.bincount(inv, minlength=len(uniq))
-        lab = np.repeat(uniq, dim)
-        dims = np.tile(np.arange(1, dim + 1, dtype=np.int64), len(uniq))
-        return pa.table(
-            {
-                "label": pa.array(lab),
-                "dim": pa.array(dims),
-                "s_p": pa.array(sums.ravel()),
-                "n_p": pa.array(np.repeat(counts, dim).astype(np.int64)),
-            }
-        )
+        return pa.table({
+            "label": pa.array(np.repeat(
+                batch.column("label").to_numpy().astype(np.int64), dim)),
+            "dim": pa.array(np.tile(np.arange(1, dim + 1, dtype=np.int64), n)),
+            "s": pa.array(nano.ravel()),
+        })
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["label", "dim"])
-        .aggregate(Sum("s_p", alias_name="s"), Sum("n_p", alias_name="n"))
-    )
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        s = batch.column("s").to_numpy().astype(np.float64)
-        n = batch.column("n").to_numpy().astype(np.float64)
-        return pa.table(
-            {
-                "label": batch.column("label"),
-                "dim": batch.column("dim"),
-                "centroid": _round_half_away(s / n / 1e9, 6),
-            }
-        )
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    agg = _group_agg(
+        _read(sf_dir, "embeddings", columns=["label", "embedding"]),
+        ["label", "dim"], [("s", "sum"), ([], "count_all")], ["s", "n"],
+        rows=rows, driver=True)
+    s = agg.column("s").to_numpy().astype(np.float64)
+    n = agg.column("n").to_numpy().astype(np.float64)
+    return pa.table({
+        "label": agg.column("label"),
+        "dim": agg.column("dim"),
+        "centroid": _round_half_away(s / n / 1e9, 6),
+    })
 
 
 QUERIES["label_centroids"] = q_label_centroids
@@ -2742,10 +2635,10 @@ def q_quantiles_price(sf_dir: str):
     """Approximate quantiles of l_extendedprice via a log-bucket
     histogram: bucket = floor(ln(x)/ln(1+eps)) with eps=1% bounds the
     per-value relative error at eps/2; per-batch (bucket, count) partials
-    merge on the driver (_sum_by; the exchange is O(batches x occupied
-    buckets), never the values — the same mergeable-sketch family as
-    HLL/CMS, which is how a 100-TB engine answers quantiles without a
-    global sort).
+    merge on the driver (_group_agg's driver end; the exchange is
+    O(batches x occupied buckets), never the values — the same
+    mergeable-sketch family as HLL/CMS, which is how a 100-TB engine
+    answers quantiles without a global sort).
     Estimates are pytest-gated within 2% of DuckDB's exact
     quantile_cont AND SQL-oracled bit-exactly: the whole estimator
     (floor-log bucket, cumulative pick, midpoint exp, 6-digit round) is
@@ -2758,19 +2651,14 @@ def q_quantiles_price(sf_dir: str):
     log_base = np.log1p(eps)
     ds = _read(sf_dir, "lineitem", columns=["l_extendedprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def buckets(batch: pa.Table) -> pa.Table:
         x = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
         b = np.floor(np.log(np.maximum(x, 1e-300)) / log_base).astype(np.int64)
-        t = pa.table({"bucket": pa.array(b)})
-        return (
-            t.group_by("bucket").aggregate([([], "count_all")])
-            .rename_columns(["bucket", "n_p"])
-        )
+        return pa.table({"bucket": pa.array(b)})
 
     # occupied buckets only: O(log range / eps) rows
-    hist = _sum_by(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "bucket", ["n_p"], ["n"])
+    hist = _group_agg(ds, ["bucket"], [([], "count_all")], ["n"],
+                      rows=buckets, driver=True)
     buckets = hist.column("bucket").to_numpy()
     cum = np.cumsum(hist.column("n").to_numpy())
     total = int(cum[-1])
@@ -2813,6 +2701,12 @@ ORACLES["quantiles_price"] = """
 # heavy hitters: exact top-20 frequent words (oracled) + CMS agreement
 # ---------------------------------------------------------------------------
 
+def _long_words(batch: pa.Table) -> pa.Table:
+    """The (len > 2) words of a batch's texts, one row per occurrence."""
+    words = pc.list_flatten(pc.split_pattern(batch.column("text"), " "))
+    return pa.table({"word": words.filter(pc.greater(pc.utf8_length(words), 2))})
+
+
 def q_frequent_words(sf_dir: str):
     """Heavy-hitter detection (boilerplate hunting in training corpora):
     top-20 words (len > 2) by total occurrences. Per-batch partial counts
@@ -2821,19 +2715,8 @@ def q_frequent_words(sf_dir: str):
     partials, never the corpus."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        words = pc.list_flatten(pc.split_pattern(batch.column("text"), " "))
-        keep = pc.greater(pc.utf8_length(words), 2)
-        t = pa.table({"word": words.filter(keep)})
-        return (
-            t.group_by("word").aggregate([([], "count_all")])
-            .rename_columns(["word", "n_p"])
-        )
-
-    counts = _bucket_merge(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        keys=["word"], aggs=[("n_p", "sum")], out=["n"],
-    )
+    counts = _group_agg(ds, ["word"], [([], "count_all")], ["n"],
+                        rows=_long_words)
     return _top_k(counts, [("n", "descending"), ("word", "ascending")], 20)
 
 
@@ -2863,13 +2746,7 @@ def q_cms_frequent_words(sf_dir: str):
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        words = pc.list_flatten(pc.split_pattern(batch.column("text"), " "))
-        keep = pc.greater(pc.utf8_length(words), 2)
-        t = (
-            pa.table({"word": words.filter(keep)})
-            .group_by("word").aggregate([([], "count_all")])
-            .rename_columns(["word", "n"])
-        )
+        t = _merged(_long_words(batch), ["word"], [([], "count_all")], ["n"])
         cms = CountMinSketch()
         cms.add(t.column("word").to_pylist(), t.column("n").to_numpy())
         cand = _keep_top(t, [("n", "descending"), ("word", "ascending")],
@@ -2970,10 +2847,10 @@ SAMPLE_FRACTION_SQL = f"""
 # ---------------------------------------------------------------------------
 
 def q_images_thumbnails(sf_dir: str):
-    """Driver traffic is O(fmts x batches) partial rows, merged by _sum_by
-    — linear in batch count (see q_images_decode_stats for the
-    _bucket_merge route to take once batch counts grow past
-    governance-tiny).
+    """Driver traffic is O(fmts x batches) partial rows, merged at
+    _group_agg's driver end — linear in batch count (see
+    q_images_decode_stats for the routed end to take once batch counts
+    grow past governance-tiny).
 
     Resize stage over the input_hint table: decode -> 32x32 nearest ->
     re-encode + thumb phash. Returns per-fmt thumbnail stats."""
@@ -2987,7 +2864,7 @@ def q_images_thumbnails(sf_dir: str):
 
     def stats(batch: pa.Table) -> pa.Table:
         ok = pc.is_valid(batch.column("thumb"))
-        t = pa.table(
+        return pa.table(
             {
                 "fmt": batch.column("fmt"),
                 "ok": pc.cast(ok, pa.int64()),
@@ -2998,15 +2875,10 @@ def q_images_thumbnails(sf_dir: str):
                 ),
             }
         )
-        return (
-            t.group_by("fmt")
-            .aggregate([("ok", "sum"), ("dims_ok", "sum"), ([], "count_all")])
-            .rename_columns(["fmt", "ok_p", "dims_p", "n_p"])
-        )
 
-    return _sum_by(thumbs.map_batches(stats, batch_format="pyarrow"), "fmt",
-                   ["n_p", "ok_p", "dims_p"],
-                   ["n_images", "n_thumbs", "n_dims_ok"])
+    return _group_agg(
+        thumbs, ["fmt"], [([], "count_all"), ("ok", "sum"), ("dims_ok", "sum")],
+        ["n_images", "n_thumbs", "n_dims_ok"], rows=stats, driver=True)
 
 
 def _videos_input(sf_dir: str):
@@ -3088,15 +2960,19 @@ def _audio_input(sf_dir: str):
 
 
 def q_audio_features(sf_dir: str):
-    """Audio feature-extraction stage: PCM decode -> rms/zcr/peak."""
+    """Audio feature-extraction stage: PCM decode -> rms/zcr/peak, one
+    row per clip in clip_id order (the actor pool finishes batches in
+    any order). The sort runs on the driver over the five scalar feature
+    columns, so the result is a pa.Table of O(clips) rows there."""
     from ..stages.multimodal import AudioFeatures
 
     ds, n_blocks = _audio_input(sf_dir)
     lo, hi = _pool_size()
-    return ds.map_batches(
+    return table_store.collect(ds.map_batches(
         AudioFeatures, batch_format="pyarrow", batch_size=64,
         concurrency=(min(lo, n_blocks), max(2, min(hi, n_blocks))),
     ).select_columns(["clip_id", "n_samples", "rms", "zcr", "peak"])
+    ).sort_by("clip_id")
 
 
 def q_ngram_jaccard_verify(sf_dir: str):
@@ -3305,7 +3181,7 @@ def q_partitioned_join(sf_dir: str):
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_extendedprice", "l_discount"])
 
-    def partial_rev(batch: pa.Table) -> pa.Table:
+    def cents(batch: pa.Table) -> pa.Table:
         # per-row product in double (bit-identical across engines), then
         # integer CENTS -> the sum is exact and order-independent, immune
         # to the float-summation-order rounding boundary
@@ -3317,29 +3193,17 @@ def q_partitioned_join(sf_dir: str):
         # sign-preserving half-away-from-zero cents (same helper shape as
         # _units in q_pricing_summary — floor(abs)*sign, not plain floor,
         # so negative amounts round identically to the oracle's round())
-        cents = (np.sign(x) * np.floor(np.abs(x) * 100.0 + 0.5)).astype(np.int64)
-        t = pa.table(
-            {"l_orderkey": batch.column("l_orderkey"), "rev": pa.array(cents)}
-        )
-        return (
-            t.group_by("l_orderkey").aggregate([("rev", "sum")])
-            .rename_columns(["l_orderkey", "rev_p"])
-        )
+        c = (np.sign(x) * np.floor(np.abs(x) * 100.0 + 0.5)).astype(np.int64)
+        return pa.table({"l_orderkey": batch.column("l_orderkey"),
+                         "rev": pa.array(c)})
 
-    li_partial = li.map_batches(partial_rev, batch_format="pyarrow",
-                                zero_copy_batch=True)
-
-    def revenue(t: pa.Table) -> pa.Table:
-        return (
-            t.group_by("o_orderkey").aggregate([("rev_p", "sum")])
-            .rename_columns(["o_orderkey", "revenue_cents"])
-        )
-
+    aggs, out = [("rev", "sum")], ["revenue_cents"]
     return _hash_join(
-        orders, li_partial, "o_orderkey", "l_orderkey", "inner",
+        orders, _partials(li, ["l_orderkey"], aggs, out, rows=cents),
+        "o_orderkey", "l_orderkey", "inner",
         B=_join_width(_table_bytes(sf_dir, "orders")
                       + _table_bytes(sf_dir, "lineitem")),
-        then=revenue,
+        then=lambda t: _merged(t, ["o_orderkey"], aggs, out, merge=True),
     )
 
 
@@ -3747,33 +3611,20 @@ def q_stratified_sample(sf_dir: str):
 def q_users_per_event_type(sf_dir: str):
     """Grouped EXACT distinct count: distinct users per event type — the
     exact complement of the HLL sketch path (q_hll_distinct_orders).
-    Scale shape: per-batch unique (type, user) pairs FIRST (map-side
-    dedup bounds the exchange at distinct-pairs-per-batch, not events),
-    one hash groupby dedups globally, then a tiny per-type count.
-    Driver traffic is O(types x route-buckets) partial rows (merged by
-    _sum_by) — bounded by the route width, NOT the input size;
-    it grows only if a caller widens _route_width for a bigger cluster,
-    and even a 4096-bucket cluster stays governance-tiny."""
+    Scale shape: two _group_aggs. The distinct (user, type) pairs, routed
+    on user_id: per-batch unique pairs FIRST (map-side dedup bounds the
+    exchange at distinct-pairs-per-batch, not events), then every
+    bucket dedups globally. Then a per-type count of those pairs at the
+    driver end: its combiner runs in the bucket tasks, so driver traffic
+    is O(types x route-buckets) partial rows — bounded by the route
+    width, NOT the input size; it grows only if a caller widens
+    _route_width for a bigger cluster, and even a 4096-bucket cluster
+    stays governance-tiny."""
     ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
-
-    def uniq_pairs(batch: pa.Table) -> pa.Table:
-        return batch.group_by(["event_type", "user_id"]).aggregate([])
-
-    def bucket_distinct(t: pa.Table) -> pa.Table:
-        # all pairs of a user co-locate -> in-bucket distinct is global
-        # distinct; collapse to per-type partial counts so only
-        # O(types x buckets) rows reach the final (tiny-key) aggregate
-        return (
-            t.group_by(["event_type", "user_id"]).aggregate([])
-            .group_by("event_type").aggregate([([], "count_all")])
-            .rename_columns(["event_type", "n_p"])
-        )
-
-    pairs = _widen(ds, _p(sf_dir, "events")).map_batches(
-        uniq_pairs, batch_format="pyarrow", zero_copy_batch=True)
-    # O(types x buckets) partial rows — governance-tiny
-    return _sum_by(_shuffle([(pairs, "user_id")], bucket_distinct),
-                   "event_type", ["n_p"], ["n_users"])
+    pairs = _group_agg(_widen(ds, _p(sf_dir, "events")),
+                       ["user_id", "event_type"], [], [])
+    return _group_agg(pairs, ["event_type"], [([], "count_all")],
+                      ["n_users"], driver=True)
 
 
 QUERIES["users_per_event_type"] = q_users_per_event_type
@@ -4134,26 +3985,14 @@ def q_length_outliers(sf_dir: str):
     into a vectorized filter scan. No sort, no row exchange."""
     num, den = 19, 20  # P95 as a rational, like lang_length_quantiles
 
-    hist_src = _read(sf_dir, "documents", columns=["n_chars"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"v": batch.column("n_chars")})
-        return (
-            t.group_by("v").aggregate([([], "count_all")])
-            .rename_columns(["v", "n_p"])
-        )
-
-    hist = table_store.collect(  # distinct length values only
-        _bucket_merge(
-            hist_src.map_batches(partial, batch_format="pyarrow",
-                                 zero_copy_batch=True),
-            keys=["v"], aggs=[("n_p", "sum")], out=["n"],
-        )
-    ).sort_by("v")
+    hist = table_store.collect(_group_agg(  # distinct length values only
+        _read(sf_dir, "documents", columns=["n_chars"]), ["n_chars"],
+        [([], "count_all")], ["n"])).sort_by("n_chars")
     cum = hist.column("n").to_numpy().cumsum()
     n = int(cum[-1])
     target = (num * n + den - 1) // den  # ceil(q*n)
-    thr = int(hist.column("v").to_numpy()[int(np.searchsorted(cum, target))])
+    thr = int(hist.column("n_chars").to_numpy()[
+        int(np.searchsorted(cum, target))])
     return _read(
         sf_dir, "documents", columns=["doc_id", "n_chars", "lang"]
     ).filter(expr=f"n_chars > {thr}")
@@ -4330,9 +4169,6 @@ _TRAINING_SLIM_SCHEMA = pa.schema(
      ("h", pa.string()), ("nt", pa.int64())]
 )
 
-_TM_PART_SCHEMA = pa.schema(
-    [("lang", pa.string()), ("nd_p", pa.int64()), ("nt_p", pa.int64())]
-)
 
 
 def q_training_mix(sf_dir: str):
@@ -4356,10 +4192,10 @@ def q_training_mix(sf_dir: str):
     never leaves the task), materialized once and reused by both
     downstream passes (the anti_join_bloom single-scan pattern; the
     materialized bytes are O(survivors x 4 slim columns)). Dup-group
-    resolution is a _bucket_merge over content hashes; only groups with
-    n > 1 reach the driver (bounded by duplicated content, not corpus
-    size) and broadcast back for one vectorized index_in drop pass. The
-    final per-lang rollup is per-batch partials through _bucket_merge.
+    resolution is a routed _group_agg over content hashes; only groups
+    with n > 1 reach the driver (bounded by duplicated content, not
+    corpus size) and broadcast back for one vectorized index_in drop
+    pass. The final per-lang rollup is a routed _group_agg too.
     The md5 loop is oracle-bound (DuckDB md5 parity), as in
     q_exact_dedup. Mirrors fmpwizard/owlcrawler's store->filter->index
     value chain (parser.go:31-74, storage.go) recomposed as a corpus
@@ -4427,51 +4263,31 @@ def q_training_mix(sf_dir: str):
         stage, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
 
-    def dup_partial(t: pa.Table) -> pa.Table:
-        return (
-            t.select(["h", "doc_id"]).group_by("h")
-            .aggregate([("doc_id", "min"), ([], "count_all")])
-            .rename_columns(["h", "keep_p", "n_p"])
-        )
-
-    dup_groups = _bucket_merge(
-        slim.map_batches(dup_partial, batch_format="pyarrow",
-                         zero_copy_batch=True),
-        keys=["h"], aggs=[("keep_p", "min"), ("n_p", "sum")],
-        out=["keep_id", "n"],
-    )
     # the hashes with >1 survivor copy (the dup groups) broadcast back.
     # The sort is for DETERMINISM of the broadcast payload only —
     # index_in does not need a sorted value_set; dk is aligned to dh
     # from the same rows either way.
-    groups = table_store.collect(dup_groups)
+    groups = table_store.collect(_group_agg(
+        slim, ["h"], [("doc_id", "min"), ([], "count_all")],
+        ["keep_id", "n"]))
     dups = (groups.filter(pc.greater_equal(groups.column("n"), 2))
             .sort_by("h") if groups.num_rows else groups)
     dup_ref = (ray.put((dups.column("h").combine_chunks(),
                         dups.column("keep_id").to_numpy()))
                if dups.num_rows else None)
 
-    def finalize(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _TM_PART_SCHEMA.empty_table()
-        if dup_ref is not None:
-            dh, dk = ray.get(dup_ref)
-            si = pc.fill_null(pc.index_in(t.column("h"), value_set=dh), -1) \
-                .to_numpy(zero_copy_only=False).astype(np.int64)
-            ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-            drop = (si >= 0) & (ids != dk[np.maximum(si, 0)])
-            t = t.filter(pa.array(~drop))
-        return (
-            t.group_by("lang").aggregate([([], "count_all"), ("nt", "sum")])
-            .rename_columns(["lang", "nd_p", "nt_p"])
-        )
+    def kept(t: pa.Table) -> pa.Table:
+        if dup_ref is None:
+            return t
+        dh, dk = ray.get(dup_ref)
+        si = pc.fill_null(pc.index_in(t.column("h"), value_set=dh), -1) \
+            .to_numpy(zero_copy_only=False).astype(np.int64)
+        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
+        drop = (si >= 0) & (ids != dk[np.maximum(si, 0)])
+        return t.filter(pa.array(~drop))
 
-    return _bucket_merge(
-        slim.map_batches(finalize, batch_format="pyarrow",
-                         zero_copy_batch=True),
-        keys=["lang"], aggs=[("nd_p", "sum"), ("nt_p", "sum")],
-        out=["n_docs", "n_tokens"],
-    )
+    return _group_agg(slim, ["lang"], [([], "count_all"), ("nt", "sum")],
+                      ["n_docs", "n_tokens"], rows=kept)
 
 
 QUERIES["training_mix"] = q_training_mix
@@ -4811,21 +4627,10 @@ def q_unigram_rarity(sf_dir: str):
     bounded, so the exact path is the one oracled here."""
     src = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
-    def count_partial(batch: pa.Table) -> pa.Table:
-        words = pc.list_flatten(pc.split_pattern(batch.column("text"), " "))
-        return (
-            pa.table({"word": words})
-            .group_by("word").aggregate([([], "count_all")])
-            .rename_columns(["word", "n_p"])
-        )
-
-    vocab = table_store.collect(  # O(vocabulary), not O(rows)
-        _bucket_merge(
-            src.map_batches(count_partial, batch_format="pyarrow",
-                            zero_copy_batch=True),
-            keys=["word"], aggs=[("n_p", "sum")], out=["n"],
-        )
-    ).sort_by("word")
+    vocab = table_store.collect(_group_agg(  # O(vocabulary), not O(rows)
+        src, ["word"], [([], "count_all")], ["n"],
+        rows=lambda b: pa.table({"word": pc.list_flatten(
+            pc.split_pattern(b.column("text"), " "))}))).sort_by("word")
     vwords = vocab.column("word").combine_chunks()
     vcounts = vocab.column("n").to_numpy()
     total_tokens = int(vcounts.sum())
@@ -4901,37 +4706,16 @@ def q_dup_ngram_fraction(sf_dir: str):
     fallback, as with unigram_rarity."""
     src = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
-    def gram_doc_partial(batch: pa.Table) -> pa.Table:
+    def gram_docs(batch: pa.Table) -> pa.Table:
+        # one row per distinct (doc, gram) of the batch
         pos, grams, _counts = _word_ngrams(batch.column("text"), 5)
-        if not len(pos):
-            return pa.table({"g": pa.array([], pa.string()),
-                             "nd_p": pa.array([], pa.int64())})
-        u = (
-            pa.table({"p": pa.array(pos, pa.int64()), "g": grams})
-            .group_by(["p", "g"]).aggregate([])
-        )
-        return (
-            pa.table({"g": u.column("g")})
-            .group_by("g").aggregate([([], "count_all")])
-            .rename_columns(["g", "nd_p"])
-        )
+        return (pa.table({"p": pa.array(pos, pa.int64()), "g": grams})
+                .group_by(["p", "g"]).aggregate([]).select(["g"]))
 
-    dup = table_store.collect(
-        _bucket_merge(
-            _widen(src, _p(sf_dir, "documents"))
-            .map_batches(gram_doc_partial, batch_format="pyarrow",
-                         zero_copy_batch=True),
-            keys=["g"], aggs=[("nd_p", "sum")], out=["nd"],
-        )
-        .map_batches(
-            # schema-less empty blocks (row-free sort partitions out of
-            # _bucket_merge) have no "g" column — pass them through
-            lambda t: pa.table(
-                {"g": t.column("g").filter(pc.greater(t.column("nd"), 1))})
-            if t.num_rows else t,
-            batch_format="pyarrow",
-        )
-    )  # O(duplicated grams), not O(rows)
+    dup = table_store.collect(_group_agg(  # O(duplicated grams), not O(rows)
+        _widen(src, _p(sf_dir, "documents")), ["g"], [([], "count_all")],
+        ["nd"], rows=gram_docs,
+        then=lambda t: t.filter(pc.greater(t.column("nd"), 1)).select(["g"])))
     dref = ray.put(dup.column("g").combine_chunks() if dup.num_rows
                    else pa.array([], pa.string()))
 
@@ -5009,9 +4793,6 @@ def q_source_overlap(sf_dir: str):
 
     def shingle_partial(batch: pa.Table) -> pa.Table:
         pos, grams, _counts = _word_ngrams(batch.column("text"), 3)
-        if not len(pos):
-            return pa.table({"g": pa.array([], pa.string()),
-                             "srcs": pa.array([], pa.string())})
         srcs = batch.column("source")
         if isinstance(srcs, pa.ChunkedArray):
             srcs = srcs.combine_chunks()
@@ -5034,27 +4815,20 @@ def q_source_overlap(sf_dir: str):
 
     # per-gram set union, bucketed: route partials to run-local hash
     # buckets of g (every gram's partials co-locate), then ONE Arrow
-    # list-agg per bucket followed by a per-GRAM python union — replaces
-    # the per-key AggregateFn accumulate (Ray walks those in Python key
-    # by key) and collapses to the (source_set -> count) histogram
-    # INSIDE the task, so only O(2^|sources|) rows per bucket return
-    def union_hist(t: pa.Table) -> pa.Table:
+    # list-agg per bucket followed by a per-GRAM python union; the
+    # (source_set -> count) histogram's combiner runs in the same task,
+    # so only O(2^|sources|) rows per bucket return
+    def union(t: pa.Table) -> pa.Table:
         sets = t.group_by("g").aggregate([("srcs", "list")])
-        h: dict[str, int] = {}
-        for lst in sets.column("srcs_list").to_pylist():
-            u: set = set()
-            for s in lst:
-                u.update(s.split(_SRC_SEP))
-            key = _SRC_SEP.join(sorted(u))
-            h[key] = h.get(key, 0) + 1
-        return pa.table({"srcs": pa.array(list(h), pa.string()),
-                         "n_p": pa.array(list(h.values()), pa.int64())})
+        return pa.table({"srcs": pa.array(
+            [_SRC_SEP.join(sorted({x for s in lst for x in s.split(_SRC_SEP)}))
+             for lst in sets.column("srcs_list").to_pylist()], pa.string())})
 
     partials = _widen(src, _p(sf_dir, "documents")).map_batches(
         shingle_partial, batch_format="pyarrow", zero_copy_batch=True)
     # O(buckets * 2^|sources|) partial rows, not O(vocabulary)
-    hist = _sum_by(_shuffle([(partials, "g")], union_hist), "srcs",
-                   ["n_p"], ["n"])
+    hist = _group_agg(_shuffle([(partials, "g")], union), ["srcs"],
+                      [([], "count_all")], ["n"], driver=True)
     keys = hist.column("srcs").to_pylist()
     names = sorted({s for key in keys for s in key.split(_SRC_SEP)})
     bit = {s: i for i, s in enumerate(names)}
@@ -5467,8 +5241,8 @@ def q_bigram_pmi(sf_dir: str):
     p(ab)=n_ab/N_bi and p(w)=n_w/N_uni.
 
     Scale + bit-exactness shape: unigram and bigram counts come from ONE
-    fused tokenize pass + ONE _bucket_merge exchange (kind-tagged rows;
-    the unigram table broadcasts like unigram_rarity's — CMS is the
+    fused tokenize pass + ONE routed _group_agg (a bigram holds a
+    space, a word never does; the unigram table broadcasts like unigram_rarity's — CMS is the
     documented fallback for unbounded vocabularies); candidates are
     RANKED BY THE RAW PROBABILITY RATIO,
     which orders identically to PMI (ln is monotonic) while staying in
@@ -5480,10 +5254,10 @@ def q_bigram_pmi(sf_dir: str):
 
     src = _read(sf_dir, "documents", columns=["text"])
 
-    def both_partial(batch: pa.Table) -> pa.Table:
-        """ONE tokenize pass emits BOTH count partials (kind 'u' =
-        unigram, 'b' = bigram): the corpus is read and split once, and
-        the two count families share one _bucket_merge exchange."""
+    def both(batch: pa.Table) -> pa.Table:
+        """ONE tokenize pass emits the rows of BOTH counts, unigrams and
+        bigrams: the corpus is read and split once, and the two count
+        families share one exchange."""
         texts = batch.column("text")
         if isinstance(texts, pa.ChunkedArray):
             texts = texts.combine_chunks()
@@ -5493,42 +5267,29 @@ def q_bigram_pmi(sf_dir: str):
         offs = np.asarray(words.offsets, dtype=np.int64)
         flat = words.values.slice(offs[0], offs[-1] - offs[0])
 
-        def count(arr, kind):
-            t = (pa.table({"k": arr}).group_by("k")
-                 .aggregate([([], "count_all")]).rename_columns(["k", "n_p"]))
-            return t.append_column(
-                "kind", pa.array([kind] * t.num_rows, pa.string()))
-
-        parts = [count(flat, "u")]
         _pos, grams, _counts = _word_ngrams(None, 2, words=words)
-        if len(grams):
-            parts.append(count(grams, "b"))
-        return pa.concat_tables(parts)
+        return pa.table({"k": pa.concat_arrays([flat, grams])})
 
-    wide = _widen(src, _p(sf_dir, "documents"))
-    # route on the string key (keys[0]); kind disambiguates in the merge
-    # group_by (unigrams and bigrams cannot collide anyway — a bigram
-    # always contains a space). Materialized: consumed three times below,
-    # all O(vocabulary)-sized.
-    counts = _bucket_merge(
-        wide.map_batches(both_partial, batch_format="pyarrow",
-                         zero_copy_batch=True),
-        keys=["k", "kind"], aggs=[("n_p", "sum")], out=["n"],
-    ).materialize()
+    # unigrams and bigrams cannot collide: a bigram always contains a
+    # space, a word never does. Materialized: consumed three times
+    # below, all O(vocabulary)-sized.
+    counts = _group_agg(_widen(src, _p(sf_dir, "documents")), ["k"],
+                        [([], "count_all")], ["n"], rows=both).materialize()
 
-    def pick(kind, names):
+    def pick(bigrams: bool, names):
         def f(t: pa.Table) -> pa.Table:
             if t.num_rows == 0:  # map_groups emits schema-less empties
                 return t
-            return (t.filter(pc.equal(t.column("kind"), kind))
-                    .drop_columns(["kind"]).rename_columns(names))
+            is_bi = pc.match_substring(t.column("k"), " ")
+            return t.filter(is_bi if bigrams else pc.invert(is_bi)) \
+                .rename_columns(names)
         return f
 
     empty = pa.table({"bigram": pa.array([], pa.string()),
                       "n_ab": pa.array([], pa.int64()),
                       "pmi": pa.array([], pa.float64())})
     uni = table_store.collect(  # O(vocabulary), not O(rows)
-        counts.map_batches(pick("u", ["w", "n"]), batch_format="pyarrow"))
+        counts.map_batches(pick(False, ["w", "n"]), batch_format="pyarrow"))
     if not uni.num_rows:
         return empty
     uwords = uni.column("w").combine_chunks()
@@ -5536,7 +5297,7 @@ def q_bigram_pmi(sf_dir: str):
     n_uni = int(ucounts.sum())
     uref = ray.put((uwords, ucounts))
 
-    bi = counts.map_batches(pick("b", ["g", "n_ab"]), batch_format="pyarrow")
+    bi = counts.map_batches(pick(True, ["g", "n_ab"]), batch_format="pyarrow")
     # N_bi = total bigram instances = sum over the count table (per-block
     # sums over O(vocab) rows, no extra corpus read)
     sums = table_store.collect(bi.map_batches(

@@ -156,12 +156,10 @@ class IndexRiver:
         a LAZY Ray Dataset (streaming read of the delta rounds -> one
         hash-partitioned groupby), so the merged postings never land on
         the driver. Equality with index_table() is pytest-gated."""
-        from ray.data.aggregate import Sum
+        from .queries import _group_agg
 
-        deltas = table_store.read_all(self.out_root, "windex")
-        return deltas.groupby(["word", "doc_id"]).aggregate(
-            Sum("n", alias_name="n")
-        )
+        return _group_agg(table_store.read_all(self.out_root, "windex"),
+                          ["word", "doc_id"], [("n", "sum")], ["n"])
 
     def search(self, term: str, k: int = 10) -> pa.Table:
         """Point lookup against the maintained index (the ES query the

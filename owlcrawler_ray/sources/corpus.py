@@ -203,6 +203,8 @@ class SyntheticWeb:
         cfg = self.cfg
         locs = [self.resolve(u) for u in urls]
         pages = [loc for loc in locs if loc is not None and loc[1] >= 0]
+        if not pages:  # robots.txt and 404s only: no stream to seed
+            return [self.fetch(u) for u in urls]
         roles = _PAGE_ROLES if cfg.max_images else _PAGE_ROLES[:-1]
         states = iter(_batch_states(
             [_key_seed(cfg.seed, role, hi, pi)

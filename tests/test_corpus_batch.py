@@ -137,6 +137,26 @@ def test_fetch_many_equals_fetch():
     assert SyntheticWeb(_bulk(1)).fetch_many([]) == []
 
 
+def test_fetch_many_without_pages_seeds_nothing(monkeypatch):
+    """A batch of robots.txt and unknown urls (polite mode's robots
+    fetches) gives fetch's bytes without seeding any page stream."""
+    from owlcrawler_ray.sources import corpus
+
+    calls = []
+    for name in ("_batch_states", "_generators"):
+        real = getattr(corpus, name)
+        monkeypatch.setattr(
+            corpus, name,
+            lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    for cfg in (_polite(3), _bulk(1)):
+        web = SyntheticWeb(cfg)
+        urls = ([f"http://{web.host(hi)}/robots.txt"
+                 for hi in range(cfg.num_hosts)] + _misses(web))
+        assert web.fetch_many(urls) == [web.fetch(u) for u in urls]
+        assert web.fetch_many(urls[:1]) == [web.fetch(urls[0])]
+    assert calls == []
+
+
 def test_page_digests_are_golden():
     for name, cfg in (("bulk-1", _bulk(1)), ("polite-3", _polite(3))):
         web = SyntheticWeb(cfg)

@@ -1,9 +1,14 @@
 """Verification for the non-SQL operators: LSH-ANN recall vs brute force,
 simhash/fingerprint determinism + near-dup behavior, image decode/phash
-pipelines, language-ID shape."""
+pipelines, language-ID shape; and edge semantics of oracled queries on
+tiny hand-built corpora against naive Python references (duplicate-ngram
+fraction, source overlap, BM25, int8 quantization)."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
 
 from owlcrawler_ray.functions import codec
 from owlcrawler_ray.functions.textops import (
@@ -389,6 +394,22 @@ def test_audio_features_query(ray_session):
     df = q_audio_features(SF).to_pandas()
     assert len(df) >= 16 and df["clip_id"].is_unique
     assert (df["rms"] > 0).all() and (df["n_samples"] >= 4000).all()
+
+
+def test_audio_features_rows_in_clip_id_order(ray_session):
+    """The actor pool finishes batches in any order; the query returns
+    its rows sorted by clip_id, the same rows the stage gives serially."""
+    from owlcrawler_ray.pipelines.queries import _audio_input, q_audio_features
+    from owlcrawler_ray.sinks import table_store
+    from owlcrawler_ray.stages.multimodal import AudioFeatures
+
+    got = q_audio_features(SF)
+    ids = got.column("clip_id").to_pylist()
+    assert ids == sorted(ids)
+    clips = table_store.collect(_audio_input(SF)[0])
+    want = AudioFeatures()(clips).drop_columns(["bytes"])
+    assert sorted(got.to_pylist(), key=lambda r: r["clip_id"]) == sorted(
+        want.to_pylist(), key=lambda r: r["clip_id"])
 
 
 def test_ngram_jaccard_verify(ray_session):
@@ -929,3 +950,169 @@ def test_widen_noop_when_read_is_already_wide(monkeypatch):
     assert q._widen(sentinel, "ignored") is sentinel
     monkeypatch.setattr(q, "_read_blocks", lambda path: 10_000)
     assert q._widen(sentinel, "ignored") is sentinel
+
+
+def _write_docs(tmp_path, rows):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    pq.write_table(
+        pa.table({
+            "doc_id": pa.array([r[0] for r in rows], pa.int64()),
+            "text": pa.array([r[1] for r in rows], pa.string()),
+            "source": pa.array([r[2] for r in rows], pa.string()),
+        }),
+        str(d / "documents.parquet"),
+    )
+    return str(d)
+
+
+def _ngrams(text, n):
+    ws = text.split(" ")
+    return [" ".join(ws[i:i + n]) for i in range(len(ws) - n + 1)]
+
+
+def test_dup_ngram_fraction_semantics(ray_session, tmp_path):
+    from owlcrawler_ray.pipelines.queries import q_dup_ngram_fraction
+
+    rows = [
+        # intra-doc repeated 5-gram, unique corpus-wide -> n_dup must be 0
+        (0, "p q r s t p q r s t", "a"),
+        # docs 1 and 2 share the 5-gram 'v w x y z'
+        (1, "v w x y z one two three", "a"),
+        (2, "zero v w x y z", "b"),
+        # under 5 words -> excluded entirely
+        (3, "too few words here", "b"),
+    ]
+    sf = _write_docs(tmp_path, rows)
+    got = {
+        r["doc_id"]: r
+        for r in q_dup_ngram_fraction(sf).take_all()
+    }
+
+    # naive reference: a gram is duplicated iff it appears in >1 distinct doc
+    docs = {i: _ngrams(t, 5) for i, t, _ in rows if len(t.split(" ")) >= 5}
+    by_gram = {}
+    for i, gs in docs.items():
+        for g in set(gs):
+            by_gram.setdefault(g, set()).add(i)
+    dup = {g for g, s in by_gram.items() if len(s) > 1}
+    assert set(got) == set(docs)
+    for i, gs in docs.items():
+        n_dup = sum(g in dup for g in gs)
+        assert got[i]["n_grams"] == len(gs)
+        assert got[i]["n_dup"] == n_dup, f"doc {i}"
+        assert got[i]["dup_heavy"] == (n_dup * 5 >= len(gs))
+    assert got[0]["n_dup"] == 0  # intra-doc repetition is not duplication
+
+
+def test_source_overlap_matches_brute_force(ray_session, tmp_path):
+    from owlcrawler_ray.pipelines.queries import q_source_overlap
+
+    rows = [
+        (0, "a b c d e", "s1"),
+        (1, "b c d f", "s1"),
+        (2, "b c d e g", "s2"),
+        (3, "x y z", "s3"),      # shares nothing
+        (4, "a b", "s2"),        # <3 words -> contributes nothing
+    ]
+    sf = _write_docs(tmp_path, rows)
+    got = q_source_overlap(sf).to_pandas().set_index(["src_a", "src_b"])
+
+    sets = {}
+    for _, t, s in rows:
+        if len(t.split(" ")) >= 3:
+            sets.setdefault(s, set()).update(_ngrams(t, 3))
+    names = sorted(sets)
+    want = {}
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            common = len(sets[a] & sets[b])
+            if common:
+                want[(a, b)] = (common, len(sets[a] | sets[b]))
+    assert set(got.index) == set(want)
+    for key, (common, union) in want.items():
+        assert got.loc[key, "n_common"] == common
+        assert got.loc[key, "n_union"] == union
+        assert got.loc[key, "jaccard"] == pytest.approx(common / union)
+
+
+def test_bm25_matches_naive_reference(ray_session):
+    """BM25 scores equal an independent pure-Python implementation
+    (idf/tf/length-norm assembled from scratch), not just the SQL."""
+    import math
+
+    from owlcrawler_ray.pipelines.queries import (
+        BM25_B, BM25_K1, BM25_TERMS, BM25_TOPK, q_bm25_search)
+
+    got = q_bm25_search(SF).to_pandas()
+    assert len(got) == BM25_TOPK
+    docs = pq.read_table(f"{SF}/documents.parquet",
+                         columns=["doc_id", "text"]).to_pylist()
+    ws = {d["doc_id"]: d["text"].split(" ") for d in docs}
+    n = len(ws)
+    avgdl = sum(len(w) for w in ws.values()) / n
+    scores = {}
+    for did, w in ws.items():
+        s = 0.0
+        for t in BM25_TERMS:
+            df = sum(1 for x in ws.values() if t in x)
+            tf = w.count(t)
+            idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
+            s += idf * (tf * (BM25_K1 + 1.0)) / (
+                tf + BM25_K1 * (1.0 - BM25_B + BM25_B * len(w) / avgdl))
+        scores[did] = s
+    want = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:BM25_TOPK]
+    for (wid, wscore), (_, row) in zip(want, got.iterrows()):
+        assert row["doc_id"] == wid
+        assert abs(row["score"] - wscore) < 1e-6
+
+
+def test_source_overlap_odd_source_names(ray_session, tmp_path):
+    """Source names containing '|' (the OLD set separator) and the empty
+    string are real identities, not phantoms: 'feed|mirror' must appear
+    as ONE source in the matrix, and '' must survive the set encoding."""
+    from owlcrawler_ray.pipelines.queries import q_source_overlap
+
+    rows = [
+        (0, "a b c d", "feed|mirror"),
+        (1, "b c d e", ""),
+        (2, "c d e f", "plain"),
+    ]
+    got = q_source_overlap(_write_docs(tmp_path, rows)).to_pandas()
+    names = set(got["src_a"]) | set(got["src_b"])
+    assert names == {"feed|mirror", "", "plain"}
+    # grams: feed|mirror={abc,bcd}, ''={bcd,cde}, plain={cde,def}
+    row = got.set_index(["src_a", "src_b"]).loc[("", "feed|mirror")]
+    assert row["n_common"] == 1 and row["n_union"] == 3
+
+
+def test_source_overlap_rejects_separator_in_name(ray_session, tmp_path):
+    from owlcrawler_ray.pipelines.queries import q_source_overlap
+
+    sf = _write_docs(tmp_path, [(0, "a b c d", "bad\x1fname")])
+    with pytest.raises(Exception, match="separator"):
+        q_source_overlap(sf)
+
+
+def test_embedding_quantize_error_bound(ray_session):
+    """floor(x*127/s + 0.5) must land within half a quantization step of
+    x*127/s, so dequantization error is bounded by scale/254 per element
+    (plus double-rounding slack) — the invariant ann_topk_int8's recall
+    rests on."""
+    from owlcrawler_ray.pipelines.queries import q_embedding_quantize
+
+    q = q_embedding_quantize(SF).to_pandas()
+    emb = pq.read_table(f"{SF}/embeddings.parquet")
+    flat = {}
+    for vid, vec in zip(emb.column("vec_id").to_pylist(),
+                        emb.column("embedding").to_pylist()):
+        for d, x in enumerate(vec, start=1):
+            flat[(vid, d)] = float(x)
+    assert len(q) == len(flat)
+    err = np.abs(
+        q["q"].to_numpy() * q["scale"].to_numpy() / 127.0
+        - np.array([flat[k] for k in zip(q["vec_id"], q["dim"])])
+    )
+    bound = q["scale"].to_numpy() / 254.0 + 1e-9
+    assert (err <= bound).all(), float((err - bound).max())
+    assert q["q"].abs().max() <= 127  # int8-representable codes
