@@ -48,9 +48,12 @@ frontier shard i (host hash) — max(ns, nf) processes, not ns + nf
      into pages_table()/images_table() at read time).
   6. ADVANCE, one call per actor, in this order: push the new links
      (none that is seen or was fetched this round), checkpoint when due
-     (each actor writes its frontier snapshot and seen delta into the
-     round's tmp dir and returns the file names; the driver checks they
-     are visible and commits the manifest with the counters after), and
+     (each actor owns its checkpoint files: it writes its frontier
+     snapshot and seen delta into the round's tmp dir, links its
+     committed seen chain forward, compacts it, and returns the names;
+     the driver checks they are visible and records them in the manifest
+     it commits after; a resume sends each actor the round dir and its
+     chain, and the actor reads its files itself), and
      peek the first W entries by (priority, seq): the next round's
      window, the queue rule of state/frontier.py applied by the shard
      itself. In polite mode the peek takes at most ceil(burst) entries
@@ -471,12 +474,6 @@ _STATE_ACTOR = ray.remote(num_cpus=0)(StateShard)
 _ROUND_TABLES = ("pages", "images", "stamps", "attempts", "windex")
 
 
-# seen-checkpoint chain compaction threshold: a shard whose delta chain
-# reaches this many files rewrites it as one full snapshot on the next
-# checkpoint (LSM compaction — bounds restore reads and link fan-out)
-_CKPT_CHAIN_MAX = 64
-
-
 class Crawler:
     def __init__(self, cfg: CrawlConfig, resume: bool = False):
         if cfg.mode == "polite" and (
@@ -495,10 +492,6 @@ class Crawler:
         self.cfg = cfg
         self.web = SyntheticWeb(cfg.web)
         self.ckpt = CheckpointManager(cfg.ckpt_dir)
-        # incremental seen-checkpoint chain: per-shard file lists of the
-        # last committed round ({} until the first commit or restore)
-        self._seen_chain: dict[str, list[str]] = {}
-        self._last_ckpt_round: int = -1
         spill = (
             os.path.join(cfg.ckpt_dir, "seen_spill") if cfg.seen_spill else None
         )
@@ -531,9 +524,9 @@ class Crawler:
         self._site_ids: set[str] | None = None
         self._site_next = (0, 0)
         # state-actor work the loop defers to the next commit call: the
-        # ack of the last committed checkpoint and, per frontier shard,
-        # the seqs an admission consumed
-        self._ack_pending = False
+        # ack of the last committed checkpoint (its round dir) and, per
+        # frontier shard, the seqs an admission consumed
+        self._ack_pending: str | None = None
         self._removes: dict[int, list[int]] = {}
         # the next admission's window, and the frontier generation that
         # guards it: every push outside the loop (seeds, add_sites, from
@@ -757,7 +750,7 @@ class Crawler:
         checkpoint's ack) now, for paths that read or snapshot the state
         outside the round: a fallback peek, sizes, a standalone
         checkpoint."""
-        ack = ack and self._ack_pending
+        ack = self._ack_pending if ack else None
         ns = self.cfg.num_seen_shards
         futs = [
             a.commit.remote(ack, self._removes.get(i), None, None, None)
@@ -766,7 +759,7 @@ class Crawler:
         ]
         self._removes = {}
         if ack:
-            self._ack_pending = False
+            self._ack_pending = None
         ray.get(futs)
 
     def _defer_removes(self, peeks: list[pa.Table], consumed) -> None:
@@ -881,7 +874,7 @@ class Crawler:
                                 probe[i], add[i], drop[i])
                 for i, a in enumerate(self.state)
             ]
-        self._ack_pending, self._removes = False, {}
+        self._ack_pending, self._removes = None, {}
         lap("seen_commit")
         # 3. the attempts write
         table_store.write_round(attempts, cfg.out_dir, "attempts", rid)
@@ -916,7 +909,7 @@ class Crawler:
             gen = self._frontier_gen
             advances = [
                 a.advance.remote(pack(pushes[i]),
-                                 self._ckpt_args(ckpt, i) if ckpt else None,
+                                 (ckpt, rid) if ckpt else None,
                                  w_next, self._per_host())
                 for i, a in enumerate(self.state)
             ]
@@ -976,38 +969,31 @@ class Crawler:
             lin["last"] = self.round_id
             lin["count"] += 1
 
-    def _ckpt_args(self, tmp: str, i: int) -> tuple:
-        """StateShard.checkpoint arguments for actor ``i``. LSM-style
-        compaction: past _CKPT_CHAIN_MAX files a shard's chain is
-        rewritten as one full snapshot (amortized O(|shard|/64 per
-        round)), bounding both restore reads and per-round link fan-out;
-        the chain length doubles as the file names' unique seq."""
-        n = len(self._seen_chain.get(str(i), []))
-        return tmp, self.round_id, n >= _CKPT_CHAIN_MAX, n
-
     def _checkpoint(self) -> None:
         """A checkpoint outside the round loop's advance call (after the
         loop ends): flush what the loop deferred, then one checkpoint call
         per state actor."""
         self._flush()
         tmp = self.ckpt.begin(self.round_id)
-        outs = ray.get([a.checkpoint.remote(*self._ckpt_args(tmp, i))
-                        for i, a in enumerate(self.state)])
+        outs = ray.get([a.checkpoint.remote(tmp, self.round_id)
+                        for a in self.state])
         self._commit_checkpoint(tmp, outs)
 
     def _commit_checkpoint(self, tmp: str, outs: list) -> None:
-        """Incremental checkpoint, driver side. Every state actor wrote
-        its frontier snapshot (O(queued) — the live working set) into the
-        tmp dir, and each seen shard ONLY the urls it gained since the
-        last acked checkpoint (SeenShard.ckpt_write); prior chain files
-        are hardlinked forward so every round dir is self-contained, and
-        the manifest's commit is what lets the shards drop their pending
-        buffers (ckpt_ack, sent with the next call). Per-round cost is
-        O(progress), not O(|seen|), and no checkpoint bytes transit the
-        driver."""
-        recs = [rec for _, rec in outs[:self.cfg.num_seen_shards]]
-        files = ([fr for fr, _ in outs[:self.cfg.num_frontier_shards]]
-                 + [rec["file"] for rec in recs if rec["file"]])
+        """Incremental checkpoint, driver side: the state actors own the
+        files. Each wrote its frontier snapshot (O(queued) — the live
+        working set) into the tmp dir, and each seen shard linked its
+        committed chain forward and added ONLY the urls it gained since
+        the last acked checkpoint (SeenShard.ckpt_write). The driver
+        records the names they return in the manifest and commits it;
+        the commit is what lets the shards promote their chains and drop
+        their pending buffers (the ack, sent with the next call).
+        Per-round cost is O(progress), not O(|seen|), and no checkpoint
+        bytes transit the driver."""
+        chains = {str(i): chain for i, (_, chain) in enumerate(outs)
+                  if chain is not None}
+        files = ([fr for fr, _ in outs if fr]
+                 + [n for chain in chains.values() for n in chain])
         # actor-written files must be visible driver-side BEFORE the
         # manifest commits — the checkpoint root must be on storage
         # shared by the driver and every state actor (single node / NFS /
@@ -1022,17 +1008,6 @@ class Crawler:
                     "on storage shared between the driver and the state "
                     "actors"
                 )
-        chain: dict[str, list[str]] = {}
-        inherit: dict[str, list[str]] = {}
-        for i, rec in enumerate(recs):
-            base = [] if rec["full"] else list(self._seen_chain.get(str(i), []))
-            if base:
-                inherit[str(i)] = base
-            if rec["file"]:
-                base = base + [rec["file"]]
-            chain[str(i)] = base
-        if inherit:
-            self.ckpt.inherit_chain(self._last_ckpt_round, tmp, inherit)
         manifest = {
             "counters": {
                 "next_seq": self.next_seq,
@@ -1047,15 +1022,13 @@ class Crawler:
                 "images_rounds": dict(self._lineage["images"]),
             },
             "politeness": self.gate.state(),
-            "seen_chain": chain,
+            "seen_chain": chains,
         }
-        self.ckpt.commit(self.round_id, manifest)
-        # the seen shards drop their pending buffers with the next call
-        # they get (commit's first step); until then a crash only re-sends
-        # the same urls, which restore()'s add_many absorbs
-        self._ack_pending = True
-        self._seen_chain = chain
-        self._last_ckpt_round = self.round_id
+        # the seen shards promote their chains and drop their pending
+        # buffers with the next call they get (commit's first step); until
+        # then a crash only re-sends the same urls, which restore()'s
+        # add_many absorbs
+        self._ack_pending = self.ckpt.commit(self.round_id, manifest)
         pruned = self.ckpt.prune_old(self.cfg.ckpt_keep)
         if pruned:
             # bounded history: a lifetime total plus the most recent ids —
@@ -1072,22 +1045,19 @@ class Crawler:
         latest = self.ckpt.latest_round()
         if latest is None:
             return False
-        fr, sn, manifest = self.ckpt.load(latest)
+        manifest = self.ckpt.read_manifest(latest)
         if manifest["config_fingerprint"] != self.cfg.fingerprint():
             raise ValueError(
                 "checkpoint was produced by a different crawl config; "
                 "refusing to resume (delete the checkpoint dir to start "
                 "fresh)"
             )
-        # the checkpoint format holds no seen url in the queue, so the
-        # restored frontier keeps the loop's invariant as it stands
-        ray.get([
-            a.restore.remote(pack(fr[i]) if i < len(fr) else None,
-                             pack(sn[i]) if i < len(sn) else None)
-            for i, a in enumerate(self.state)
-        ])
-        self._seen_chain = manifest["seen_chain"]
-        self._last_ckpt_round = latest
+        # each actor reads its own files (state/shard.py); the checkpoint
+        # format holds no seen url in the queue, so the restored frontier
+        # keeps the loop's invariant as it stands
+        d = self.ckpt.round_dir(latest)
+        ray.get([a.restore.remote(d, manifest["seen_chain"].get(str(i)))
+                 for i, a in enumerate(self.state)])
         c = manifest["counters"]
         self.next_seq = c["next_seq"]
         self.tick = c["tick"]

@@ -35,6 +35,42 @@ from ..sinks import table_store
 MIN_CHARS = 100
 
 
+def _export_buckets(root: str, n_buckets: int, source, rows, bucket_of,
+                    part_key) -> pa.Table:
+    """The bucketed writer of both exports. Skips the committed buckets,
+    opens the rest, and streams ``source()`` (built only when a bucket is
+    left) through one map whose tasks project and gate each batch with
+    ``rows``, split it by ``bucket_of`` and write each open bucket's
+    share as one content-keyed part named ``part_key(bucket, share)``;
+    the count is the barrier, then each bucket dir commits atomically.
+    Returns (bucket, n_docs) read back from disk."""
+    todo = [b for b in range(n_buckets)
+            if not table_store.round_complete(root, _bucket_name(b), 0)]
+    if todo:
+        tmps_ref = ray.put({
+            b: table_store.begin_round(root, _bucket_name(b), 0)
+            for b in todo
+        })
+
+        def shard_write(batch: pa.Table) -> pa.Table:
+            tdirs = ray.get(tmps_ref)
+            # a shuffled join's row-free bucket has no columns
+            t = rows(batch) if batch.num_columns else batch
+            if t.num_rows:
+                buckets = bucket_of(t)
+                for b in np.unique(buckets).tolist():
+                    if b in tdirs:
+                        sub = t.filter(pa.array(buckets == b))
+                        table_store.write_part(tdirs[b], sub,
+                                               key=part_key(b, sub))
+            return pa.table({"n": [t.num_rows]})
+
+        source().map_batches(shard_write, batch_format="pyarrow").count()
+        for b in todo:
+            table_store.commit_round(root, _bucket_name(b), 0)
+    return _bucket_counts(root, n_buckets)
+
+
 def export_pages(crawl_out: str, export_root: str, n_buckets: int = 8,
                  min_chars: int = 50) -> pa.Table:
     """End-to-end training-corpus composition over REAL crawl output:
@@ -46,75 +82,41 @@ def export_pages(crawl_out: str, export_root: str, n_buckets: int = 8,
     skipped. Returns (bucket, n_docs) read back from disk."""
     from ..functions.ids import shard_of
 
-    done = {
-        b for b in range(n_buckets)
-        if table_store.round_complete(export_root, _bucket_name(b), 0)
-    }
-    todo = sorted(set(range(n_buckets)) - done)
-    if todo:
-        tmps = {
-            b: table_store.begin_round(export_root, _bucket_name(b), 0)
-            for b in todo
-        }
-        tmps_ref = ray.put(tmps)
+    def rows(batch: pa.Table) -> pa.Table:
+        # text assembly is pure Arrow ("title para1 para2 ..."); empty-
+        # paragraph pages keep the bare title with no trailing separator,
+        # matching ' '.join([title] + paras) exactly
+        paras = batch.column("text")
+        title = batch.column("title")
+        both = pc.binary_join_element_wise(
+            title, pc.binary_join(paras, " "), " "
+        )
+        texts = pc.if_else(
+            pc.equal(pc.list_value_length(paras), 0), title, both
+        )
+        n_chars = pc.cast(pc.utf8_length(texts), pa.int64())
+        return pa.table(
+            {
+                "doc_id": batch.column("doc_id"),
+                "url": batch.column("url"),
+                "text": texts,
+                "n_chars": n_chars,
+            }
+        ).filter(pc.greater_equal(n_chars, min_chars))
 
-        def shard_write(batch: pa.Table) -> pa.Table:
-            tdirs = ray.get(tmps_ref)
-            # text assembly is pure Arrow ("title para1 para2 ...");
-            # empty-paragraph pages keep the bare title with no trailing
-            # separator, matching ' '.join([title] + paras) exactly
-            paras = batch.column("text")
-            title = batch.column("title")
-            both = pc.binary_join_element_wise(
-                title, pc.binary_join(paras, " "), " "
-            )
-            texts = pc.if_else(
-                pc.equal(pc.list_value_length(paras), 0), title, both
-            )
-            n_chars = pc.cast(pc.utf8_length(texts), pa.int64())
-            keep = pc.greater_equal(n_chars, min_chars)
-            slim = pa.table(
-                {
-                    "doc_id": batch.column("doc_id"),
-                    "url": batch.column("url"),
-                    "text": texts,
-                    "n_chars": n_chars,
-                }
-            ).filter(keep)
-            if slim.num_rows == 0:
-                return pa.table({"bucket": pa.array([], pa.int64()),
-                                 "n_p": pa.array([], pa.int64())})
-            buckets = shard_of(slim.column("doc_id").to_pylist(), n_buckets)
-            out_b, out_n = [], []
-            for b in np.unique(buckets):
-                b = int(b)
-                sub = slim.filter(pa.array(buckets == b))
-                out_b.append(b)
-                out_n.append(sub.num_rows)
-                if b in tdirs:
-                    key = sub.column("doc_id")[0].as_py()
-                    table_store.write_part(
-                        tdirs[b], sub, key=f"pg{b}-{key}-{sub.num_rows}"
-                    )
-            return pa.table(
-                {"bucket": pa.array(out_b, pa.int64()),
-                 "n_p": pa.array(out_n, pa.int64())}
-            )
-
-        # prune at the read: shard_write touches only these four columns,
-        # and the dominant pages payload (html, large_binary, 10-20x
-        # decompression) would otherwise stream through every worker heap
-        # just to be dropped
-        table_store.read_all(
-            crawl_out, "pages",
-            columns=["doc_id", "url", "title", "text"],
-        ).map_batches(
-            shard_write, batch_format="pyarrow"
-        ).count()
-        for b in todo:
-            table_store.commit_round(export_root, _bucket_name(b), 0)
-
-    return _bucket_counts(export_root, n_buckets)
+    # prune at the read: the projection touches only these four columns,
+    # and the dominant pages payload (html, large_binary, 10-20x
+    # decompression) would otherwise stream through every worker heap
+    # just to be dropped
+    return _export_buckets(
+        export_root, n_buckets,
+        lambda: table_store.read_all(
+            crawl_out, "pages", columns=["doc_id", "url", "title", "text"]),
+        rows,
+        lambda t: shard_of(t.column("doc_id").to_pylist(), n_buckets),
+        lambda b, sub: (f"pg{b}-{sub.column('doc_id')[0].as_py()}"
+                        f"-{sub.num_rows}"),
+    )
 
 
 def _bucket_name(b: int) -> str:
@@ -149,15 +151,9 @@ def export_corpus(sf_dir: str, out_root: str, n_buckets: int = 16) -> pa.Table:
     from .queries import (_group_agg, _hash_join, _join_width, _md5_hex,
                           _read, _table_bytes, _table_rows)
 
-    done = {
-        b for b in range(n_buckets)
-        if table_store.round_complete(out_root, _bucket_name(b), 0)
-    }
-    todo = sorted(set(range(n_buckets)) - done)
-    if todo:
+    def source():
         ds = _read(sf_dir, "documents",
                    columns=["doc_id", "text", "n_chars"])
-
         # keep-id set: min doc_id per content hash — the same aggregate
         # as q_exact_dedup
         keep_tbl = _group_agg(
@@ -169,48 +165,19 @@ def export_corpus(sf_dir: str, out_root: str, n_buckets: int = 16) -> pa.Table:
         # the footer row count, so small corpora take the broadcast branch
         # and 10^10-doc corpora the shuffle — the keep side never lands on
         # the driver there
-        ds = _hash_join(
+        return _hash_join(
             ds, keep_tbl.select_columns(["keep_id"]), "doc_id", "keep_id",
             "left semi",
             est_right_bytes=16 * _table_rows(sf_dir, "documents"),
             B=_join_width(_table_bytes(sf_dir, "documents")),
         )
-        tmps = {
-            b: table_store.begin_round(out_root, _bucket_name(b), 0)
-            for b in todo
-        }
-        tmps_ref = ray.put(tmps)
 
-        def shard_write(batch: pa.Table) -> pa.Table:
-            tdirs = ray.get(tmps_ref)
-            if batch.num_columns == 0:  # a shuffled join's row-free bucket
-                return pa.table({"bucket": pa.array([], pa.int64()),
-                                 "n_p": pa.array([], pa.int64())})
-            batch = batch.filter(
-                pc.greater_equal(batch.column("n_chars"), MIN_CHARS)
-            )
-            ids = batch.column("doc_id").to_numpy()
-            buckets = (ids % n_buckets).astype(np.int64)
-            out_b, out_n = [], []
-            for b in np.unique(buckets):
-                b = int(b)
-                sub = batch.filter(pa.array(buckets == b))
-                out_b.append(b)
-                out_n.append(sub.num_rows)
-                if b in tdirs:
-                    lo = int(sub.column("doc_id")[0].as_py())
-                    table_store.write_part(
-                        tdirs[b], sub, key=f"b{b}-{lo}-{sub.num_rows}"
-                    )
-            return pa.table(
-                {"bucket": pa.array(out_b, pa.int64()),
-                 "n_p": pa.array(out_n, pa.int64())}
-            )
-
-        # drive the pass to completion (the count is the barrier), then
-        # commit each bucket dir atomically
-        ds.map_batches(shard_write, batch_format="pyarrow").count()
-        for b in todo:
-            table_store.commit_round(out_root, _bucket_name(b), 0)
-
-    return _bucket_counts(out_root, n_buckets)
+    return _export_buckets(
+        out_root, n_buckets, source,
+        lambda t: t.filter(
+            pc.greater_equal(t.column("n_chars"), MIN_CHARS)),
+        lambda t: (t.column("doc_id").to_numpy() % n_buckets).astype(
+            np.int64),
+        lambda b, sub: (f"b{b}-{int(sub.column('doc_id')[0].as_py())}"
+                        f"-{sub.num_rows}"),
+    )

@@ -2963,7 +2963,10 @@ def q_audio_features(sf_dir: str):
     """Audio feature-extraction stage: PCM decode -> rms/zcr/peak, one
     row per clip in clip_id order (the actor pool finishes batches in
     any order). The sort runs on the driver over the five scalar feature
-    columns, so the result is a pa.Table of O(clips) rows there."""
+    columns, so the result is a pa.Table of O(clips) rows in driver
+    memory: an exception to the module's no-full-table-on-the-driver
+    stance, kept while clip counts stay small (a string id and four
+    numbers a clip)."""
     from ..stages.multimodal import AudioFeatures
 
     ds, n_blocks = _audio_input(sf_dir)

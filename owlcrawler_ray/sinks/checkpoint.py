@@ -15,19 +15,21 @@ Here every round commits a consistent snapshot:
 manifest.json carries ``format`` (= ``FORMAT``), counters (next_seq, tick,
 fetch_seq), the last round's metrics (attempts, successes, new links,
 phase timings), config fingerprint, the politeness buckets, ``seen_chain``
-(per seen shard, the files whose union is its seen set; chain files of
-earlier rounds are hardlinked forward, so every round dir is
+(per seen shard, the files whose union is its seen set; the shard
+hardlinks the files of earlier rounds forward, so every round dir is
 self-contained) and lineage (first, last and count of the pages/images
 round dirs this state produced — O(1) bytes however long the crawl). In
-this format no queued frontier entry is in the seen set. ``load`` refuses
-a manifest with any other ``format``, or none, and leaves it on disk: a
-layout change raises ``FORMAT`` instead of teaching ``load`` the old one.
+this format no queued frontier entry is in the seen set.
+``read_manifest`` refuses a manifest with any other ``format``, or none,
+and leaves it on disk: a layout change raises ``FORMAT`` instead of
+teaching the readers the old one.
 Resume = restore from the highest round whose manifest parses;
 pages/images rounds after that point are discarded (their ``_SUCCESS``
 is removed) so the resumed run re-produces them byte-identically.
 
-The seen shards keep the urls of their last delta write pending until
-the crawl acknowledges the manifest's commit. That ack reaches the state
+The seen shards keep the urls of their last delta write pending, and
+their committed chain as it was, until the crawl acknowledges the
+manifest's commit with the round dir. That ack reaches the state
 actors with the crawl loop's next call to them (the first step of the
 next round's commit), not as a call of its own; a crash before it only
 re-sends those pending urls in the next delta, which ``restore()``'s
@@ -37,10 +39,15 @@ Committed round ids are read from disk once per manager (and again by
 ``latest_round()``, the restore path) and then tracked in memory, so a
 checkpoint's commit and retention parse no manifests.
 
-Every data file of a round is written by a state actor, straight into
-the round's tmp dir: its frontier snapshot (named by ``frontier_file``,
-which ``load`` also uses) and its seen delta, so neither the queue nor
-the seen bytes transit the driver. The driver writes only the manifest.
+Every data file of a round belongs to a state actor, which writes it
+straight into the round's tmp dir and reads it back on restore: its
+frontier snapshot (``frontier_file``, read by ``read_frontier``) and its
+seen chain (``read_chain``). Each seen shard keeps its committed chain
+and the round dir that holds it, links that chain forward into each new
+tmp dir, compacts it, and returns the names (state/seen.py). So neither
+the queue nor the seen bytes transit the driver, in a checkpoint or in
+a resume: the driver writes and reads only the manifest. ``load`` reads
+a whole round with the same two readers.
 
 Deployment requirement: the checkpoint root must live on storage shared
 by the driver AND every state actor (single node, NFS/cluster FS, or an
@@ -69,6 +76,21 @@ def frontier_file(shard_id: int) -> str:
     return f"frontier_shard_{shard_id:04d}.parquet"
 
 
+def read_frontier(round_dir: str, shard_id: int) -> pa.Table:
+    """Frontier shard ``shard_id``'s queue as checkpointed in ``round_dir``."""
+    return pq.read_table(os.path.join(round_dir, frontier_file(shard_id)))
+
+
+def read_chain(round_dir: str, names: list[str]) -> pa.Table:
+    """A seen shard's set: the union of its chain files in ``round_dir``
+    (an empty chain is a shard that never saw a url)."""
+    if not names:
+        return pa.table({"url": pa.array([], pa.string()),
+                         "url_hash": pa.array([], pa.uint64())})
+    return pa.concat_tables(
+        [pq.read_table(os.path.join(round_dir, n)) for n in names])
+
+
 class CheckpointManager:
     def __init__(self, root: str):
         self.root = root
@@ -88,60 +110,24 @@ class CheckpointManager:
                 continue  # partial/corrupt round: not committed
         return sorted(out)
 
-    def _dir(self, round_id: int) -> str:
+    def round_dir(self, round_id: int) -> str:
         return os.path.join(self.root, f"round={round_id:06d}")
 
     # -- incremental protocol (delta-chain seen checkpoints) -------------
     def begin(self, round_id: int) -> str:
         """Open the round's tmp dir (clearing any stale attempt). Stage
         files into it — the state actors' frontier snapshots and seen
-        deltas (StateShard.checkpoint) — then commit(). A previously
+        chains (StateShard.checkpoint) — then commit(). A previously
         COMMITTED dir for the same round is left in place until commit():
-        it may be the inherit_chain link source (a re-entered crawl —
-        add_sites after the frontier drained — re-checkpoints the same
-        round id), and keeping it shrinks the crash window to commit()'s
-        swap."""
-        d = self._dir(round_id)
+        it may hold the chains the seen shards link forward (a re-entered
+        crawl — add_sites after the frontier drained — re-checkpoints the
+        same round id), and keeping it shrinks the crash window to
+        commit()'s swap."""
+        d = self.round_dir(round_id)
         tmp = d + ".tmp"
         shutil.rmtree(tmp, ignore_errors=True)
         os.makedirs(tmp)
         return tmp
-
-    def inherit_chain(self, prev_round: int, tmp: str,
-                      chain: dict[str, list[str]]) -> None:
-        """Hardlink the previous committed round's seen-chain files into
-        the new round's tmp dir, making every round SELF-CONTAINED at
-        O(1) extra disk per inherited file (the inode is shared; retention
-        pruning an old round only drops a link). Falls back to a copy when
-        the filesystem refuses links."""
-        src_dir = self._dir(prev_round)
-        for names in chain.values():
-            for name in names:
-                src = os.path.join(src_dir, name)
-                dst = os.path.join(tmp, name)
-                if os.path.exists(dst):
-                    continue  # two shards can share nothing; names unique
-                if not os.path.exists(src):
-                    # a chain file named by the manifest MUST exist in the
-                    # previous committed round — its absence means the
-                    # chain invariant is broken (external deletion, a
-                    # partially swept dir, or a checkpoint root that is
-                    # not shared with the state actors); a copy
-                    # fallback can never repair that, so fail loudly here
-                    raise RuntimeError(
-                        f"seen-chain file {name!r} missing from committed "
-                        f"round dir {src_dir!r}; checkpoint chain "
-                        "invariant broken (was the checkpoint root "
-                        "modified externally, or is it not on storage "
-                        "shared with the state actors?)"
-                    )
-                try:
-                    os.link(src, dst)
-                except OSError:
-                    # link refused by the filesystem (EXDEV/EPERM/ENOTSUP)
-                    # — src is known present, so a copy is a valid
-                    # (costlier) substitute
-                    shutil.copy2(src, dst)
 
     def commit(self, round_id: int, manifest: dict) -> str:
         """Atomically promote the staged tmp dir; the manifest write is
@@ -149,7 +135,7 @@ class CheckpointManager:
         An old committed dir for the same round is replaced here — a crash
         inside the swap loses only this round's checkpoint, and _restore
         falls back to the previous retained round."""
-        d = self._dir(round_id)
+        d = self.round_dir(round_id)
         tmp = d + ".tmp"
         shutil.rmtree(d, ignore_errors=True)
         os.rename(tmp, d)
@@ -208,11 +194,10 @@ class CheckpointManager:
                               ignore_errors=True)
         self._committed = []
 
-    def load(self, round_id: int) -> tuple[list[pa.Table], list[pa.Table], dict]:
-        """(frontier shards, seen shards, manifest) of a committed round;
-        each seen shard is the union of its chain files. Raises
-        ValueError for a manifest of another format (or none)."""
-        d = self._dir(round_id)
+    def read_manifest(self, round_id: int) -> dict:
+        """The manifest of a committed round. Raises ValueError for a
+        manifest of another format (or none)."""
+        d = self.round_dir(round_id)
         with open(os.path.join(d, "manifest.json")) as f:
             manifest = json.load(f)
         got = manifest.get("format", "none")
@@ -221,17 +206,18 @@ class CheckpointManager:
                 f"checkpoint {d!r} has format {got}, this build reads "
                 f"format {FORMAT}; delete the checkpoint dir to start fresh"
             )
+        return manifest
+
+    def load(self, round_id: int) -> tuple[list[pa.Table], list[pa.Table], dict]:
+        """(frontier shards, seen shards, manifest) of a committed round,
+        read with the state actors' own readers; each seen shard is the
+        union of its chain files."""
+        manifest = self.read_manifest(round_id)
+        d = self.round_dir(round_id)
         frontier = []
-        while os.path.exists(
-                p := os.path.join(d, frontier_file(len(frontier)))):
-            frontier.append(pq.read_table(p))
-        # an empty chain is a shard that never saw a url
-        seen = [
-            pa.concat_tables([pq.read_table(os.path.join(d, n)) for n in names])
-            if names else
-            pa.table({"url": pa.array([], pa.string()),
-                      "url_hash": pa.array([], pa.uint64())})
-            for _, names in sorted(manifest["seen_chain"].items(),
-                                   key=lambda kv: int(kv[0]))
-        ]
+        while os.path.exists(os.path.join(d, frontier_file(len(frontier)))):
+            frontier.append(read_frontier(d, len(frontier)))
+        seen = [read_chain(d, names) for _, names in
+                sorted(manifest["seen_chain"].items(),
+                       key=lambda kv: int(kv[0]))]
         return frontier, seen, manifest

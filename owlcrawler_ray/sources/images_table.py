@@ -88,52 +88,7 @@ def rows_for_indices(indices, n: int, with_near_dups: int) -> pa.Table:
 
 
 def make_images_table(n: int, with_near_dups: int = 0) -> pa.Table:
-    rows = {k: [] for k in
-            ("image_id", "bytes", "w", "h", "fmt", "caption", "phash")}
-
-    def add(img_url: str, fmt: str, w: int, h: int, caption: str,
-            base_pixels: np.ndarray | None = None):
-        iid = ids.doc_id(img_url)
-        pix = base_pixels if base_pixels is not None else codec.synth_pixels(
-            iid, w, h
-        )
-        buf = codec.encode(pix, fmt)
-        dec, *_ = codec.decode(buf)
-        rows["image_id"].append(iid)
-        rows["bytes"].append(buf)
-        rows["w"].append(w)
-        rows["h"].append(h)
-        rows["fmt"].append(fmt)
-        rows["caption"].append(caption)
-        rows["phash"].append(codec.phash64(dec))
-        return pix
-
-    pixels = []
-    for i in range(n):
-        fmt = _FMTS[i % 3]
-        w, h = _DIMS[i % len(_DIMS)]
-        pix = add(
-            f"http://images.test/img-{i}.{fmt}", fmt, w, h,
-            f"synthetic image {i} caption",
-        )
-        pixels.append(pix)
-    for i in range(min(with_near_dups, n)):
-        # same pixels, different (lossy) encoding and id -> near-dup by phash
-        fmt = "jpeg" if _FMTS[i % 3] != "jpeg" else "webp"
-        w, h = _DIMS[i % len(_DIMS)]
-        add(
-            f"http://images.test/dup-{i}.{fmt}", fmt, w, h,
-            f"synthetic image {i} caption", base_pixels=pixels[i],
-        )
-    return pa.table(
-        {
-            "image_id": pa.array(rows["image_id"], pa.string()),
-            "bytes": pa.array(rows["bytes"], pa.binary()),
-            "w": pa.array(np.asarray(rows["w"], np.int32)),
-            "h": pa.array(np.asarray(rows["h"], np.int32)),
-            "fmt": pa.array(rows["fmt"], pa.string()),
-            "caption": pa.array(rows["caption"], pa.string()),
-            "phash": pa.array(np.asarray(rows["phash"], np.int64)),
-        },
-        schema=SCHEMA,
-    )
+    """The whole table on the driver: n base images, then re-encodes of
+    the first min(with_near_dups, n) of them."""
+    return rows_for_indices(range(n + min(with_near_dups, n)), n,
+                            with_near_dups)

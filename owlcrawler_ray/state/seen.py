@@ -23,12 +23,18 @@ writer wins) cannot occur at all.
 from __future__ import annotations
 
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..functions.ids import url_hash64_many
+from ..sinks.checkpoint import read_chain
+
+# a shard whose checkpoint chain reaches this many files rewrites it as
+# one full snapshot on its next checkpoint (LSM compaction)
+_CKPT_CHAIN_MAX = 64
 
 
 class SeenShard:
@@ -55,6 +61,11 @@ class SeenShard:
         # delta write (bounded by adds-per-checkpoint-window, NOT |seen|)
         self._ckpt_pending: list[str] = []
         self._ckpt_mark = 0
+        # the committed checkpoint chain (file names) and the round dir
+        # that holds it; ckpt_write's chain waits in _chain_next for the ack
+        self._chain: list[str] = []
+        self._chain_dir: str | None = None
+        self._chain_next: list[str] = []
         if spill_dir:
             os.makedirs(spill_dir, exist_ok=True)
             self._load_runs()
@@ -175,45 +186,85 @@ class SeenShard:
         pq.write_table(t, path + ".tmp")
         os.rename(path + ".tmp", path)
 
-    def ckpt_write(self, out_dir: str, round_id: int,
-                   force_full: bool = False, seq: int = 0) -> dict:
-        """Write this shard's checkpoint contribution into ``out_dir``:
-        normally a DELTA parquet of the urls inserted since the last ACKED
-        write (O(adds per checkpoint window), not O(|seen|) — the property
-        that makes a 10^10-URL crawl's checkpoint cost proportional to
-        progress, not state), or, with ``force_full`` (the driver's chain
-        compaction), a FULL snapshot. Returns
-        {"file": name|None, "full": bool}; file=None means nothing new.
-        The pending buffer is NOT cleared here — the driver calls
-        ckpt_ack() only after the round's manifest commits, so a crash
-        between write and commit re-sends the same urls next round
+    def _link_chain(self, out_dir: str) -> None:
+        """Hardlink the committed chain into ``out_dir``, so every round
+        dir is self-contained at O(1) extra disk per file (the inode is
+        shared; retention pruning an old round only drops a link)."""
+        for name in self._chain:
+            src = os.path.join(self._chain_dir, name)
+            dst = os.path.join(out_dir, name)
+            if not os.path.exists(src):
+                # a committed chain file MUST exist: its absence means the
+                # chain invariant is broken (external deletion, a
+                # partially swept dir, or a checkpoint root that is not
+                # shared with this actor); no copy can repair that
+                raise RuntimeError(
+                    f"seen-chain file {name!r} missing from committed "
+                    f"round dir {self._chain_dir!r}; checkpoint chain "
+                    "invariant broken (was the checkpoint root "
+                    "modified externally, or is it not on storage "
+                    "shared with the state actors?)"
+                )
+            try:
+                os.link(src, dst)
+            except OSError:
+                # link refused by the filesystem (EXDEV/EPERM/ENOTSUP):
+                # src is present, so a copy is a valid (costlier) stand-in
+                shutil.copy2(src, dst)
+
+    def ckpt_write(self, out_dir: str, round_id: int) -> list[str]:
+        """Write this shard's checkpoint into ``out_dir`` and return its
+        whole chain there: the committed chain, hardlinked forward, plus
+        a DELTA parquet of the urls inserted since the last ACKED write
+        (O(adds per checkpoint window), not O(|seen|) — the property that
+        makes a 10^10-URL crawl's checkpoint cost proportional to
+        progress, not state; no file when nothing is new). A chain of
+        _CKPT_CHAIN_MAX files is compacted instead into one FULL snapshot
+        (LSM-style, amortized O(|shard|/64) per round), which bounds both
+        restore reads and the per-round link fan-out. The committed chain
+        and the pending urls stay as they are until ckpt_ack(), which
+        the crawl sends only after the round's manifest commits, so a
+        crash between write and commit re-sends the same urls next round
         (duplicates are absorbed by restore()'s add_many)."""
         self._ckpt_mark = len(self._ckpt_pending)
-        if force_full:
+        # the chain length is each file name's seq: two writes for the
+        # SAME round id (a re-entered crawl re-checkpointing after
+        # add_sites) get distinct names, so a fresh file never shadows an
+        # inherited same-round one
+        seq = len(self._chain)
+        if seq >= _CKPT_CHAIN_MAX:
             name = (f"seen_full_{self.shard_id:04d}"
                     f"_r{round_id:06d}_{seq:03d}.parquet")
             self._write_urls(sorted(self._all_urls()),
                              os.path.join(out_dir, name))
-            return {"file": name, "full": True}
-        if self._ckpt_mark == 0:
-            return {"file": None, "full": False}
-        # seq = the driver-known chain length for this shard: two writes
-        # for the SAME round id (a re-entered crawl re-checkpointing after
-        # add_sites) get distinct names, so a fresh delta can never shadow
-        # an inherited same-round file
-        name = (f"seen_delta_{self.shard_id:04d}"
-                f"_r{round_id:06d}_{seq:03d}.parquet")
-        # pending may hold duplicates across un-acked writes; dedupe the
-        # slice (order-preserving) purely to shrink the file
-        pend = list(dict.fromkeys(self._ckpt_pending[: self._ckpt_mark]))
-        self._write_urls(pend, os.path.join(out_dir, name))
-        return {"file": name, "full": False}
+            self._chain_next = [name]
+        else:
+            self._link_chain(out_dir)
+            self._chain_next = list(self._chain)
+            if self._ckpt_mark:
+                name = (f"seen_delta_{self.shard_id:04d}"
+                        f"_r{round_id:06d}_{seq:03d}.parquet")
+                # pending may hold duplicates across un-acked writes;
+                # dedupe the slice (order-preserving) to shrink the file
+                pend = list(dict.fromkeys(
+                    self._ckpt_pending[: self._ckpt_mark]))
+                self._write_urls(pend, os.path.join(out_dir, name))
+                self._chain_next.append(name)
+        return self._chain_next
 
-    def ckpt_ack(self) -> None:
-        """Commit point reached: drop the pending urls covered by the last
-        ckpt_write."""
+    def ckpt_ack(self, round_dir: str) -> None:
+        """Commit point reached: the chain of the last ckpt_write is now
+        committed in ``round_dir``; drop the pending urls it covered."""
         del self._ckpt_pending[: self._ckpt_mark]
         self._ckpt_mark = 0
+        self._chain, self._chain_dir = self._chain_next, round_dir
+
+    def restore_chain(self, round_dir: str, chain: list[str]) -> int:
+        """Load the committed chain ``chain`` of ``round_dir``; the next
+        checkpoint links it forward from there."""
+        n = self.restore(read_chain(round_dir, chain))
+        self._chain, self._chain_dir = list(chain), round_dir
+        return n
 
     def restore(self, table: pa.Table) -> int:
         if self.spill_dir:

@@ -26,11 +26,13 @@ construction or resume, a polite re-peek), and ``seen_contains`` and
 ``add_sites``).
 
 Every table crosses the actor boundary packed (state/wire.py):
-``frontier_push``, ``advance`` and ``restore`` take Arrow IPC stream
-buffers, and ``advance`` and ``frontier_peek`` return one. A checkpoint
-ships no table at all: the actor writes its frontier snapshot into the
-round's tmp dir itself, as its seen shard writes its delta, and returns
-only the file names. So no ``pa.Table`` passes through Ray's Arrow
+``frontier_push`` and ``advance`` take Arrow IPC stream buffers, and
+``advance`` and ``frontier_peek`` return one. Checkpoint and restore
+ship no table at all: the actor owns its checkpoint files. It writes its
+frontier snapshot into the round's tmp dir, as its seen shard writes
+its delta and links its committed chain forward, and returns only the
+file names; a restore gets the round dir and the chain names and reads
+the files itself. So no ``pa.Table`` passes through Ray's Arrow
 reducer, and an actor never imports ``ray.data``. An IPC read builds no
 array, though, and pyarrow imports pandas on a process's first
 ``pa.array``; the constructor builds one, so that import (~0.3 CPU-s)
@@ -54,7 +56,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..sinks.checkpoint import frontier_file
+from ..sinks.checkpoint import frontier_file, read_frontier
 from .frontier import FrontierShard
 from .seen import SeenShard
 from .wire import pack, unpack
@@ -92,34 +94,33 @@ class StateShard:
         return (self.frontier.size() if self.frontier else 0,
                 self.seen.size() if self.seen else 0)
 
-    def checkpoint(self, out_dir: str, round_id: int,
-                   force_full: bool = False,
-                   seq: int = 0) -> tuple[str | None, dict | None]:
+    def checkpoint(self, out_dir: str,
+                   round_id: int) -> tuple[str | None, list[str] | None]:
         """Write this actor's checkpoint files into ``out_dir``: the
-        frontier snapshot and the seen shard's delta (or full snapshot).
-        Returns (frontier file name, the seen shard's ``ckpt_write``
-        record); None for an absent role."""
+        frontier snapshot and the seen shard's chain (state/seen.py).
+        Returns (frontier file name, the seen chain's file names); None
+        for an absent role."""
         fr = None
         if self.frontier:
             fr = frontier_file(self.frontier.shard_id)
             pq.write_table(self.frontier.snapshot(), os.path.join(out_dir, fr))
-        rec = (self.seen.ckpt_write(out_dir, round_id, force_full, seq)
-               if self.seen else None)
-        return fr, rec
+        chain = self.seen.ckpt_write(out_dir, round_id) if self.seen else None
+        return fr, chain
 
     # -- the crawl loop's two calls per round ------------------------------
-    def commit(self, ack: bool, removes: list[int] | None,
+    def commit(self, ack: str | None, removes: list[int] | None,
                probe: list[str] | None, add: list[str] | None,
                drop: list[str] | None) -> np.ndarray | None:
         """Close a round, in this order: acknowledge the previous
-        checkpoint (its manifest has committed since), remove this round's
+        checkpoint (``ack``: its round dir, whose manifest has committed
+        since), remove this round's
         admitted and robots-discarded frontier entries, probe the round's
         link candidates against the seen set BEFORE its successes are
         inserted, insert the successes (``add``, this seen shard's share)
         and drop every queued occurrence of them (``drop``, this frontier
         shard's share). Returns the probe mask (None: no probe)."""
-        if ack:
-            self.ckpt_ack()
+        if ack and self.seen:
+            self.seen.ckpt_ack(ack)
         if removes and self.frontier:
             self.frontier.remove_seqs(removes)
         mask = self.seen.contains_many(probe) if probe else None
@@ -146,15 +147,11 @@ class StateShard:
                 if peek_k and self.frontier else None)
         return out, pack(peek)
 
-    def ckpt_ack(self) -> None:
+    def restore(self, round_dir: str, chain: list[str] | None) -> None:
+        """Load this actor's files of a committed checkpoint: its frontier
+        snapshot and its seen ``chain`` (None: no seen role)."""
+        if self.frontier:
+            self.frontier.restore(
+                read_frontier(round_dir, self.frontier.shard_id))
         if self.seen:
-            self.seen.ckpt_ack()
-
-    def restore(self, frontier: pa.Buffer | None,
-                seen: pa.Buffer | None) -> None:
-        """Load a checkpoint's frontier and seen shard (packed; None for
-        an absent role)."""
-        if frontier is not None:
-            self.frontier.restore(unpack(frontier))
-        if seen is not None:
-            self.seen.restore(unpack(seen))
+            self.seen.restore_chain(round_dir, chain)

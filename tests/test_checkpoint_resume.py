@@ -6,6 +6,7 @@ import json
 import os
 import shutil
 
+import pyarrow as pa
 import pytest
 
 from owlcrawler_ray.pipelines.crawl import CrawlConfig, Crawler, run_crawl
@@ -125,7 +126,7 @@ def test_resume_refuses_changed_web(ray_session, tmp_path):
         Crawler(other, resume=True)
 
     mgr = CheckpointManager(f"{base}/ckpt")
-    mpath = os.path.join(mgr._dir(mgr.latest_round()), "manifest.json")
+    mpath = os.path.join(mgr.round_dir(mgr.latest_round()), "manifest.json")
     with open(mpath) as f:
         manifest = json.load(f)
     assert manifest["format"] == FORMAT
@@ -192,6 +193,39 @@ def test_fresh_crawl_does_not_inherit_stale_spill_runs(ray_session, tmp_path):
         assert len(urls) == len(set(urls)) == s1["fetched"]
     finally:
         c2.shutdown()
+
+
+def test_fresh_crawl_clears_stale_spill_driver_side(ray_session, tmp_path):
+    """The stale-run guard runs BEFORE the seen shards exist: a fresh
+    crawl over a reused ckpt_dir deletes the previous crawl's
+    seen_run_* files driver-side instead of letting every shard load
+    O(previous seen set) into its filter only to discard it."""
+    import os
+
+    from owlcrawler_ray.pipelines.crawl import CrawlConfig, Crawler
+    from owlcrawler_ray.sources.corpus import WebConfig
+
+    base = str(tmp_path)
+    cfg = CrawlConfig(
+        web=WebConfig(num_hosts=2, base_pages=4, n_seed_hosts=1),
+        budget_per_round=16,
+        out_dir=f"{base}/out", ckpt_dir=f"{base}/ckpt",
+        fetch_concurrency=1, image_concurrency=1,
+        seen_spill=True, seen_max_mem_urls=4,
+    )
+    spill = f"{base}/ckpt/seen_spill"
+    os.makedirs(spill, exist_ok=True)
+    stale = f"{spill}/seen_run_0000_000000.parquet"
+    pa.parquet.write_table(
+        pa.table({"url": pa.array(["http://stale.test/"], pa.string()),
+                  "url_hash": pa.array([7], pa.uint64())}),
+        stale,
+    )
+    c = Crawler(cfg)  # fresh: no checkpoint committed in ckpt_dir
+    try:
+        assert not os.path.exists(stale)
+    finally:
+        c.shutdown()
 
 
 def test_fresh_crawl_over_reused_dirs_starts_over(ray_session, tmp_path):
@@ -430,5 +464,50 @@ def test_double_resume_with_seen_spill(ray_session, tmp_path):
     c3.shutdown()
 
     assert s3["fetched"] == len(full[0])
+    for got, want, name in zip(resumed, full, ("pages", "attempts", "images")):
+        assert got == want, f"{name} mismatch"
+
+
+def test_resume_reads_no_state_file_on_the_driver(ray_session, tmp_path,
+                                                  monkeypatch):
+    """Each state actor reads its own checkpoint files: on resume the
+    driver reads the manifest and no parquet file (no queue, no seen
+    chain), and the resumed polite crawl with a spilled seen set on two
+    seen shards equals the uninterrupted one."""
+    import pyarrow.parquet as pq
+
+    from owlcrawler_ray.state.politeness import PolitenessConfig
+
+    kw = dict(mode="polite", budget_per_round=32, checkpoint_every=1,
+              politeness=PolitenessConfig(mode="polite", rate_per_s=2.0,
+                                          burst=4.0),
+              seen_spill=True, seen_max_mem_urls=2,
+              num_seen_shards=2, num_frontier_shards=2)
+    c_full, s_full = run_crawl(_cfg(str(tmp_path / "full"), **kw))
+    full = _rows(c_full)
+    c_full.shutdown()
+
+    part = str(tmp_path / "part")
+    # stopped at a round boundary, as perfbench's polite resume is
+    c1, s1 = run_crawl(_cfg(part, max_rounds=s_full["rounds"] // 2, **kw))
+    assert 0 < s1["fetched"] < len(full[0])
+    c1.shutdown()
+    reads = []
+    read_table = pq.read_table
+
+    def counted(*a, **k):
+        reads.append(a)
+        return read_table(*a, **k)
+
+    monkeypatch.setattr(pq, "read_table", counted)
+    c2 = Crawler(_cfg(part, **kw), resume=True)
+    monkeypatch.undo()
+    try:
+        assert reads == []
+        s2 = c2.run()
+        resumed = _rows(c2)
+    finally:
+        c2.shutdown()
+    assert s2["fetched"] == len(full[0])
     for got, want, name in zip(resumed, full, ("pages", "attempts", "images")):
         assert got == want, f"{name} mismatch"

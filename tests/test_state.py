@@ -100,19 +100,21 @@ def test_state_shard_hosts_either_role(tmp_path):
     assert frontier_only.sizes() == (2, 0)
     assert seen_only.sizes() == (0, 1)
 
-    fr, rec = both.checkpoint(str(tmp_path), 0)
+    fr, chain = both.checkpoint(str(tmp_path), 0)
     assert fr == "frontier_shard_0001.parquet"
     assert pq.read_table(tmp_path / fr).column("url").to_pylist() == ["b"]
-    assert rec["file"] and (tmp_path / rec["file"]).exists()
-    both.ckpt_ack()
-    fr, rec = frontier_only.checkpoint(str(tmp_path), 0)
-    assert fr == "frontier_shard_0003.parquet" and rec is None
-    fr, rec = seen_only.checkpoint(str(tmp_path), 0)
-    assert fr is None and rec["file"]
-    frontier_only.ckpt_ack()  # no seen role: nothing to ack
+    assert len(chain) == 1 and (tmp_path / chain[0]).exists()
+    both.commit(str(tmp_path), None, None, None, None)  # the ack
+    fr, no_chain = frontier_only.checkpoint(str(tmp_path), 0)
+    assert fr == "frontier_shard_0003.parquet" and no_chain is None
+    fr, seen_chain = seen_only.checkpoint(str(tmp_path), 0)
+    assert fr is None and seen_chain
+    # no seen role: nothing to ack
+    frontier_only.commit(str(tmp_path), None, None, None, None)
 
+    # a restore reads the actor's own files of the round dir
     back = StateShard(1, True, True)
-    back.restore(pack(both.frontier.snapshot()), pack(both.seen.snapshot()))
+    back.restore(str(tmp_path), chain)
     assert back.sizes() == (1, 2)
     assert list(back.seen_contains(["x", "y"])) == [True, False]
     assert back.advance(None, None) == (None, None)
@@ -125,7 +127,7 @@ def test_state_shard_hosts_either_role(tmp_path):
     ref.push_table(push)
     adv = tmp_path / "adv"
     adv.mkdir()
-    (fr, rec), peek = back.advance(pack(push), (str(adv), 1), 2, 1)
+    (fr, chain), peek = back.advance(pack(push), (str(adv), 1), 2, 1)
     assert back.sizes() == (4, 2)
     assert pq.read_table(adv / fr).to_pydict() == ref.snapshot().to_pydict()
     assert [r["url"] for r in pq.read_table(adv / fr).to_pylist()] == [
@@ -133,7 +135,7 @@ def test_state_shard_hosts_either_role(tmp_path):
     assert unpack(peek).to_pydict() == ref.peek(2, 1).to_pydict()
     assert unpack(peek).column("url").to_pylist() == ["b", "d"]
     lone = StateShard(3, False, True)
-    lone.restore(pack(frontier_only.frontier.snapshot()), None)
+    lone.restore(str(tmp_path), None)
     assert lone.sizes() == (2, 0)
 
 

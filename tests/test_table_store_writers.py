@@ -8,6 +8,7 @@ import pyarrow as pa
 import pytest
 
 import owlcrawler_ray.sinks.table_store as ts
+from owlcrawler_ray.sinks import table_store
 
 
 def _sample_table(n=100):
@@ -163,3 +164,25 @@ def test_parquet_read_pruned_columns_through_block_rule(ray_session,
     for b in blocks:
         assert b.num_rows > 0
         assert b.schema.names == ["image_id", "phash"]
+
+
+def test_concat_parts_heals_offset_width_split():
+    """Parts that disagree ONLY in string/binary offset width (older
+    rounds written before the ImageDecoder large_binary upgrade) must
+    concat losslessly to the 64-bit-offset type; any other schema drift
+    must still fail loudly."""
+    old = pa.table({"bytes": pa.array([b"a"], pa.binary()),
+                    "cap": pa.array(["x"], pa.string())})
+    new = pa.table({"bytes": pa.array([b"b"], pa.large_binary()),
+                    "cap": pa.array(["y"], pa.large_string())})
+    t = table_store._concat_parts([old, new])
+    assert t.schema.field("bytes").type == pa.large_binary()
+    assert t.schema.field("cap").type == pa.large_string()
+    assert t.column("bytes").to_pylist() == [b"a", b"b"]
+    assert t.column("cap").to_pylist() == ["x", "y"]
+    # genuine drift (int vs string) is NOT healed
+    with pytest.raises(pa.lib.ArrowTypeError):
+        table_store._concat_parts([
+            pa.table({"v": pa.array([1], pa.int64())}),
+            pa.table({"v": pa.array(["s"], pa.string())}),
+        ])

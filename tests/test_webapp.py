@@ -5,6 +5,7 @@ publish analog) — all exercised over real HTTP against the served app."""
 
 import shutil
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -151,3 +152,61 @@ def test_search_highlight_escapes_corpus_markup(tmp_path):
     # second search with no new rounds hits the memo (same object back)
     pages_again = app._read("pages", ["doc_id", "url", "title", "text"])
     assert app._read("pages", ["doc_id", "url", "title", "text"]) is pages_again
+
+
+def test_search_on_empty_store_returns_empty(tmp_path):
+    """A detached webapp pointed at a store with NO committed pages round
+    (the supported status-page-before-first-commit state) must serve
+    search as empty, not KeyError the handler thread: read_all_arrow
+    returns a schema-less pa.table({}) there, and the cached body join
+    runs BEFORE the caller's num_rows guard."""
+    app = CrawlWebApp(str(tmp_path / "never_written"))
+    assert app.search("owl") == []
+    # the HTTP surface end-to-end, too (this is where the KeyError killed
+    # the thread and the client saw a dropped connection)
+    srv, _ = app.serve_background()
+    try:
+        url = f"http://127.0.0.1:{srv.server_port}/index?term=owl"
+        with urllib.request.urlopen(url, timeout=10) as r:
+            body = r.read().decode("utf-8")
+        assert "owl" in body  # the form echoes the term; no results rows
+    finally:
+        srv.shutdown()
+
+
+def _post(url: str, data: dict, origin: str | None = None):
+    req = urllib.request.Request(
+        url, data=urllib.parse.urlencode(data).encode("utf-8"), method="POST"
+    )
+    if origin is not None:
+        req.add_header("Origin", origin)
+    return urllib.request.urlopen(req, timeout=10)
+
+
+def test_addsite_cross_origin_post_rejected(tmp_path):
+    """Browsers send an Origin header on every cross-origin form POST;
+    a mismatched (or opaque 'null') Origin must be refused so a hostile
+    page cannot auto-submit crawl seeds. Same-origin and non-browser
+    (no-Origin) POSTs pass."""
+    out = str(tmp_path / "out")
+    app = CrawlWebApp(out)
+    srv, _ = app.serve_background()
+    try:
+        base = f"http://127.0.0.1:{srv.server_port}"
+        for evil in ("http://evil.test", "null"):
+            with pytest.raises(urllib.error.HTTPError) as ei:
+                _post(f"{base}/add-site", {"url": "http://evil.test/"},
+                      origin=evil)
+            assert ei.value.code == 403
+        import os
+        assert not os.path.exists(f"{out}/submitted-sites.txt")
+        # same-origin browser POST and a header-less curl-style POST work
+        with _post(f"{base}/add-site", {"url": "http://ok-a.test/"},
+                   origin=base) as r:
+            assert r.status == 200
+        with _post(f"{base}/add-site", {"url": "http://ok-b.test/"}) as r:
+            assert r.status == 200
+        with open(f"{out}/submitted-sites.txt") as f:
+            assert f.read() == "http://ok-a.test/\nhttp://ok-b.test/\n"
+    finally:
+        srv.shutdown()

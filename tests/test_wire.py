@@ -56,7 +56,8 @@ def test_packed_slice_carries_only_its_rows():
 
 def test_state_shard_checkpoint_loads_back(tmp_path):
     """A state actor writes its frontier snapshot under the name
-    ``CheckpointManager.load`` reads, next to its seen delta."""
+    ``CheckpointManager.load`` reads, next to its seen chain, and a fresh
+    actor restores both from the round dir."""
     mgr = CheckpointManager(str(tmp_path / "ckpt"))
     shards = [StateShard(i, True, True) for i in range(2)]
     for i, sh in enumerate(shards):
@@ -68,14 +69,18 @@ def test_state_shard_checkpoint_loads_back(tmp_path):
     tmp = mgr.begin(5)
     outs = [sh.checkpoint(tmp, 5) for sh in shards]
     assert [fr for fr, _ in outs] == [frontier_file(0), frontier_file(1)]
-    mgr.commit(5, {"seen_chain": {str(i): [rec["file"]]
-                                  for i, (_, rec) in enumerate(outs)}})
+    d = mgr.commit(5, {"seen_chain": {str(i): chain
+                                      for i, (_, chain) in enumerate(outs)}})
     frontier, seen, _ = mgr.load(5)
     assert len(frontier) == 2
-    for sh, fr, sn in zip(shards, frontier, seen):
+    for i, (sh, fr, sn) in enumerate(zip(shards, frontier, seen)):
         assert fr.equals(sh.frontier.snapshot())
         assert sn.column("url").to_pylist() == (
             sh.seen.snapshot().column("url").to_pylist())
+        back = StateShard(i, True, True)
+        back.restore(d, outs[i][1])
+        assert back.frontier.snapshot().equals(sh.frontier.snapshot())
+        assert back.seen.snapshot().equals(sh.seen.snapshot())
 
 
 def test_slim_table_has_the_columns_the_driver_reads(tmp_path):
